@@ -25,7 +25,6 @@ from .fusion_ring import (
     FusionRingError,
     even_subring,
     fib_ring,
-    multiply,
     verlinde_ring,
 )
 from .hypergroup import (

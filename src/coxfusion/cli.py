@@ -1,8 +1,9 @@
 """Command-line surface: fusion tables, theorem verification, projections.
 
-Exit codes: 0 success, 1 usage or precondition error, 2 verification
-failure, 3 I/O failure.  Output is deterministic: floats are rendered
-at 12 significant digits and all iteration is in fixed order.
+Exit codes: 0 success, 1 usage or precondition error or numerical
+non-convergence, 2 verification failure, 3 I/O failure.  Output is
+deterministic: floats are rendered at 12 significant digits and all
+iteration is in fixed order.
 """
 
 from __future__ import annotations
@@ -102,18 +103,14 @@ def cmd_verify(args) -> int:
     if d.rank < 2:
         raise UsageError("rank >= 2 required")
     tol = args.tol if args.tol is not None else _default_tol()
+    report = verify_mod.check_main_theorem(d, tol=tol)
     results = {}
     ok = True
     if args.lemmas or args.all:
-        for check in (
-            verify_mod.check_bifurcation_lemma(d),
-            verify_mod.check_decomposition_lemma(d),
-            verify_mod.check_regular_split(d),
-        ):
+        for check in report.lemmas:
             results[check.name] = check.to_dict()
             ok = ok and check.passed
     if args.theorem or args.all:
-        report = verify_mod.check_main_theorem(d, tol=tol)
         results["main theorem"] = report.to_dict()
         ok = ok and report.passed
     _emit(json.dumps(results, ensure_ascii=False, indent=2), args.out)
@@ -252,7 +249,7 @@ def main(argv=None) -> int:
         if args.func is cmd_verify and not (args.lemmas or args.theorem or args.all):
             args.all = True
         return args.func(args)
-    except (UsageError, CoxeterError, FusionRingError, ValueError) as exc:
+    except (UsageError, CoxeterError, FusionRingError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

@@ -10,13 +10,12 @@ multiplication matrices.
 from __future__ import annotations
 
 import functools
-import json
 
 import numpy as np
 
-from .chebyshev import delta, evaluate, product_support
+from .chebyshev import product_support
 from .linalg import perron_eigenpair
-from .report import CheckResult
+from .report import CheckResult, exact_check
 
 
 class FusionRingError(Exception):
@@ -103,39 +102,19 @@ class FusionRing:
         u = self.unit
         inv = np.array(self.involution)
         eye = np.eye(n, dtype=np.int64)
-        checks = []
-
-        unit_left = np.array_equal(c[u], eye)
-        unit_right = np.array_equal(c[:, u, :], eye)
-        witness = None
-        if not (unit_left and unit_right):
-            bad = c[u] - eye if not unit_left else c[:, u, :] - eye
-            witness = tuple(int(x) for x in np.argwhere(bad != 0)[0])
-        checks.append(CheckResult("unit law", unit_left and unit_right, witness))
-
         left = np.einsum("ijm,mkl->ijkl", c, c)
         right = np.einsum("jkm,iml->ijkl", c, c)
-        assoc = np.array_equal(left, right)
-        witness = None
-        if not assoc:
-            witness = tuple(int(x) for x in np.argwhere(left != right)[0])
-        checks.append(CheckResult("associativity", assoc, witness))
-
-        expected = (np.arange(n)[None, :] == inv[:, None]).astype(np.int64)
-        based = np.array_equal(c[:, :, u], expected)
-        witness = None
-        if not based:
-            witness = tuple(int(x) for x in np.argwhere(c[:, :, u] != expected)[0])
-        checks.append(CheckResult("based condition", based, witness))
-
+        dual = np.arange(n)[None, :] == inv[:, None]
+        anti = exact_check(
+            "involution anti-automorphism", c != c[np.ix_(inv, inv)][:, :, inv].transpose(1, 0, 2)
+        )
         perm_ok = inv[u] == u and np.array_equal(inv[inv], np.arange(n))
-        anti = np.array_equal(c, c[np.ix_(inv, inv)][:, :, inv].transpose(1, 0, 2))
-        witness = None
-        if not anti:
-            diff = c - c[np.ix_(inv, inv)][:, :, inv].transpose(1, 0, 2)
-            witness = tuple(int(x) for x in np.argwhere(diff != 0)[0])
-        checks.append(CheckResult("involution anti-automorphism", bool(perm_ok and anti), witness))
-        return checks
+        return [
+            exact_check("unit law", c[u] != eye, c[:, u, :] != eye),
+            exact_check("associativity", left != right),
+            exact_check("based condition", c[:, :, u] != dual),
+            CheckResult(anti.name, bool(perm_ok and anti.passed), anti.witness),
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -144,9 +123,6 @@ class FusionRing:
             "involution": list(self.involution),
             "constants": self.constants.tolist(),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, **kwargs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FusionRing":
@@ -206,11 +182,6 @@ class FusionElement:
         return " + ".join(terms) if terms else "0"
 
 
-def multiply(a: FusionElement, b: FusionElement) -> FusionElement:
-    """Bilinear product of two elements of the same ring."""
-    return a * b
-
-
 @functools.lru_cache(maxsize=None)
 def verlinde_ring(n: int) -> FusionRing:
     """The Verlinde fusion ring R_n with basis Delta_0 .. Delta_{n-1}."""
@@ -256,10 +227,3 @@ def even_subring(ring: FusionRing) -> tuple[FusionRing, tuple[int, ...]]:
     inv = tuple(evens.index(ring.involution[e]) for e in evens)
     unit = evens.index(ring.unit)
     return FusionRing(labels, sub_constants, unit, inv), evens
-
-
-def verlinde_fp_closed_form(n: int, k: int) -> float:
-    """FP dimension of Delta_k in R_n from the evaluation identity."""
-    import math
-
-    return evaluate(delta(k), 2.0 * math.cos(math.pi / (n + 1)))

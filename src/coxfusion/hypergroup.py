@@ -9,13 +9,12 @@ thresholding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fusion_ring import FusionRing
-from .report import CheckResult
+from .report import CheckResult, exact_check
 from .zplus_module import ZPlusModule
 
 
@@ -58,9 +57,6 @@ class Hypergroup:
             ],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, **kwargs)
-
     def __repr__(self) -> str:
         return f"Hypergroup(rank={self.rank}, labels={list(self.labels)})"
 
@@ -85,11 +81,7 @@ def verify_hypergroup_axioms(hg: Hypergroup, tol: float = 1e-10) -> list[CheckRe
     inv = np.array(hg.involution)
     checks = []
 
-    nonneg = bool(np.all(c >= 0))
-    witness = None
-    if not nonneg:
-        witness = tuple(int(x) for x in np.argwhere(c < 0)[0])
-    checks.append(CheckResult("nonnegativity", nonneg, witness))
+    checks.append(exact_check("nonnegativity", c < 0))
 
     eye = np.eye(n)
     unit_ok = np.max(np.abs(c[u] - eye)) < tol and np.max(np.abs(c[:, u, :] - eye)) < tol
@@ -105,12 +97,7 @@ def verify_hypergroup_axioms(hg: Hypergroup, tol: float = 1e-10) -> list[CheckRe
 
     perm_ok = inv[u] == u and np.array_equal(inv[inv], np.arange(n))
     sym_ok = np.max(np.abs(c[:, :, u] - c[:, :, u].T)) < 1e-12
-    support_ok = True
-    for i in range(n):
-        for j in range(n):
-            positive = c[i, j, u] > 0
-            if positive != (j == inv[i]):
-                support_ok = False
+    support_ok = np.array_equal(c[:, :, u] > 0, np.arange(n)[None, :] == inv[:, None])
     checks.append(
         CheckResult("involution conditions", bool(perm_ok and sym_ok and support_ok))
     )

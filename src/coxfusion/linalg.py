@@ -22,7 +22,9 @@ def perron_eigenpair(
     which the raw Rayleigh quotient is stationary at a wrong value)
     without moving the Perron eigenvector.  Converged when successive
     Rayleigh quotients differ by less than ``rq_tol`` and the iterate
-    residual is below ``residual_tol``.
+    residual is below ``residual_tol``, both scaled by max(1, |quotient|):
+    an absolute ``rq_tol`` falls below the float spacing of a quotient
+    larger than about 64, and convergence then becomes a matter of luck.
     """
     mat = np.asarray(matrix, dtype=float)
     n = mat.shape[0]
@@ -39,7 +41,11 @@ def perron_eigenpair(
         vec = image / norm
         image = shifted @ vec
         rq = float(vec @ image)
-        if abs(rq - rq_prev) < rq_tol and np.max(np.abs(image - rq * vec)) < residual_tol:
+        scale = max(1.0, abs(rq))
+        if (
+            abs(rq - rq_prev) < rq_tol * scale
+            and np.max(np.abs(image - rq * vec)) < residual_tol * scale
+        ):
             return rq - 1.0, vec
         rq_prev = rq
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -19,6 +21,18 @@ class CheckResult:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+
+def exact_check(name: str, *bad: np.ndarray) -> CheckResult:
+    """Passes when no entry of the boolean arrays ``bad`` is set.
+
+    The witness is the first set index of the first array that has one.
+    """
+    for mask in bad:
+        hits = np.argwhere(mask)
+        if len(hits):
+            return CheckResult(name, False, tuple(int(x) for x in hits[0]))
+    return CheckResult(name, True)
 
 
 def all_passed(report: list[CheckResult]) -> bool:

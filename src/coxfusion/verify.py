@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxeter import (
+    Bipartition,
     CoxeterDiagram,
     CoxeterError,
     bipartition,
@@ -29,21 +30,11 @@ from .fusion_ring import even_subring
 from .hypergroup import action_from_module, fixed_space
 from .linalg import subspace_projector
 from .report import CheckResult
-from .zplus_module import ade_module, decompose, regular_element, restrict
+from .zplus_module import ZPlusModule, ade_module, decompose, regular_element, restrict
 
 
-def _require_ade(d: CoxeterDiagram, min_rank: int = 1):
-    if not d.is_ade():
-        raise CoxeterError(f"diagram {d.name} is not of ADE type")
-    if d.rank < min_rank:
-        raise CoxeterError(f"diagram {d.name} has rank < {min_rank}")
-
-
-def check_bifurcation_lemma(d: CoxeterDiagram) -> CheckResult:
+def check_bifurcation_lemma(adjacency: np.ndarray, parts: Bipartition) -> CheckResult:
     """Delta_1 maps each bipartition class into the other, exactly."""
-    _require_ade(d)
-    parts = bipartition(d)
-    adjacency = d.adjacency_matrix()
     blocks = [
         adjacency[np.ix_(parts.plus, parts.plus)],
         adjacency[np.ix_(parts.minus, parts.minus)],
@@ -54,35 +45,25 @@ def check_bifurcation_lemma(d: CoxeterDiagram) -> CheckResult:
     return CheckResult("bifurcation lemma", not offenders, offenders or None)
 
 
-def check_decomposition_lemma(d: CoxeterDiagram) -> CheckResult:
+def check_decomposition_lemma(restricted: ZPlusModule, parts: Bipartition) -> CheckResult:
     """The even restriction splits into exactly the bipartition classes."""
-    _require_ade(d, min_rank=2)
-    module = ade_module(d)
-    even, embedding = even_subring(module.ring)
-    restricted = restrict(module, even, embedding)
     _, components = decompose(restricted)
-    parts = bipartition(d)
     expected = [sorted(parts.plus), sorted(parts.minus)]
-    passed = len(components) == 2 and components == expected
-    return CheckResult("decomposition lemma", passed, components)
+    return CheckResult("decomposition lemma", components == expected, components)
 
 
-def check_regular_split(d: CoxeterDiagram, tol: float = 1e-9) -> CheckResult:
+def check_regular_split(module: ZPlusModule, parts: Bipartition, tol: float = 1e-9) -> CheckResult:
     """r+ +/- r- are +/-FP(Delta_1)-eigenvectors of the Delta_1 action.
 
     The split r = r+ + r- is taken from the regular element of the full
     module by masking the bipartition classes, which fixes the relative
     scaling of the two halves.
     """
-    _require_ade(d, min_rank=2)
-    module = ade_module(d)
     reg = regular_element(module).coordinates
-    parts = bipartition(d)
-    r_plus = np.zeros(d.rank)
-    r_minus = np.zeros(d.rank)
+    r_plus = np.zeros(module.rank)
+    r_minus = np.zeros(module.rank)
     r_plus[list(parts.plus)] = reg[list(parts.plus)]
-    if parts.minus:
-        r_minus[list(parts.minus)] = reg[list(parts.minus)]
+    r_minus[list(parts.minus)] = reg[list(parts.minus)]
     delta1 = module.actions[1].astype(float)
     fp1 = module.ring.fp_dim(1)
     residual_sum = float(np.linalg.norm(delta1 @ (r_plus + r_minus) - fp1 * (r_plus + r_minus)))
@@ -93,18 +74,23 @@ def check_regular_split(d: CoxeterDiagram, tol: float = 1e-9) -> CheckResult:
     )
 
 
+_LEMMA_KEYS = ("bifurcation_ok", "decomposition_ok", "regular_split_ok")
+
+
 @dataclass(frozen=True)
 class TheoremReport:
-    """Per-diagram outcome of the fixed-space / Coxeter-plane comparison."""
+    """Per-diagram outcome of the fixed-space / Coxeter-plane comparison.
+
+    ``lemmas`` holds the bifurcation, decomposition and regular-split
+    checks, in that order.
+    """
 
     diagram: str
     h: int
     fixed_dimension: int
     projector_distance: float
     rotation_angle: float
-    bifurcation_ok: bool
-    decomposition_ok: bool
-    regular_split_ok: bool
+    lemmas: tuple[CheckResult, ...]
     passed: bool
     seconds: float
 
@@ -115,23 +101,27 @@ class TheoremReport:
             "fixed_dimension": self.fixed_dimension,
             "projector_distance": float(f"{self.projector_distance:.12g}"),
             "rotation_angle": float(f"{self.rotation_angle:.12g}"),
-            "bifurcation_ok": self.bifurcation_ok,
-            "decomposition_ok": self.decomposition_ok,
-            "regular_split_ok": self.regular_split_ok,
+            **{key: check.passed for key, check in zip(_LEMMA_KEYS, self.lemmas)},
             "passed": self.passed,
         }
 
 
 def check_main_theorem(d: CoxeterDiagram, tol: float = 1e-8) -> TheoremReport:
-    """Fixed space of the even-hypergroup action equals the Coxeter plane."""
-    _require_ade(d, min_rank=2)
+    """Fixed space of the even-hypergroup action equals the Coxeter plane.
+
+    Each stage runs once.  The fixed-space path reads only the module
+    built from the adjacency matrix and the plane path only the bilinear
+    form; each finds h on its own, and ``passed`` requires the two
+    values to agree.
+    """
+    if d.rank < 2:
+        raise CoxeterError(f"diagram {d.name} has rank < 2")
     start = time.perf_counter()
 
     module = ade_module(d)
     even, embedding = even_subring(module.ring)
     restricted = restrict(module, even, embedding)
-    action = action_from_module(restricted)
-    fixed = fixed_space(action)
+    fixed = fixed_space(action_from_module(restricted))
 
     plane = coxeter_plane(d)
     if fixed.dimension > 0:
@@ -141,19 +131,20 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = 1e-8) -> TheoremReport:
     proj_plane = subspace_projector([plane.u_plus, plane.u_minus])
     distance = float(np.linalg.norm(proj_fixed - proj_plane))
 
-    bif = check_bifurcation_lemma(d)
-    dec = check_decomposition_lemma(d)
-    split = check_regular_split(d)
-    passed = fixed.dimension == 2 and distance < tol
+    parts = bipartition(d)
+    lemmas = (
+        check_bifurcation_lemma(module.actions[1], parts),
+        check_decomposition_lemma(restricted, parts),
+        check_regular_split(module, parts),
+    )
+    passed = fixed.dimension == 2 and distance < tol and module.ring.rank + 1 == plane.h
     return TheoremReport(
         diagram=d.name,
         h=plane.h,
         fixed_dimension=fixed.dimension,
         projector_distance=distance,
         rotation_angle=rotation_angle(plane),
-        bifurcation_ok=bif.passed,
-        decomposition_ok=dec.passed,
-        regular_split_ok=split.passed,
+        lemmas=lemmas,
         passed=passed,
         seconds=time.perf_counter() - start,
     )

@@ -25,13 +25,7 @@ from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.hypergroup import from_fusion_ring
 from coxfusion.linalg import matrix_order
 from coxfusion.report import all_passed
-from coxfusion.verify import (
-    check_bifurcation_lemma,
-    check_decomposition_lemma,
-    check_main_theorem,
-    check_regular_split,
-    default_roster,
-)
+from coxfusion.verify import check_main_theorem, default_roster
 from coxfusion.zplus_module import ade_module
 
 ADE_ROSTER = default_roster()
@@ -152,9 +146,9 @@ def test_criterion_07_plane_eigenvalue_simplicity_and_rotation_order():
 def test_criterion_08_structure_lemmas():
     ok = True
     for d in ADE_ROSTER:
-        ok = ok and check_bifurcation_lemma(d).passed
-        ok = ok and check_decomposition_lemma(d).passed
-        split = check_regular_split(d, tol=1e-9)
+        bifurcation, decomposition, split = check_main_theorem(d).lemmas
+        ok = ok and bifurcation.passed
+        ok = ok and decomposition.passed
         ok = ok and split.passed
     report(8, "bifurcation, decomposition and regular-split lemmas on the roster", ok)
 

@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+import coxfusion.zplus_module
 from coxfusion.cli import main, parse_roster
+from coxfusion.linalg import ConvergenceError
 
 
 def run(capsys, *argv):
@@ -117,6 +119,15 @@ class TestVerify:
     def test_missing_diagram(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 1 and "diagram" in err
+
+    def test_non_convergence_is_exit_one(self, capsys, monkeypatch):
+        def diverge(matrix):
+            raise ConvergenceError("power iteration did not converge in 1 steps")
+
+        monkeypatch.setattr(coxfusion.zplus_module, "perron_eigenpair", diverge)
+        code, out, err = run(capsys, "verify", "A3")
+        assert code == 1 and out == ""
+        assert err == "error: power iteration did not converge in 1 steps\n"
 
 
 class TestProject:

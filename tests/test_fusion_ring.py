@@ -11,7 +11,6 @@ from coxfusion.fusion_ring import (
     FusionRingError,
     even_subring,
     fib_ring,
-    multiply,
     verlinde_ring,
 )
 from coxfusion.report import all_passed, failures
@@ -108,7 +107,7 @@ class TestMultiply:
     def test_unit(self):
         ring = verlinde_ring(6)
         elem = ring.element([1, 0, 2, 0, 1, 3])
-        assert multiply(ring.one(), elem) == elem
+        assert ring.one() * elem == elem
 
     def test_linear_combination(self):
         ring = verlinde_ring(4)
@@ -118,7 +117,7 @@ class TestMultiply:
 
     def test_ring_mismatch(self):
         with pytest.raises(FusionRingError):
-            multiply(verlinde_ring(3).one(), verlinde_ring(4).one())
+            verlinde_ring(3).one() * verlinde_ring(4).one()
 
 
 class TestLeftMultMatrix:
@@ -176,6 +175,14 @@ class TestFPDim:
         fp = fib_ring().fp_dims()
         assert fp[1] * fp[1] == pytest.approx(fp[0] + fp[1], abs=1e-10)
 
+    def test_even_subring_of_r127(self):
+        # The even ring of the D65 module.  With an absolute Rayleigh
+        # quotient tolerance, power iteration for basis element 35 never
+        # settled; the stopping rule is relative to the quotient.
+        sub, embedding = even_subring(verlinde_ring(127))
+        expected = [math.sin((k + 1) * math.pi / 128) / math.sin(math.pi / 128) for k in embedding]
+        assert np.max(np.abs(sub.fp_dims() - expected)) < 1e-9
+
 
 class TestVerifyAxiomsReporting:
     def test_injected_based_defect(self):
@@ -185,6 +192,13 @@ class TestVerifyAxiomsReporting:
         report = FusionRing(ring.labels, bad).verify_axioms()
         names = [check.name for check in failures(report)]
         assert "based condition" in names
+
+    def test_unit_law_witness_from_right_unit(self):
+        ring = verlinde_ring(3)
+        bad = np.array(ring.constants)
+        bad[1, 0, 1] = 2  # b_1 * 1 = 2 b_1: only the right unit law fails
+        report = {check.name: check for check in FusionRing(ring.labels, bad).verify_axioms()}
+        assert report["unit law"].witness == (1, 1)
 
     def test_witness_on_failure(self):
         ring = verlinde_ring(3)

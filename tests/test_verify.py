@@ -1,12 +1,23 @@
 """End-to-end comparison of fixed spaces with Coxeter planes."""
 
+import importlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from coxfusion.coxeter import CoxeterError, bipartition, coxeter_plane, diagram, parse_diagram
+from coxfusion.coxeter import (
+    CoxeterDiagram,
+    CoxeterError,
+    bipartition,
+    coxeter_plane,
+    diagram,
+    parse_diagram,
+)
+from coxfusion.fusion_ring import even_subring
+from coxfusion.hypergroup import action_from_module, fixed_space
 from coxfusion.linalg import subspace_projector
 from coxfusion.verify import (
     check_bifurcation_lemma,
@@ -18,39 +29,50 @@ from coxfusion.verify import (
     reports_to_json,
     run_suite,
 )
-from coxfusion.zplus_module import ade_module, regular_element
+from coxfusion.zplus_module import ade_module, regular_element, restrict
+
+
+def even_restriction(d):
+    module = ade_module(d)
+    even, embedding = even_subring(module.ring)
+    return restrict(module, even, embedding)
 
 
 class TestBifurcationLemma:
     @pytest.mark.parametrize("tag", ["A3", "A12", "D4", "D12", "E7", "E8"])
     def test_passes(self, tag):
-        assert check_bifurcation_lemma(parse_diagram(tag)).passed
+        d = parse_diagram(tag)
+        assert check_bifurcation_lemma(d.adjacency_matrix(), bipartition(d)).passed
 
     def test_rank_one(self):
-        assert check_bifurcation_lemma(diagram("A", 1)).passed
+        d = diagram("A", 1)
+        assert check_bifurcation_lemma(d.adjacency_matrix(), bipartition(d)).passed
 
     def test_rejects_non_ade(self):
+        # The ADE gate sits in ade_module, the first stage of every check.
         with pytest.raises(CoxeterError):
-            check_bifurcation_lemma(diagram("B", 3))
+            ade_module(diagram("B", 3))
 
 
 class TestDecompositionLemma:
     @pytest.mark.parametrize("tag", ["A2", "A7", "D5", "D10", "E6", "E8"])
     def test_passes(self, tag):
-        result = check_decomposition_lemma(parse_diagram(tag))
+        d = parse_diagram(tag)
+        parts = bipartition(d)
+        result = check_decomposition_lemma(even_restriction(d), parts)
         assert result.passed
-        parts = bipartition(parse_diagram(tag))
         assert result.witness == [sorted(parts.plus), sorted(parts.minus)]
 
     def test_rank_one_rejected(self):
-        with pytest.raises(CoxeterError):
-            check_decomposition_lemma(diagram("A", 1))
+        # The rank gate sits in check_main_theorem, before any stage runs.
+        with pytest.raises(CoxeterError, match="rank < 2"):
+            check_main_theorem(diagram("A", 1))
 
 
 class TestRegularSplit:
     @pytest.mark.parametrize("d", default_roster(), ids=lambda d: d.name)
     def test_passes_roster(self, d):
-        result = check_regular_split(d)
+        result = check_regular_split(ade_module(d), bipartition(d))
         assert result.passed
         assert result.witness["sum"] < 1e-9
         assert result.witness["diff"] < 1e-9
@@ -91,7 +113,7 @@ class TestMainTheorem:
         assert report.h == 4
         assert report.fixed_dimension == 2
         assert report.projector_distance < 1e-10
-        assert report.bifurcation_ok and report.decomposition_ok and report.regular_split_ok
+        assert [check.passed for check in report.lemmas] == [True, True, True]
 
     def test_a2_plane_is_whole_space(self):
         report = check_main_theorem(diagram("A", 2))
@@ -139,3 +161,71 @@ class TestSuite:
         assert lines[0] == "diagram,h,fixed_dimension,projector_distance,passed"
         fields = lines[1].split(",")
         assert fields[0] == "A3" and fields[1] == "4" and fields[-1] == "True"
+
+
+MODULES = [
+    importlib.import_module(f"coxfusion.{name}")
+    for name in ("cli", "coxeter", "fusion_ring", "hypergroup", "linalg", "verify", "zplus_module")
+]
+
+
+def rebind(monkeypatch, name, make):
+    """Replace ``name`` by ``make(original)`` in every module that binds it."""
+    bound = [module for module in MODULES if name in vars(module)]
+    replacement = make(vars(bound[0])[name])
+    for module in bound:
+        monkeypatch.setattr(module, name, replacement)
+
+
+def forbid(monkeypatch, *names):
+    for name in names:
+
+        def make(original, name=name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"{name} called from the other pipeline")
+
+            return refuse
+
+        rebind(monkeypatch, name, make)
+
+
+class TestIndependence:
+    @pytest.mark.parametrize("tag,h", [("E8", 30), ("D7", 12)])
+    def test_fixed_space_path_reads_no_coxeter_data(self, monkeypatch, tag, h):
+        forbid(
+            monkeypatch,
+            "coxeter_number",
+            "cartan_form",
+            "reflection_matrices",
+            "distinguished_coxeter_element",
+        )
+        module = ade_module(parse_diagram(tag))
+        assert module.ring.rank == h - 1
+        even, embedding = even_subring(module.ring)
+        action = action_from_module(restrict(module, even, embedding))
+        assert fixed_space(action).dimension == 2
+
+    @pytest.mark.parametrize("tag,h", [("E8", 30), ("D7", 12)])
+    def test_plane_path_reads_no_fusion_data(self, monkeypatch, tag, h):
+        forbid(monkeypatch, "verlinde_ring", "ade_module", "perron_eigenpair")
+        assert coxeter_plane(parse_diagram(tag)).h == h
+
+
+def test_main_theorem_runs_each_stage_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        def make(original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        return make
+
+    for name in ("ade_module", "restrict", "coxeter_number"):
+        rebind(monkeypatch, name, counting(name))
+    monkeypatch.setattr(CoxeterDiagram, "is_ade", counting("is_ade")(CoxeterDiagram.is_ade))
+    assert check_main_theorem(diagram("E", 8)).passed
+    assert calls == {"ade_module": 1, "restrict": 1, "coxeter_number": 1, "is_ade": 1}

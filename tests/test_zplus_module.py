@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from coxfusion.coxeter import CoxeterError, bipartition, diagram
+from coxfusion.coxeter import CoxeterError, bipartition, diagram, parse_diagram
 from coxfusion.fusion_ring import even_subring, fib_ring, verlinde_ring
 from coxfusion.report import all_passed, failures
 from coxfusion.zplus_module import (
@@ -193,6 +193,15 @@ class TestRegularElement:
     def test_eigen_relations_full_roster(self, d):
         module = ade_module(d)
         reg = regular_element(module)  # raises beyond 1e-9 residual
+        assert reg.coordinates.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(reg.coordinates > 0)
+
+    # Ranks whose summed action has a Rayleigh quotient well above 64: an
+    # absolute stopping rule sits below its float spacing there, and
+    # power iteration never settled.
+    @pytest.mark.parametrize("tag", ["A28", "A35", "A43", "A60", "A62", "A65", "A86", "D47"])
+    def test_large_rayleigh_quotient(self, tag):
+        reg = regular_element(ade_module(parse_diagram(tag)))
         assert reg.coordinates.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(reg.coordinates > 0)
 
