@@ -3,8 +3,9 @@
 Covers the generic based-ring machinery plus the two concrete families
 used downstream: the Verlinde ring R_n = Z[x]/(Delta_n) with basis
 Delta_0..Delta_{n-1}, and the rank-2 Fibonacci ring.  Frobenius-Perron
-dimensions are computed by shifted power iteration on the left
-multiplication matrices.
+dimensions come from one Perron solve on the stack of left
+multiplication matrices: the regular element sum_i FP(b_i) b_i is their
+common Perron vector, and each dimension is a Rayleigh quotient on it.
 """
 
 from __future__ import annotations
@@ -78,14 +79,10 @@ class FusionRing:
     def fp_dims(self) -> np.ndarray:
         """Frobenius-Perron dimensions of all basis elements (cached)."""
         if self._fp_dims is None:
-            dims = np.empty(self.rank)
-            for i in range(self.rank):
-                try:
-                    dims[i], _ = perron_eigenpair(self.left_mult_matrix(i))
-                except ArithmeticError as exc:
-                    raise FusionRingError(
-                        f"FP dimension of basis element {i} did not converge"
-                    ) from exc
+            try:
+                dims, _ = perron_eigenpair(self.constants.transpose(0, 2, 1))
+            except ArithmeticError as exc:
+                raise FusionRingError("FP dimensions did not converge") from exc
             dims.setflags(write=False)
             self._fp_dims = dims
         return self._fp_dims

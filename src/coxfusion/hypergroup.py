@@ -152,7 +152,7 @@ def fixed_space(action: HypergroupAction, tol: float = 1e-8) -> FixedSpace:
     dim = action.dimension
     eye = np.eye(dim)
     stacked = np.concatenate([mat - eye for mat in action.matrices], axis=0)
-    _, svals, vt = np.linalg.svd(stacked)
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     kept = int(np.sum(svals >= tol))
     basis = vt[kept:].copy()
     basis.setflags(write=False)

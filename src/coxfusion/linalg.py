@@ -14,23 +14,25 @@ def perron_eigenpair(
     rq_tol: float = 1e-14,
     residual_tol: float = 1e-12,
     max_iter: int = 100_000,
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and positive eigenvector of a nonnegative matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Common Perron eigenvector of a (k, n, n) stack of commuting nonnegative matrices.
 
-    Power iteration from the all-ones vector, run on ``matrix + I``: the
-    unit shift breaks the +/- eigenvalue tie of bipartite supports (for
-    which the raw Rayleigh quotient is stationary at a wrong value)
-    without moving the Perron eigenvector.  Converged when successive
-    Rayleigh quotients differ by less than ``rq_tol`` and the iterate
-    residual is below ``residual_tol``, both scaled by max(1, |quotient|):
-    an absolute ``rq_tol`` falls below the float spacing of a quotient
-    larger than about 64, and convergence then becomes a matter of luck.
+    Power iteration from the all-ones vector on ``sum + I``: a positive
+    combination keeps the common Perron eigenspace, and the unit shift
+    breaks the +/- eigenvalue tie of bipartite supports.  The sum has
+    converged when successive Rayleigh quotients differ by less than
+    ``rq_tol`` and the residual is below ``residual_tol``, both scaled by
+    max(1, |quotient|) (an absolute ``rq_tol`` falls below the float
+    spacing of quotients above about 64).  Returns each matrix's Rayleigh
+    quotient, whose error is quadratic in the vector's when the stack is
+    closed under transposition, and the unit vector, once every matrix's
+    residual also passes; a stack with no common Perron vector never does.
     """
-    mat = np.asarray(matrix, dtype=float)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    shifted = mat + np.eye(n)
+    mats = np.asarray(matrix, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"expected a (k, n, n) stack of matrices, got shape {mats.shape}")
+    n = mats.shape[1]
+    shifted = mats.sum(axis=0) + np.eye(n)
     vec = np.ones(n) / np.sqrt(n)
     rq_prev = np.inf
     for _ in range(max_iter):
@@ -46,7 +48,11 @@ def perron_eigenpair(
             abs(rq - rq_prev) < rq_tol * scale
             and np.max(np.abs(image - rq * vec)) < residual_tol * scale
         ):
-            return rq - 1.0, vec
+            images = mats @ vec
+            values = images @ vec / (vec @ vec)
+            residuals = np.max(np.abs(images - values[:, None] * vec), axis=1)
+            if np.all(residuals < residual_tol * np.maximum(1.0, np.abs(values))):
+                return values, vec
         rq_prev = rq
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 

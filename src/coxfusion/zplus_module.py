@@ -105,21 +105,18 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
 
 def restrict(module: ZPlusModule, sub: FusionRing, embedding) -> ZPlusModule:
     """View the module over a fusion subring via an index embedding."""
-    embedding = tuple(int(e) for e in embedding)
-    if len(embedding) != sub.rank:
+    embedding = np.asarray(embedding, dtype=np.int64)
+    if embedding.shape != (sub.rank,):
         raise FusionRingError("embedding length does not match subring rank")
     parent = module.ring
-    if any(not 0 <= e < parent.rank for e in embedding):
+    if np.any((embedding < 0) | (embedding >= parent.rank)):
         raise FusionRingError("embedding index out of range for the parent ring")
-    outside = [k for k in range(parent.rank) if k not in embedding]
-    for a in range(sub.rank):
-        for b in range(sub.rank):
-            row = parent.constants[embedding[a], embedding[b]]
-            if outside and np.any(row[outside] != 0):
-                raise FusionRingError("embedding is not closed under the parent product")
-            if np.any(row[list(embedding)] != sub.constants[a, b]):
-                raise FusionRingError("subring constants disagree with the parent ring")
-    actions = module.actions[list(embedding)]
+    block = parent.constants[np.ix_(embedding, embedding)]
+    if np.any(np.delete(block, embedding, axis=2) != 0):
+        raise FusionRingError("embedding is not closed under the parent product")
+    if np.any(block[:, :, embedding] != sub.constants):
+        raise FusionRingError("subring constants disagree with the parent ring")
+    actions = module.actions[embedding]
     return ZPlusModule(sub, module.labels, actions)
 
 
@@ -170,26 +167,25 @@ class RegularElement:
 def regular_element(module: ZPlusModule, tol: float = 1e-9) -> RegularElement:
     """Regular element of an irreducible module.
 
-    Computed as the Perron vector of the summed action (a strictly
-    positive combination preserves the Perron eigenspace), then checked
-    against every generator at eigenvalue FP(b_i).
+    The common Perron vector of all actions, from one solve on the stack,
+    checked against every generator at eigenvalue FP(b_i).
     """
     _, components = decompose(module)
     if len(components) != 1:
         raise ZPlusModuleError(
             f"module is reducible ({len(components)} components); regular element undefined"
         )
-    total = module.actions.sum(axis=0)
-    _, vec = perron_eigenpair(total)
+    _, vec = perron_eigenpair(module.actions)
     vec = vec / vec.sum()
     if np.any(vec <= 0):
         raise ZPlusModuleError("Perron vector is not strictly positive")
     fp = module.ring.fp_dims()
-    for i in range(module.ring.rank):
-        residual = float(np.max(np.abs(module.actions[i] @ vec - fp[i] * vec)))
-        if residual > tol:
-            raise ZPlusModuleError(
-                f"eigen-relation for basis element {i} fails (residual {residual:.3e})"
-            )
+    residuals = np.max(np.abs(module.actions @ vec - fp[:, None] * vec), axis=1)
+    failing = np.flatnonzero(residuals > tol)
+    if failing.size:
+        i = int(failing[0])
+        raise ZPlusModuleError(
+            f"eigen-relation for basis element {i} fails (residual {residuals[i]:.3e})"
+        )
     vec.setflags(write=False)
     return RegularElement(module, vec)

@@ -178,10 +178,24 @@ class TestFPDim:
     def test_even_subring_of_r127(self):
         # The even ring of the D65 module.  With an absolute Rayleigh
         # quotient tolerance, power iteration for basis element 35 never
-        # settled; the stopping rule is relative to the quotient.
-        sub, embedding = even_subring(verlinde_ring(127))
-        expected = [math.sin((k + 1) * math.pi / 128) / math.sin(math.pi / 128) for k in embedding]
-        assert np.max(np.abs(sub.fp_dims() - expected)) < 1e-9
+        # settled; the stopping rule is relative to the quotient.  R_99
+        # and R_197 are the rings of D50 and D100.
+        for n in (99, 127, 197):
+            ring = verlinde_ring(n)
+            sub, embedding = even_subring(ring)
+            y = math.pi / (n + 1)
+            expected = np.array([math.sin((k + 1) * y) / math.sin(y) for k in range(n)])
+            assert np.max(np.abs(ring.fp_dims() - expected)) < 1e-9
+            assert np.max(np.abs(sub.fp_dims() - expected[list(embedding)])) < 1e-9
+
+    def test_non_associative_ring_has_no_common_perron_vector(self):
+        # The left multiplication matrices no longer commute, so no single
+        # vector satisfies every eigen-relation and the solve cannot settle.
+        ring = verlinde_ring(3)
+        bad = np.array(ring.constants)
+        bad[2, 2, 2] = 1
+        with pytest.raises(FusionRingError, match="did not converge"):
+            FusionRing(ring.labels, bad).fp_dims()
 
 
 class TestVerifyAxiomsReporting:

@@ -1,0 +1,32 @@
+"""The Perron kernel on stacks of commuting nonnegative matrices."""
+
+import math
+
+import numpy as np
+import pytest
+
+from coxfusion.coxeter import diagram
+from coxfusion.fusion_ring import verlinde_ring
+from coxfusion.linalg import perron_eigenpair
+
+
+class TestPerronEigenpair:
+    def test_stack_of_one_bipartite(self):
+        # A3 is bipartite: its spectrum is symmetric about 0, and unshifted
+        # power iteration would stall between the +-sqrt(2) eigenvectors.
+        values, vec = perron_eigenpair([diagram("A", 3).adjacency_matrix()])
+        assert values.shape == (1,)
+        assert values[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert np.all(vec > 0)
+
+    def test_left_multiplication_stack_of_r5(self):
+        ring = verlinde_ring(5)
+        values, vec = perron_eigenpair(ring.constants.transpose(0, 2, 1))
+        expected = [math.sin((k + 1) * math.pi / 6) / math.sin(math.pi / 6) for k in range(5)]
+        assert np.max(np.abs(values - expected) / expected) < 1e-14
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
+    def test_rejects_non_stack(self, shape):
+        with pytest.raises(ValueError):
+            perron_eigenpair(np.ones(shape))

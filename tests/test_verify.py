@@ -16,7 +16,7 @@ from coxfusion.coxeter import (
     diagram,
     parse_diagram,
 )
-from coxfusion.fusion_ring import even_subring
+from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.hypergroup import action_from_module, fixed_space
 from coxfusion.linalg import subspace_projector
 from coxfusion.verify import (
@@ -224,8 +224,18 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
 
         return make
 
-    for name in ("ade_module", "restrict", "coxeter_number"):
+    for name in ("ade_module", "restrict", "coxeter_number", "perron_eigenpair"):
         rebind(monkeypatch, name, counting(name))
     monkeypatch.setattr(CoxeterDiagram, "is_ade", counting("is_ade")(CoxeterDiagram.is_ade))
+    # FP dimensions are cached on the ring objects; start from fresh rings.
+    verlinde_ring.cache_clear()
+    even_subring.cache_clear()
     assert check_main_theorem(diagram("E", 8)).passed
-    assert calls == {"ade_module": 1, "restrict": 1, "coxeter_number": 1, "is_ade": 1}
+    # One Perron solve each for the full ring, the even ring and the module.
+    assert calls == {
+        "ade_module": 1,
+        "restrict": 1,
+        "coxeter_number": 1,
+        "is_ade": 1,
+        "perron_eigenpair": 3,
+    }

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from coxfusion.coxeter import CoxeterError, bipartition, diagram, parse_diagram
-from coxfusion.fusion_ring import even_subring, fib_ring, verlinde_ring
+from coxfusion.fusion_ring import (
+    FusionRing,
+    FusionRingError,
+    even_subring,
+    fib_ring,
+    verlinde_ring,
+)
 from coxfusion.report import all_passed, failures
 from coxfusion.zplus_module import (
     ZPlusModule,
@@ -109,6 +115,20 @@ class TestRestrict:
         sub, _ = even_subring(module.ring)
         with pytest.raises(Exception):
             restrict(module, sub, (0, 1))  # odd index: not the even embedding
+
+    def test_embedding_not_closed(self):
+        # Delta_1 * Delta_1 = Delta_0 + Delta_2 leaves the span of (0, 1).
+        with pytest.raises(FusionRingError, match="not closed"):
+            restrict(ade_module(diagram("A", 5)), verlinde_ring(2), (0, 1))
+
+    def test_subring_constants_disagree(self):
+        module = ade_module(diagram("A", 5))
+        sub, embedding = even_subring(module.ring)
+        bad = np.array(sub.constants)
+        bad[1, 1, 1] += 1
+        wrong = FusionRing(sub.labels, bad, sub.unit, sub.involution)
+        with pytest.raises(FusionRingError, match="disagree"):
+            restrict(module, wrong, embedding)
 
 
 class TestDecompose:
