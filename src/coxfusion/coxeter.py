@@ -29,10 +29,16 @@ class CoxeterDiagram:
     """A Coxeter matrix with a fixed vertex ordering and a display name."""
 
     def __init__(self, coxeter_matrix, name: str = "custom"):
-        mat = np.array(coxeter_matrix, dtype=np.int64)
+        try:
+            raw = np.asarray(coxeter_matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CoxeterError(f"Coxeter matrix must be numeric: {exc}") from exc
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise CoxeterError(f"Coxeter matrix must be square, got shape {raw.shape}")
+        if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+            raise CoxeterError("Coxeter matrix entries must be integers")
+        mat = raw.astype(np.int64)
         n = mat.shape[0]
-        if mat.shape != (n, n):
-            raise CoxeterError(f"Coxeter matrix must be square, got shape {mat.shape}")
         if not np.array_equal(mat, mat.T):
             raise CoxeterError("Coxeter matrix must be symmetric")
         if np.any(np.diag(mat) != 1):
@@ -235,16 +241,13 @@ def bipartition(d: CoxeterDiagram) -> Bipartition:
 
 
 def distinguished_coxeter_element(d: CoxeterDiagram) -> np.ndarray:
-    """gamma = (product of even-class reflections) * (odd-class product)."""
+    """gamma = s_{i_1} ... s_{i_n}: the even-class reflections, then the odd class."""
     parts = bipartition(d)
     refl = reflection_matrices(d)
-    gamma_plus = np.eye(d.rank)
-    for k in parts.plus:
-        gamma_plus = gamma_plus @ refl[k]
-    gamma_minus = np.eye(d.rank)
-    for k in parts.minus:
-        gamma_minus = gamma_minus @ refl[k]
-    return gamma_plus @ gamma_minus
+    gamma = np.eye(d.rank)
+    for k in parts.plus + parts.minus:
+        gamma = gamma @ refl[k]
+    return gamma
 
 
 def coxeter_number(d: CoxeterDiagram, cap: int = 1000) -> int:
@@ -329,64 +332,45 @@ def rotation_angle(p: CoxeterPlane) -> float:
     return math.atan2(g[1, 0], g[0, 0])
 
 
-def root_system(d: CoxeterDiagram, cap: int = 10**6) -> list[np.ndarray]:
-    """Closure of the simple roots under all reflections (alpha basis).
+def root_system(d: CoxeterDiagram) -> list[np.ndarray]:
+    """The roots of a finite irreducible type, in the alpha basis.
 
-    Breadth-first closure with deduplication at 1e-9; terminates for
-    finite types, raises once the cap is exceeded.
+    For gamma = s_{i_1} ... s_{i_n}, taken in the bipartite order of
+    ``distinguished_coxeter_element``, the roots
+    theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j} lie in n distinct
+    gamma-orbits of size h, and these orbits make up the root system
+    (Steinberg, Trans. AMS 1959; Bourbaki, Lie groups and Lie algebras,
+    Ch. V-VI).  Rows come as h blocks of n, theta, gamma theta, ...,
+    gamma^(h-1) theta, so row r + n is gamma applied to row r, and each
+    root appears exactly once.  The diagram must be a finite irreducible
+    tree; ``coxeter_number`` raises CoxeterError otherwise.
     """
-    if d.has_infinite_bond():
-        raise CoxeterError("root system enumeration requires a finite type")
+    h = coxeter_number(d)
     refl = reflection_matrices(d)
-    roots: list[np.ndarray] = []
-    index: dict[tuple, int] = {}
-
-    def lookup(vec: np.ndarray) -> int | None:
-        key = tuple(np.round(vec, 6) + 0.0)
-        if key in index:
-            return index[key]
-        for pos, known in enumerate(roots):
-            if np.max(np.abs(known - vec)) < 1e-9:
-                index[key] = pos
-                return pos
-        return None
-
-    frontier = []
-    for i in range(d.rank):
-        alpha = np.zeros(d.rank)
-        alpha[i] = 1.0
-        roots.append(alpha)
-        index[tuple(np.round(alpha, 6) + 0.0)] = len(roots) - 1
-        frontier.append(alpha)
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for s in refl:
-                image = s @ vec
-                if lookup(image) is None:
-                    roots.append(image)
-                    index[tuple(np.round(image, 6) + 0.0)] = len(roots) - 1
-                    nxt.append(image)
-                    if len(roots) > cap:
-                        raise CoxeterError(f"root closure exceeded {cap} vectors")
-        frontier = nxt
-    return roots
+    parts = bipartition(d)
+    gamma = np.eye(d.rank)
+    theta = []
+    for k in parts.plus + parts.minus:
+        theta.append(gamma[:, k])
+        gamma = gamma @ refl[k]
+    blocks = [np.array(theta)]
+    for _ in range(h - 1):
+        blocks.append(blocks[-1] @ gamma.T)
+    return list(np.vstack(blocks))
 
 
-def project_to_plane(vectors, p: CoxeterPlane, form: np.ndarray | None = None) -> np.ndarray:
+def project_to_plane(vectors, p: CoxeterPlane) -> np.ndarray:
     """Orthogonal (form-metric) projection of vectors onto the plane.
 
     Coordinates are <v|u+>/<u+|u+> and <v|u->/<u-|u-> in the bilinear
     form; with the form-unit eigenvectors of ``coxeter_plane`` this is
     an isometry of the plane.
     """
-    if form is None:
-        form = p.form
-    quad_plus = float(p.u_plus @ form @ p.u_plus)
-    quad_minus = float(p.u_minus @ form @ p.u_minus)
+    quad_plus = float(p.u_plus @ p.form @ p.u_plus)
+    quad_minus = float(p.u_minus @ p.form @ p.u_minus)
     if min(quad_plus, quad_minus) < 1e-12:
         raise CoxeterError("degenerate form direction; cannot project")
-    axis_plus = form @ p.u_plus / quad_plus
-    axis_minus = form @ p.u_minus / quad_minus
+    axis_plus = p.form @ p.u_plus / quad_plus
+    axis_minus = p.form @ p.u_minus / quad_minus
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     return np.column_stack([vectors @ axis_plus, vectors @ axis_minus])

@@ -49,9 +49,6 @@ class ZPlusModule:
         """Module rank (number of basis elements)."""
         return len(self.labels)
 
-    def action(self, i: int) -> np.ndarray:
-        return self.actions[i]
-
     def verify_axioms(self) -> list[CheckResult]:
         """Exact checks: unit action, nonnegativity, ring compatibility."""
         acts = self.actions

@@ -116,6 +116,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["main theorem"]["h"] == 4
 
+    @pytest.mark.parametrize("matrix", ["[[1,3.7],[3.7,1]]", "5"])
+    def test_malformed_matrix(self, capsys, matrix):
+        # truncating 3.7 to 3 would verify A2
+        code, out, err = run(capsys, "verify", "--matrix", matrix, "--theorem")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_diagram(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 1 and "diagram" in err

@@ -70,6 +70,20 @@ class TestDiagram:
         with pytest.raises(CoxeterError):
             CoxeterDiagram([[2, 3], [3, 1]])  # bad diagonal
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 3.7], [3.7, 1]], 5, [1, 3], [[[1]]], [[1, float("nan")], [float("nan"), 1]],
+         [[1, None], [None, 1]], [[1, "x"], ["x", 1]]],
+        ids=["fractional", "scalar", "vector", "3d", "nan", "none", "text"],
+    )
+    def test_non_integer_or_non_2d_rejected(self, matrix):
+        with pytest.raises(CoxeterError):
+            CoxeterDiagram(matrix)
+
+    def test_integral_floats_accepted(self):
+        d = CoxeterDiagram([[1.0, 3.0], [3.0, 1.0]])
+        assert d.coxeter_matrix.dtype == np.int64 and d.order(0, 1) == 3
+
     def test_is_ade(self):
         assert diagram("A", 5).is_ade()
         assert diagram("E", 8).is_ade()
@@ -253,7 +267,10 @@ class TestCoxeterPlane:
             assert np.all(coxeter_plane(d).u_plus > 0)
 
 
-ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "D4": 24, "B3": 18, "H3": 30, "E6": 72, "E8": 240}
+ROOT_COUNTS = {
+    "A1": 2, "A2": 6, "A3": 12, "D4": 24, "B3": 18, "H3": 30, "E6": 72, "E8": 240,
+    "F4": 48, "H4": 120, "B10": 200, "D30": 1740, "I2(40)": 80,
+}
 
 
 class TestRootSystem:
@@ -265,13 +282,44 @@ class TestRootSystem:
         roots = root_system(diagram("A", 1))
         assert sorted(r[0] for r in roots) == [-1.0, 1.0]
 
-    def test_closed_under_reflections(self):
-        d = diagram("D", 4)
+    @pytest.mark.parametrize("tag", ["D4", "F4", "H3", "H4", "E8", "I2(7)"])
+    def test_closed_under_reflections(self, tag):
+        # distinct, containing the simple roots and closed under the
+        # simple reflections: with the count n*h that is exactly Phi
+        d = parse_diagram(tag)
         roots = np.array(root_system(d))
+        gaps = np.max(np.abs(roots[:, None, :] - roots[None, :, :]), axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert np.min(gaps) > 1e-6
+        for alpha in np.eye(d.rank):
+            assert np.min(np.max(np.abs(roots - alpha), axis=1)) < 1e-9
         for s in reflection_matrices(d):
             for root in roots:
                 image = s @ root
                 assert np.min(np.max(np.abs(roots - image), axis=1)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 3, 3, 3, 3], [3, 1, 2, 2, 2], [3, 2, 1, 2, 2], [3, 2, 2, 1, 2], [3, 2, 2, 2, 1]],
+            [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+            [[1, 2], [2, 1]],
+            [[1, 0], [0, 1]],
+        ],
+        ids=["affine D4", "affine A2", "A1xA1", "infinite bond"],
+    )
+    def test_non_finite_or_reducible_rejected(self, matrix):
+        # affine D4 is a tree with finite bonds: only the infinite order
+        # of gamma tells it apart from a finite type
+        with pytest.raises(CoxeterError):
+            root_system(CoxeterDiagram(matrix))
+
+    @pytest.mark.parametrize("tag", ["E8", "H4"])
+    def test_rows_are_gamma_orbits(self, tag):
+        d = parse_diagram(tag)
+        gamma = distinguished_coxeter_element(d)
+        roots = np.array(root_system(d))
+        assert np.max(np.abs(roots[d.rank :] - roots[: -d.rank] @ gamma.T)) < 1e-9
 
 
 class TestProjection:
