@@ -9,7 +9,6 @@ machine-width integers are deliberately avoided.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 
@@ -86,46 +85,20 @@ class IntPolynomial:
     def __call__(self, y: float) -> float:
         return evaluate(self, y)
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for d in range(self.degree, -1, -1):
-            c = self.coefficient(d)
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                mono = "x" if d == 1 else f"x^{d}"
-                if c == 1:
-                    terms.append(mono)
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c}{mono}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
-
 
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
 _deltas = [ONE, X]
-_deltas_lock = threading.Lock()
 
 
 def delta(k: int) -> IntPolynomial:
     """The k-th polynomial Delta_k; results are memoised."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if k >= len(_deltas):
-        with _deltas_lock:
-            while len(_deltas) <= k:
-                _deltas.append(X * _deltas[-1] - _deltas[-2])
+    while len(_deltas) <= k:
+        _deltas.append(X * _deltas[-1] - _deltas[-2])
     return _deltas[k]
 
 

@@ -151,7 +151,7 @@ def cmd_project(args) -> int:
     if d.rank < 2:
         raise UsageError("rank >= 2 required")
     plane = coxeter_plane(d)
-    roots = root_system(d)
+    roots = root_system(d, plane.h)
     points = project_to_plane(roots, plane)
     if args.out and args.out.endswith(".svg"):
         text = _points_to_svg(points, args.labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matrix_order
+from .linalg import connected_components, matrix_order
 
 #: Sentinel for an infinite bond order inside integer Coxeter matrices.
 INFINITE = 0
@@ -79,16 +79,7 @@ class CoxeterDiagram:
         return bool(np.any(off == INFINITE))
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        adj = self.adjacency_matrix()
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(adj[v])[0]:
-                if int(w) not in seen:
-                    seen.add(int(w))
-                    stack.append(int(w))
-        return len(seen) == self.rank
+        return len(connected_components(self.adjacency_matrix())) == 1
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges()) == self.rank - 1
@@ -223,21 +214,11 @@ class Bipartition:
 def bipartition(d: CoxeterDiagram) -> Bipartition:
     if not d.is_tree():
         raise CoxeterError("bipartition requires a tree-shaped diagram")
+    # even distance from vertex 0 = joined to it by two-step walks, the graph of A**2
     adj = d.adjacency_matrix()
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in np.nonzero(adj[v])[0]:
-                w = int(w)
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    plus = tuple(v for v in range(d.rank) if dist[v] % 2 == 0)
-    minus = tuple(v for v in range(d.rank) if dist[v] % 2 == 1)
-    return Bipartition(plus, minus)
+    plus = connected_components(adj @ adj > 0)[0]
+    minus = [v for v in range(d.rank) if v not in plus]
+    return Bipartition(tuple(plus), tuple(minus))
 
 
 def distinguished_coxeter_element(d: CoxeterDiagram) -> np.ndarray:
@@ -332,7 +313,7 @@ def rotation_angle(p: CoxeterPlane) -> float:
     return math.atan2(g[1, 0], g[0, 0])
 
 
-def root_system(d: CoxeterDiagram) -> list[np.ndarray]:
+def root_system(d: CoxeterDiagram, h: int | None = None) -> list[np.ndarray]:
     """The roots of a finite irreducible type, in the alpha basis.
 
     For gamma = s_{i_1} ... s_{i_n}, taken in the bipartite order of
@@ -343,9 +324,11 @@ def root_system(d: CoxeterDiagram) -> list[np.ndarray]:
     Ch. V-VI).  Rows come as h blocks of n, theta, gamma theta, ...,
     gamma^(h-1) theta, so row r + n is gamma applied to row r, and each
     root appears exactly once.  The diagram must be a finite irreducible
-    tree; ``coxeter_number`` raises CoxeterError otherwise.
+    tree; ``coxeter_number`` raises CoxeterError otherwise, unless the
+    caller passes the h it already has from ``coxeter_plane``.
     """
-    h = coxeter_number(d)
+    if h is None:
+        h = coxeter_number(d)
     refl = reflection_matrices(d)
     parts = bipartition(d)
     gamma = np.eye(d.rank)

@@ -1,4 +1,4 @@
-"""Small numerical kernels: Perron eigenpairs and subspace projectors."""
+"""Small numerical kernels: Perron pairs, projectors, components, exact matmuls."""
 
 from __future__ import annotations
 
@@ -7,6 +7,19 @@ import numpy as np
 
 class ConvergenceError(ArithmeticError):
     """Raised when an iterative eigenvalue computation fails to settle."""
+
+
+EXACT_FLOAT_BOUND = 2**53
+
+
+def exact_dtype(bound: int) -> type:
+    """Dtype of exact integer matmuls whose partial sums stay below ``bound``:
+    float64 (BLAS) below 2**53, int64 (no BLAS) below 2**63, else OverflowError."""
+    if bound < EXACT_FLOAT_BOUND:
+        return np.float64
+    if bound < 2**63:
+        return np.int64
+    raise OverflowError(f"integer products up to {bound} overflow int64")
 
 
 def perron_eigenpair(
@@ -77,3 +90,13 @@ def matrix_order(matrix, cap: int = 1000, tol: float = 1e-8) -> int:
         if np.max(np.abs(power - eye)) < tol:
             return k
     raise ConvergenceError(f"matrix order exceeds cap {cap}; input may not be of finite order")
+
+
+def connected_components(support) -> list[list[int]]:
+    """Sorted vertex lists of the components of a symmetric boolean adjacency,
+    by smallest vertex; log2(n) + 1 squarings of reachability cover every path."""
+    n = len(support)
+    reach = (np.asarray(support, dtype=bool) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return [np.flatnonzero(row).tolist() for v, row in enumerate(reach) if row.argmax() == v]

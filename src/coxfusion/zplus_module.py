@@ -16,8 +16,8 @@ import numpy as np
 
 from .coxeter import CoxeterDiagram, CoxeterError
 from .fusion_ring import FusionRing, FusionRingError, verlinde_ring
-from .linalg import perron_eigenpair
-from .report import CheckResult, exact_check
+from .linalg import EXACT_FLOAT_BOUND, connected_components, exact_dtype, perron_eigenpair
+from .report import CheckResult, exact_check, sliced_check
 
 
 class ZPlusModuleError(Exception):
@@ -50,15 +50,19 @@ class ZPlusModule:
         return len(self.labels)
 
     def verify_axioms(self) -> list[CheckResult]:
-        """Exact checks: unit action, nonnegativity, ring compatibility."""
-        acts = self.actions
-        left = np.einsum("iab,jbc->ijac", acts, acts)
-        right = np.einsum("ijk,kac->ijac", self.ring.constants, acts)
+        """Exact checks: unit action, nonnegativity, ring compatibility, the
+        last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in the dtype
+        ``exact_dtype`` picks, up to the first i with a mismatch."""
+        acts, c = self.actions, self.ring.constants
+        top = int(np.abs(acts).max(initial=0))
+        dtype = exact_dtype(max(self.rank * top, self.ring.rank * int(c.max())) * top)
+        a, x = acts.astype(dtype), c.astype(dtype)
+        bad = (a[i] @ a != np.tensordot(x[i], a, 1) for i in range(len(c)))
         eye = np.eye(self.rank, dtype=np.int64)
         return [
             exact_check("unit acts as identity", acts[self.ring.unit] != eye),
             exact_check("nonnegative integer entries", acts < 0),
-            exact_check("module compatibility", left != right),
+            sliced_check("module compatibility", bad),
         ]
 
     def to_dict(self) -> dict:
@@ -85,19 +89,22 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     until the first k with Delta_k(A) = 0, which is k = h - 1.  The ADE
     gate makes the loop end: the eigenvalues of A are then 2cos(pi m / h)
     over the exponents m, with m = 1 among them, and
-    Delta_k(2cos t) = sin((k + 1) t) / sin t.
+    Delta_k(2cos t) = sin((k + 1) t) / sin t.  The recursion runs in
+    float64 (BLAS), exact while (rank + 1) * max|entry| < 2**53.
     """
     if not d.is_ade():
         raise CoxeterError(f"diagram {d.name} is not of ADE type")
-    adjacency = d.adjacency_matrix()
-    acts = [np.eye(d.rank, dtype=np.int64), adjacency]
+    adjacency = d.adjacency_matrix().astype(float)
+    acts = [np.eye(d.rank), adjacency]
     while np.any(acts[-1] != 0):
         acts.append(adjacency @ acts[-1] - acts[-2])
-    acts.pop()
-    if any(np.any(a < 0) for a in acts):
+    acts = np.stack(acts[:-1])
+    if (d.rank + 1) * int(np.abs(acts).max()) >= EXACT_FLOAT_BOUND:
+        raise ZPlusModuleError(f"Chebyshev actions of {d.name} exceed exact float64 range")
+    if np.any(acts < 0):
         raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
     labels = tuple(f"α_{i + 1}" for i in range(d.rank))
-    return ZPlusModule(verlinde_ring(len(acts)), labels, np.stack(acts))
+    return ZPlusModule(verlinde_ring(len(acts)), labels, acts)
 
 
 def restrict(module: ZPlusModule, sub: FusionRing, embedding) -> ZPlusModule:
@@ -124,27 +131,8 @@ def decompose(module: ZPlusModule) -> tuple[list[ZPlusModule], list[list[int]]]:
     nonzero at (k, l) or (l, k); each connected component spans a
     submodule.  Components are ordered by smallest basis index.
     """
-    m = module.rank
     support = np.any(module.actions != 0, axis=0)
-    support = support | support.T
-    np.fill_diagonal(support, False)
-    seen: set[int] = set()
-    components: list[list[int]] = []
-    for start in range(m):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(support[v])[0]:
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        components.append(sorted(comp))
+    components = connected_components(support | support.T)
     submodules = []
     for comp in components:
         idx = np.ix_(range(module.ring.rank), comp, comp)

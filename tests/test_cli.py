@@ -175,6 +175,22 @@ class TestProject:
         assert code == 0
         assert target.read_text().count("<title>") == 12
 
+    @pytest.mark.parametrize("tag", ["E8", "H4", "I2(9)"])
+    def test_one_coxeter_number_per_diagram(self, capsys, monkeypatch, tag):
+        import coxfusion.coxeter
+
+        calls = []
+        original = coxfusion.coxeter.coxeter_number
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", counted)
+        code, _, _ = run(capsys, "project", tag)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_non_crystallographic(self, capsys):
         code, out, _ = run(capsys, "project", "H3")
         assert code == 0

@@ -314,6 +314,20 @@ class TestRootSystem:
         with pytest.raises(CoxeterError):
             root_system(CoxeterDiagram(matrix))
 
+    @pytest.mark.parametrize("tag", ["E8", "H4", "I2(7)"])
+    def test_given_h_skips_coxeter_number(self, monkeypatch, tag):
+        import coxfusion.coxeter
+
+        d = parse_diagram(tag)
+        expected = np.array(root_system(d))
+        h = coxeter_number(d)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("root_system recomputed h")
+
+        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", forbidden)
+        assert np.array_equal(np.array(root_system(d, h)), expected)
+
     @pytest.mark.parametrize("tag", ["E8", "H4"])
     def test_rows_are_gamma_orbits(self, tag):
         d = parse_diagram(tag)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from coxfusion.chebyshev import delta, evaluate
+from coxfusion.chebyshev import delta, evaluate, product_support
 from coxfusion.fusion_ring import (
     FusionRing,
     FusionRingError,
@@ -43,6 +43,16 @@ class TestVerlindeRing:
     @pytest.mark.parametrize("n", range(1, 16))
     def test_axioms_exact(self, n):
         assert all_passed(verlinde_ring(n).verify_axioms())
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 97, 197])
+    def test_mask_matches_product_support(self, n):
+        reference = np.zeros((n, n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                reference[i, j, product_support(i, j, n)] = 1
+        constants = verlinde_ring(n).constants
+        assert constants.dtype == np.int64
+        assert np.array_equal(constants, reference)
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_constants_multiplicity_free(self, n):
@@ -213,6 +223,57 @@ class TestVerifyAxiomsReporting:
         bad[1, 0, 1] = 2  # b_1 * 1 = 2 b_1: only the right unit law fails
         report = {check.name: check for check in FusionRing(ring.labels, bad).verify_axioms()}
         assert report["unit law"].witness == (1, 1)
+
+    # Witnesses of the rank**4 einsum check these replaced, pinned from it.
+    @pytest.mark.parametrize(
+        "even,defect,witness",
+        [
+            (False, (17, 23, 8), (1, 16, 23, 8)),
+            (False, (40, 45, 13), (1, 39, 45, 13)),
+            (True, (5, 9, 7), (1, 4, 9, 7)),
+            (True, (20, 25, 11), (1, 19, 25, 11)),
+        ],
+    )
+    def test_associativity_witness_in_r60(self, even, defect, witness):
+        ring = verlinde_ring(60)
+        if even:
+            ring, _ = even_subring(ring)
+        bad = np.array(ring.constants)
+        bad[defect] += 1
+        report = {c.name: c for c in FusionRing(ring.labels, bad).verify_axioms()}
+        assert report["associativity"].witness == witness
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_associativity_witness_matches_full_tensor(self, seed):
+        rng = np.random.default_rng(seed)
+        ring = verlinde_ring(int(rng.integers(2, 12)))
+        bad = np.array(ring.constants)
+        for _ in range(int(rng.integers(1, 4))):
+            bad[tuple(rng.integers(0, ring.rank, 3))] += int(rng.integers(1, 3))
+        left = np.einsum("ijm,mkl->ijkl", bad, bad)
+        right = np.einsum("jkm,iml->ijkl", bad, bad)
+        hits = np.argwhere(left != right)
+        expected = tuple(int(x) for x in hits[0]) if len(hits) else None
+        report = {c.name: c for c in FusionRing(ring.labels, bad).verify_axioms()}
+        assert report["associativity"].witness == expected
+
+    def test_associativity_past_float_range(self):
+        # x*x = N x + y, x*y = x, y*x = 0: (x*x)*x and x*(x*x) differ by 1
+        # in the coefficient N**2 of x, which float64 cannot resolve.
+        big = 2**27
+        assert float(big) ** 2 + 1.0 == float(big) ** 2
+        c = np.zeros((3, 3, 3), dtype=np.int64)
+        c[0] = c[:, 0] = np.eye(3, dtype=np.int64)
+        c[1, 1, 1], c[1, 1, 2], c[1, 2, 1] = big, 1, 1
+        report = {check.name: check for check in FusionRing("1xy", c).verify_axioms()}
+        assert report["associativity"].witness == (1, 1, 1, 1)
+
+    def test_associativity_past_int64_range_raises(self):
+        c = np.zeros((2, 2, 2), dtype=np.int64)
+        c[0] = c[:, 0] = np.eye(2, dtype=np.int64)
+        c[1, 1, 1] = 2**32
+        with pytest.raises(OverflowError):
+            FusionRing("1x", c).verify_axioms()
 
     def test_witness_on_failure(self):
         ring = verlinde_ring(3)

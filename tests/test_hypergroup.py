@@ -63,6 +63,12 @@ class TestVerifyAxioms:
         sub, _ = even_subring(verlinde_ring(29))
         assert all_passed(verify_hypergroup_axioms(from_fusion_ring(sub), 1e-10))
 
+    def test_associativity_residual_of_r30(self):
+        # the rank**4 einsum check this replaced gave exactly this value
+        report = verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(30)))
+        assert report[-1].name == "associativity"
+        assert report[-1].witness == 2.220446049250313e-16
+
     def test_perturbed_row_sum_fails(self):
         hg = from_fusion_ring(verlinde_ring(4))
         constants = np.array(hg.constants)
@@ -115,12 +121,26 @@ class TestActionFromModule:
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+    def test_hypergroup_built_on_demand(self, monkeypatch):
+        import coxfusion.hypergroup
+
+        module = ade_module(diagram("E", 6))
+
+        def forbidden(ring):
+            raise AssertionError("action_from_module built the hypergroup")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coxfusion.hypergroup, "from_fusion_ring", forbidden)
+            action = action_from_module(module)
+        assert action.ring is module.ring
+        assert np.array_equal(action.hypergroup.constants, from_fusion_ring(module.ring).constants)
+
+
 class TestFixedSpace:
     def test_trivial_action(self):
-        hg = from_fusion_ring(verlinde_ring(1))
         from coxfusion.hypergroup import HypergroupAction
 
-        action = HypergroupAction(hg, np.eye(4)[None, :, :])
+        action = HypergroupAction(verlinde_ring(1), np.eye(4)[None, :, :])
         assert fixed_space(action).dimension == 4
 
     def test_a3_even(self):

@@ -7,7 +7,7 @@ import pytest
 
 from coxfusion.coxeter import diagram
 from coxfusion.fusion_ring import verlinde_ring
-from coxfusion.linalg import perron_eigenpair
+from coxfusion.linalg import exact_dtype, perron_eigenpair
 
 
 class TestPerronEigenpair:
@@ -30,3 +30,17 @@ class TestPerronEigenpair:
     def test_rejects_non_stack(self, shape):
         with pytest.raises(ValueError):
             perron_eigenpair(np.ones(shape))
+
+
+class TestExactDtype:
+    def test_float64_below_two_to_the_53(self):
+        assert exact_dtype(0) is np.float64
+        assert exact_dtype(2**53 - 1) is np.float64
+
+    def test_int64_up_to_two_to_the_63(self):
+        assert exact_dtype(2**53) is np.int64
+        assert exact_dtype(2**63 - 1) is np.int64
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            exact_dtype(2**63)

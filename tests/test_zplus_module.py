@@ -1,6 +1,7 @@
 """ADE modules, restriction, decomposition and regular elements."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ class TestAdeModule:
         assert star.sum() == 6
         assert star[1].sum() == 3  # vertex 2 is the centre
 
+    @pytest.mark.parametrize("tag", ["A100", "D100", "E6", "E7", "E8"])
+    def test_matches_integer_recursion(self, tag):
+        adjacency = parse_diagram(tag).adjacency_matrix()
+        acts = [np.eye(len(adjacency), dtype=np.int64), adjacency]
+        while np.any(acts[-1] != 0):
+            acts.append(adjacency @ acts[-1] - acts[-2])
+        actions = ade_module(parse_diagram(tag)).actions
+        assert actions.dtype == np.int64
+        assert np.array_equal(actions, np.stack(acts[:-1]))
+
     def test_rejects_non_ade(self):
         with pytest.raises(CoxeterError):
             ade_module(diagram("B", 3))
@@ -88,6 +99,36 @@ class TestVerifyModuleAxioms:
         bad = failures(broken.verify_axioms())
         assert any(check.name == "module compatibility" for check in bad)
         assert all(check.witness is not None for check in bad)
+
+    def test_compatibility_witness_in_a4(self):
+        # witness of the rank**4 einsum check this replaced, pinned from it
+        module = ade_module(diagram("A", 4))
+        actions = np.array(module.actions)
+        actions[2, 1, 3] += 1
+        report = {c.name: c for c in ZPlusModule(module.ring, module.labels, actions).verify_axioms()}
+        assert report["module compatibility"].witness == (1, 1, 1, 3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_compatibility_witness_matches_full_tensor(self, seed):
+        rng = np.random.default_rng(seed)
+        module = ade_module(ADE_ROSTER[int(rng.integers(len(ADE_ROSTER)))])
+        actions = np.array(module.actions)
+        for _ in range(int(rng.integers(1, 3))):
+            actions[tuple(rng.integers(0, actions.shape, 3))] += int(rng.choice([-1, 1, 2]))
+        left = np.einsum("iab,jbc->ijac", actions, actions)
+        right = np.einsum("ijk,kac->ijac", module.ring.constants, actions)
+        hits = np.argwhere(left != right)
+        expected = tuple(int(x) for x in hits[0]) if len(hits) else None
+        broken = ZPlusModule(module.ring, module.labels, actions)
+        report = {c.name: c for c in broken.verify_axioms()}
+        assert report["module compatibility"].witness == expected
+
+    def test_d50_within_seconds(self):
+        # the rank**4 check held about 380 MB of temporaries here
+        module = ade_module(diagram("D", 50))
+        start = time.perf_counter()
+        assert all_passed(module.verify_axioms())
+        assert time.perf_counter() - start < 5.0
 
 
 class TestRestrict:
