@@ -98,10 +98,6 @@ def cmd_ring(args) -> int:
 
 def cmd_verify(args) -> int:
     d = _resolve_diagram(args)
-    if not d.is_ade():
-        raise UsageError(f"diagram {d.name} is not of ADE type")
-    if d.rank < 2:
-        raise UsageError("rank >= 2 required")
     tol = args.tol if args.tol is not None else _default_tol()
     report = verify_mod.check_main_theorem(d, tol=tol)
     results = {}
@@ -148,8 +144,6 @@ def _points_to_svg(points, with_labels: bool) -> str:
 
 def cmd_project(args) -> int:
     d = _resolve_diagram(args)
-    if d.rank < 2:
-        raise UsageError("rank >= 2 required")
     plane = coxeter_plane(d)
     roots = root_system(d, plane.h)
     points = project_to_plane(roots, plane)

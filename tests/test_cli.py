@@ -1,14 +1,20 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import coxfusion.coxeter
 import coxfusion.zplus_module
 from coxfusion.cli import main, parse_roster
+from coxfusion.coxeter import CoxeterDiagram
 from coxfusion.linalg import ConvergenceError
 
 
@@ -116,12 +122,36 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["main theorem"]["h"] == 4
 
-    @pytest.mark.parametrize("matrix", ["[[1,3.7],[3.7,1]]", "5"])
+    @pytest.mark.parametrize(
+        "matrix",
+        ["[[1,3.7],[3.7,1]]", "5", "[[1,1e300],[1e300,1]]",
+         "[[1,9223372036854775808],[9223372036854775808,1]]"],
+    )
     def test_malformed_matrix(self, capsys, matrix):
         # truncating 3.7 to 3 would verify A2
         code, out, err = run(capsys, "verify", "--matrix", matrix, "--theorem")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_one_gate_per_command(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(CoxeterDiagram, "is_ade", counting("is_ade", CoxeterDiagram.is_ade))
+        monkeypatch.setattr(
+            coxfusion.coxeter,
+            "coxeter_number",
+            counting("coxeter_number", coxfusion.coxeter.coxeter_number),
+        )
+        code, _, _ = run(capsys, "verify", "E8")
+        assert code == 0
+        assert sorted(calls) == ["coxeter_number", "is_ade"]
 
     def test_missing_diagram(self, capsys):
         code, _, err = run(capsys, "verify")
@@ -196,6 +226,11 @@ class TestProject:
         assert code == 0
         assert len(out.splitlines()) == 30
 
+    def test_large_dihedral(self, capsys):
+        code, out, _ = run(capsys, "project", "I2(1001)")
+        assert code == 0
+        assert len(out.splitlines()) == 2002
+
 
 class TestRoster:
     def test_parse_ranges(self):
@@ -263,3 +298,43 @@ class TestSuite:
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1 and "invalid choice" in err
+
+
+# Bond orders of random diagrams: mostly commuting pairs, so that finite
+# types turn up among the mostly hyperbolic rest; 0 is an infinite bond.
+FUZZ_ORDERS = st.sampled_from([2, 2, 2, 2, 3, 3, 4, 5, 6, 7, 0])
+FUZZ_ILLEGAL = st.sampled_from([1, -3, 2.5, 1e300, 2**63, float("inf"), float("nan")])
+HYPERBOLIC_TREE = [[1, 7, 2, 3], [7, 1, 3, 2], [2, 3, 1, 2], [3, 2, 2, 1]]
+
+
+@st.composite
+def coxeter_matrices(draw):
+    """Random Coxeter matrices of rank <= 7; a quarter carry an illegal entry,
+    mirrored across the diagonal or not."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    matrix = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draw(FUZZ_ORDERS)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[i][j] = draw(FUZZ_ILLEGAL)
+        if draw(st.booleans()):
+            matrix[j][i] = matrix[i][j]
+    return matrix
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["verify", "project"]), matrix=coxeter_matrices())
+@example(command="project", matrix=HYPERBOLIC_TREE)
+@example(command="verify", matrix=[[1, 1e300], [1e300, 1]])
+def test_fuzzed_matrix_exits_cleanly(command, matrix):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--matrix", json.dumps(matrix)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

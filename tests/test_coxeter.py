@@ -21,7 +21,7 @@ from coxfusion.coxeter import (
     root_system,
     rotation_angle,
 )
-from coxfusion.linalg import matrix_order, subspace_projector
+from coxfusion.linalg import ConvergenceError, matrix_order, subspace_projector
 
 ALL_TYPES = (
     [diagram("A", n) for n in range(2, 9)]
@@ -31,6 +31,28 @@ ALL_TYPES = (
     + [diagram("F", 4), diagram("H", 3), diagram("H", 4)]
     + [diagram("I2", m=m) for m in (4, 5, 7, 12)]
 )
+
+HYPERBOLIC_TREE = [[1, 7, 2, 3], [7, 1, 3, 2], [2, 3, 1, 2], [3, 2, 2, 1]]
+AFFINE_A2 = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
+
+
+def _cycle(n):
+    """Affine A_{n-1}: a cycle of n simple bonds."""
+    mat = np.full((n, n), 2)
+    np.fill_diagonal(mat, 1)
+    for i in range(n):
+        mat[i, (i + 1) % n] = mat[(i + 1) % n, i] = 3
+    return mat
+
+
+def _affine_d(n):
+    """Affine D_{n-1}: a path on n - 2 vertices with one more leaf at each end."""
+    mat = np.full((n, n), 2)
+    np.fill_diagonal(mat, 1)
+    bonds = [(i, i + 1) for i in range(n - 3)] + [(n - 2, 1), (n - 1, n - 4)]
+    for i, j in bonds:
+        mat[i, j] = mat[j, i] = 3
+    return mat
 
 
 class TestDiagram:
@@ -73,8 +95,9 @@ class TestDiagram:
     @pytest.mark.parametrize(
         "matrix",
         [[[1, 3.7], [3.7, 1]], 5, [1, 3], [[[1]]], [[1, float("nan")], [float("nan"), 1]],
-         [[1, None], [None, 1]], [[1, "x"], ["x", 1]]],
-        ids=["fractional", "scalar", "vector", "3d", "nan", "none", "text"],
+         [[1, None], [None, 1]], [[1, "x"], ["x", 1]], [[1, 1e300], [1e300, 1]],
+         [[1, 2**63], [2**63, 1]]],
+        ids=["fractional", "scalar", "vector", "3d", "nan", "none", "text", "1e300", "2**63"],
     )
     def test_non_integer_or_non_2d_rejected(self, matrix):
         with pytest.raises(CoxeterError):
@@ -210,6 +233,33 @@ class TestCoxeterNumber:
         with pytest.raises(CoxeterError):
             coxeter_number(CoxeterDiagram([[1, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("m", [805, 999, 1001, 2000])
+    def test_large_dihedral(self, m):
+        # the h-th power of gamma rounds to about 1e-8 from I here
+        assert coxeter_number(diagram("I2", m=m)) == m
+
+    def test_order_past_float_resolution_raises(self):
+        # the float64 powers of gamma drift by more than 1 from I here;
+        # the search once returned 999997
+        with pytest.raises(ConvergenceError, match="float64 resolution"):
+            coxeter_number(diagram("I2", m=10**6))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [HYPERBOLIC_TREE, [[1, 0], [0, 1]], AFFINE_A2, _cycle(101), _affine_d(101), _affine_d(301)],
+        ids=["hyperbolic tree", "infinite bond", "affine A2", "affine A100", "affine D100",
+             "affine D300"],
+    )
+    def test_form_gate_rejects_before_any_power(self, monkeypatch, matrix):
+        import coxfusion.coxeter
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrix_order called on a non-finite type")
+
+        monkeypatch.setattr(coxfusion.coxeter, "matrix_order", forbidden)
+        with pytest.raises(CoxeterError, match="not positive definite"):
+            coxeter_number(CoxeterDiagram(matrix))
+
 
 class TestCoxeterPlane:
     def test_a3(self):
@@ -302,15 +352,15 @@ class TestRootSystem:
         "matrix",
         [
             [[1, 3, 3, 3, 3], [3, 1, 2, 2, 2], [3, 2, 1, 2, 2], [3, 2, 2, 1, 2], [3, 2, 2, 2, 1]],
-            [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+            AFFINE_A2,
             [[1, 2], [2, 1]],
             [[1, 0], [0, 1]],
         ],
         ids=["affine D4", "affine A2", "A1xA1", "infinite bond"],
     )
     def test_non_finite_or_reducible_rejected(self, matrix):
-        # affine D4 is a tree with finite bonds: only the infinite order
-        # of gamma tells it apart from a finite type
+        # affine D4 is a tree with finite bonds: its form is only
+        # positive semidefinite, which tells it apart from a finite type
         with pytest.raises(CoxeterError):
             root_system(CoxeterDiagram(matrix))
 
