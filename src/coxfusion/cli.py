@@ -43,8 +43,17 @@ def _sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("COXFUSION_TOL", "1e-8"))
+def _tolerance(args) -> float:
+    """``--tol``, else ``COXFUSION_TOL``, else the library default.  Only a
+    finite positive value is accepted: nan, 0 or less would fail every
+    diagram and inf would pass any projector distance."""
+    if args.tol is not None:
+        tol = args.tol
+    else:
+        tol = float(os.environ.get("COXFUSION_TOL", verify_mod.DEFAULT_TOL))
+    if not 0 < tol < float("inf"):
+        raise UsageError(f"tolerance must be finite and positive, got {tol}")
+    return tol
 
 
 def _emit(text: str, out_path: str | None):
@@ -98,8 +107,7 @@ def cmd_ring(args) -> int:
 
 def cmd_verify(args) -> int:
     d = _resolve_diagram(args)
-    tol = args.tol if args.tol is not None else _default_tol()
-    report = verify_mod.check_main_theorem(d, tol=tol)
+    report = verify_mod.check_main_theorem(d, tol=_tolerance(args))
     results = {}
     ok = True
     if args.lemmas or args.all:
@@ -167,7 +175,7 @@ def parse_roster(spec: str) -> list[CoxeterDiagram]:
             lo = parse_diagram(lo_spec)
             hi = parse_diagram(hi_spec)
             family = lo.name[0]
-            if family != hi.name[0] or family not in "ABDEFH":
+            if family != hi.name[0] or family not in "ABDEFH" or hi.rank < lo.rank:
                 raise UsageError(f"bad roster range {token!r}")
             for rank in range(lo.rank, hi.rank + 1):
                 out.append(parse_diagram(f"{family}{rank}"))
@@ -177,8 +185,10 @@ def parse_roster(spec: str) -> list[CoxeterDiagram]:
 
 
 def cmd_suite(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tolerance(args)
     roster = parse_roster(args.roster)
+    if not roster:
+        raise UsageError(f"roster {args.roster!r} names no diagram")
     for d in roster:
         if not d.is_ade():
             raise UsageError(f"roster diagram {d.name} is not of ADE type")

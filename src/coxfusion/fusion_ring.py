@@ -124,12 +124,6 @@ class FusionRing:
             "constants": self.constants.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FusionRing":
-        return cls(
-            data["labels"], data["constants"], data.get("unit", 0), data.get("involution")
-        )
-
     def __repr__(self) -> str:
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 

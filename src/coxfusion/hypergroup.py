@@ -41,22 +41,6 @@ class Hypergroup:
     def rank(self) -> int:
         return len(self.labels)
 
-    def verify_axioms(self, tol: float = 1e-10) -> list[CheckResult]:
-        return verify_hypergroup_axioms(self, tol)
-
-    def to_dict(self) -> dict:
-        def fmt(x: float) -> float:
-            return float(f"{x:.15g}")
-
-        return {
-            "labels": list(self.labels),
-            "unit": self.unit,
-            "involution": list(self.involution),
-            "constants": [
-                [[fmt(v) for v in row] for row in mat] for mat in self.constants
-            ],
-        }
-
     def __repr__(self) -> str:
         return f"Hypergroup(rank={self.rank}, labels={list(self.labels)})"
 
@@ -73,20 +57,27 @@ def from_fusion_ring(ring: FusionRing) -> Hypergroup:
     return Hypergroup(labels, constants, ring.unit, ring.involution)
 
 
-def verify_hypergroup_axioms(hg: Hypergroup, tol: float = 1e-10) -> list[CheckResult]:
-    """Tolerance checks of the hypergroup axioms; failures are reported.
+_AXIOM_TOL = 1e-10
 
-    The associativity witness is max |(b_i b_j) b_k - b_i (b_j b_k)|,
-    taken one i at a time in rank**3 memory.
+
+def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
+    """Checks of the hypergroup axioms; failures are reported.
+
+    Unit law, row sums and associativity pass within 1e-10 and the
+    symmetry of the unit coefficients within 1e-12.  The associativity
+    witness is max |(b_i b_j) b_k - b_i (b_j b_k)|, taken one i at a
+    time in rank**3 memory.
     """
     c = hg.constants
     n = hg.rank
     u = hg.unit
     inv = np.array(hg.involution)
     eye = np.eye(n)
-    unit_ok = np.max(np.abs(c[u] - eye)) < tol and np.max(np.abs(c[:, u, :] - eye)) < tol
+    unit_ok = (
+        np.max(np.abs(c[u] - eye)) < _AXIOM_TOL and np.max(np.abs(c[:, u, :] - eye)) < _AXIOM_TOL
+    )
     sums = c.sum(axis=2)
-    rows_ok = np.max(np.abs(sums - 1.0)) < tol
+    rows_ok = np.max(np.abs(sums - 1.0)) < _AXIOM_TOL
     witness = None
     if not rows_ok:
         i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
@@ -100,7 +91,7 @@ def verify_hypergroup_axioms(hg: Hypergroup, tol: float = 1e-10) -> list[CheckRe
         CheckResult("unit law", bool(unit_ok)),
         CheckResult("row sums equal 1", bool(rows_ok), witness),
         CheckResult("involution conditions", bool(perm_ok and sym_ok and support_ok)),
-        CheckResult("associativity", assoc_err < tol, assoc_err),
+        CheckResult("associativity", assoc_err < _AXIOM_TOL, assoc_err),
     ]
 
 
@@ -133,7 +124,6 @@ def action_from_module(module: ZPlusModule) -> HypergroupAction:
 class FixedSpace:
     """Orthonormal basis (rows) of the common fixed subspace."""
 
-    action: HypergroupAction
     basis: np.ndarray  # (dimension_of_fixed_space, ambient_dimension)
 
     @property
@@ -141,18 +131,18 @@ class FixedSpace:
         return self.basis.shape[0]
 
 
-def fixed_space(action: HypergroupAction, tol: float = 1e-8) -> FixedSpace:
+def fixed_space(action: HypergroupAction) -> FixedSpace:
     """Intersection of the kernels of Theta(r_i) - I.
 
     The matrices Theta(r_i) - I are stacked into one tall matrix whose
-    numerical kernel (singular values below ``tol``) is the fixed
-    subspace.
+    numerical kernel (singular values below the absolute cut 1e-8) is
+    the fixed subspace.
     """
     dim = action.dimension
     eye = np.eye(dim)
     stacked = np.concatenate([mat - eye for mat in action.matrices], axis=0)
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    kept = int(np.sum(svals >= tol))
+    kept = int(np.sum(svals >= 1e-8))
     basis = vt[kept:].copy()
     basis.setflags(write=False)
-    return FixedSpace(action, basis)
+    return FixedSpace(basis)

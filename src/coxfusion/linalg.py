@@ -22,24 +22,24 @@ def exact_dtype(bound: int) -> type:
     raise OverflowError(f"integer products up to {bound} overflow int64")
 
 
-def perron_eigenpair(
-    matrix,
-    rq_tol: float = 1e-14,
-    residual_tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> tuple[np.ndarray, np.ndarray]:
+_PERRON_RESIDUAL_TOL = 1e-12
+_PERRON_MAX_ITER = 100_000
+
+
+def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Common Perron eigenvector of a (k, n, n) stack of commuting nonnegative matrices.
 
     Power iteration from the all-ones vector on ``sum + I``: a positive
     combination keeps the common Perron eigenspace, and the unit shift
     breaks the +/- eigenvalue tie of bipartite supports.  The sum has
     converged when successive Rayleigh quotients differ by less than
-    ``rq_tol`` and the residual is below ``residual_tol``, both scaled by
-    max(1, |quotient|) (an absolute ``rq_tol`` falls below the float
-    spacing of quotients above about 64).  Returns each matrix's Rayleigh
+    1e-14 and the residual is below 1e-12, both scaled by
+    max(1, |quotient|) (an absolute 1e-14 falls below the float spacing
+    of quotients above about 64).  Returns each matrix's Rayleigh
     quotient, whose error is quadratic in the vector's when the stack is
     closed under transposition, and the unit vector, once every matrix's
-    residual also passes; a stack with no common Perron vector never does.
+    residual also passes 1e-12; a stack with no common Perron vector
+    never does, and after 100000 steps ConvergenceError is raised.
     """
     mats = np.asarray(matrix, dtype=float)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -48,7 +48,7 @@ def perron_eigenpair(
     shifted = mats.sum(axis=0) + np.eye(n)
     vec = np.ones(n) / np.sqrt(n)
     rq_prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         image = shifted @ vec
         norm = float(np.linalg.norm(image))
         if norm == 0.0:
@@ -58,16 +58,16 @@ def perron_eigenpair(
         rq = float(vec @ image)
         scale = max(1.0, abs(rq))
         if (
-            abs(rq - rq_prev) < rq_tol * scale
-            and np.max(np.abs(image - rq * vec)) < residual_tol * scale
+            abs(rq - rq_prev) < 1e-14 * scale
+            and np.max(np.abs(image - rq * vec)) < _PERRON_RESIDUAL_TOL * scale
         ):
             images = mats @ vec
             values = images @ vec / (vec @ vec)
             residuals = np.max(np.abs(images - values[:, None] * vec), axis=1)
-            if np.all(residuals < residual_tol * np.maximum(1.0, np.abs(values))):
+            if np.all(residuals < _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))):
                 return values, vec
         rq_prev = rq
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not converge in {_PERRON_MAX_ITER} steps")
 
 
 def subspace_projector(vectors) -> np.ndarray:

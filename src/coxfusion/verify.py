@@ -32,6 +32,11 @@ from .linalg import subspace_projector
 from .report import CheckResult
 from .zplus_module import ZPlusModule, ade_module, decompose, regular_element, restrict
 
+# Largest projector distance at which the fixed space and the Coxeter
+# plane count as equal; the CLI's --tol and COXFUSION_TOL override it.
+DEFAULT_TOL = 1e-8
+_REGULAR_SPLIT_TOL = 1e-9
+
 
 def check_bifurcation_lemma(adjacency: np.ndarray, parts: Bipartition) -> CheckResult:
     """Delta_1 maps each bipartition class into the other, exactly."""
@@ -47,13 +52,14 @@ def check_bifurcation_lemma(adjacency: np.ndarray, parts: Bipartition) -> CheckR
 
 def check_decomposition_lemma(restricted: ZPlusModule, parts: Bipartition) -> CheckResult:
     """The even restriction splits into exactly the bipartition classes."""
-    _, components = decompose(restricted)
+    components = decompose(restricted)
     expected = [sorted(parts.plus), sorted(parts.minus)]
     return CheckResult("decomposition lemma", components == expected, components)
 
 
-def check_regular_split(module: ZPlusModule, parts: Bipartition, tol: float = 1e-9) -> CheckResult:
-    """r+ +/- r- are +/-FP(Delta_1)-eigenvectors of the Delta_1 action.
+def check_regular_split(module: ZPlusModule, parts: Bipartition) -> CheckResult:
+    """r+ +/- r- are +/-FP(Delta_1)-eigenvectors of the Delta_1 action,
+    each with a residual norm below 1e-9.
 
     The split r = r+ + r- is taken from the regular element of the full
     module by masking the bipartition classes, which fixes the relative
@@ -68,7 +74,7 @@ def check_regular_split(module: ZPlusModule, parts: Bipartition, tol: float = 1e
     fp1 = module.ring.fp_dim(1)
     residual_sum = float(np.linalg.norm(delta1 @ (r_plus + r_minus) - fp1 * (r_plus + r_minus)))
     residual_diff = float(np.linalg.norm(delta1 @ (r_plus - r_minus) + fp1 * (r_plus - r_minus)))
-    passed = residual_sum < tol and residual_diff < tol
+    passed = residual_sum < _REGULAR_SPLIT_TOL and residual_diff < _REGULAR_SPLIT_TOL
     return CheckResult(
         "regular split", passed, {"sum": residual_sum, "diff": residual_diff}
     )
@@ -106,7 +112,7 @@ class TheoremReport:
         }
 
 
-def check_main_theorem(d: CoxeterDiagram, tol: float = 1e-8) -> TheoremReport:
+def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Fixed space of the even-hypergroup action equals the Coxeter plane.
 
     Each stage runs once.  The fixed-space path reads only the module
@@ -158,7 +164,7 @@ def default_roster() -> list[CoxeterDiagram]:
     return out
 
 
-def run_suite(diagrams, tol: float = 1e-8) -> list[TheoremReport]:
+def run_suite(diagrams, tol: float = DEFAULT_TOL) -> list[TheoremReport]:
     return [check_main_theorem(d, tol=tol) for d in diagrams]
 
 

@@ -65,13 +65,6 @@ class ZPlusModule:
             sliced_check("module compatibility", bad),
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "ring": self.ring.to_dict(),
-            "labels": list(self.labels),
-            "actions": self.actions.tolist(),
-        }
-
     def __repr__(self) -> str:
         return f"ZPlusModule(ring_rank={self.ring.rank}, module_rank={self.rank})"
 
@@ -124,38 +117,33 @@ def restrict(module: ZPlusModule, sub: FusionRing, embedding) -> ZPlusModule:
     return ZPlusModule(sub, module.labels, actions)
 
 
-def decompose(module: ZPlusModule) -> tuple[list[ZPlusModule], list[list[int]]]:
-    """Split into Z+-submodules along support-graph components.
+def decompose(module: ZPlusModule) -> list[list[int]]:
+    """Basis index lists of the Z+-submodules along support-graph components.
 
     An edge joins basis indices l and k whenever some action matrix is
     nonzero at (k, l) or (l, k); each connected component spans a
-    submodule.  Components are ordered by smallest basis index.
+    submodule, whose actions are ``module.actions[:, comp][:, :, comp]``.
+    Components are sorted and ordered by smallest basis index.
     """
     support = np.any(module.actions != 0, axis=0)
-    components = connected_components(support | support.T)
-    submodules = []
-    for comp in components:
-        idx = np.ix_(range(module.ring.rank), comp, comp)
-        labels = tuple(module.labels[v] for v in comp)
-        submodules.append(ZPlusModule(module.ring, labels, module.actions[idx]))
-    return submodules, components
+    return connected_components(support | support.T)
 
 
 @dataclass(frozen=True)
 class RegularElement:
     """Common positive eigenvector of all actions, coordinate-sum 1."""
 
-    module: ZPlusModule
     coordinates: np.ndarray
 
 
-def regular_element(module: ZPlusModule, tol: float = 1e-9) -> RegularElement:
+def regular_element(module: ZPlusModule) -> RegularElement:
     """Regular element of an irreducible module.
 
     The common Perron vector of all actions, from one solve on the stack,
-    checked against every generator at eigenvalue FP(b_i).
+    checked against every generator at eigenvalue FP(b_i): the max-norm
+    residual of each must be at most 1e-9.
     """
-    _, components = decompose(module)
+    components = decompose(module)
     if len(components) != 1:
         raise ZPlusModuleError(
             f"module is reducible ({len(components)} components); regular element undefined"
@@ -166,11 +154,11 @@ def regular_element(module: ZPlusModule, tol: float = 1e-9) -> RegularElement:
         raise ZPlusModuleError("Perron vector is not strictly positive")
     fp = module.ring.fp_dims()
     residuals = np.max(np.abs(module.actions @ vec - fp[:, None] * vec), axis=1)
-    failing = np.flatnonzero(residuals > tol)
+    failing = np.flatnonzero(residuals > 1e-9)
     if failing.size:
         i = int(failing[0])
         raise ZPlusModuleError(
             f"eigen-relation for basis element {i} fails (residual {residuals[i]:.3e})"
         )
     vec.setflags(write=False)
-    return RegularElement(module, vec)
+    return RegularElement(vec)

@@ -4,13 +4,17 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import coxfusion
 import coxfusion.coxeter
 import coxfusion.zplus_module
 from coxfusion.cli import main, parse_roster
@@ -244,6 +248,13 @@ class TestRoster:
         code, _, err = run(capsys, "suite", "--roster", "A2..D5")
         assert code == 1 and "roster" in err
 
+    @pytest.mark.parametrize("roster", ["A5..A2", "", ","])
+    def test_empty_roster_rejected(self, capsys, roster):
+        # a suite that verifies nothing must not report success
+        code, out, err = run(capsys, "suite", "--roster", roster)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "roster" in err
+
 
 class TestSuite:
     def test_small_roster(self, capsys):
@@ -293,6 +304,47 @@ class TestSuite:
         _, first, _ = run(capsys, "suite", "--roster", "A2..A6,D4..D6,E6")
         _, second, _ = run(capsys, "suite", "--roster", "A2..A6,D4..D6,E6")
         assert first == second
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "A3", "--theorem"], ["suite", "--roster", "A2,A3"]],
+    ids=["verify", "suite"],
+)
+def test_invalid_tolerance_rejected(capsys, monkeypatch, command, source, value):
+    # nan, 0 and -1 would fail every diagram and inf would pass any distance
+    argv = list(command)
+    if source == "flag":
+        argv += ["--tol", value]
+    else:
+        monkeypatch.setenv("COXFUSION_TOL", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "tolerance" in err
+
+
+def test_runtime_imports_only_numpy():
+    # Modules loaded by site hooks (.pth files) show up in a bare
+    # interpreter too, so only what importing the CLI adds is compared.
+    # -I ignores PYTHONPATH, so the script puts src on sys.path itself.
+    src = str(pathlib.Path(coxfusion.__file__).resolve().parents[1])
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import coxfusion.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", script, src],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    added = set(result.stdout.split())
+    assert {"coxfusion", "numpy"} <= added
+    assert added - sys.stdlib_module_names <= {"coxfusion", "numpy"}
 
 
 def test_unknown_subcommand(capsys):

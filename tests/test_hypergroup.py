@@ -16,7 +16,7 @@ from coxfusion.hypergroup import (
 )
 from coxfusion.linalg import subspace_projector
 from coxfusion.report import all_passed, failures
-from coxfusion.zplus_module import ade_module, decompose, regular_element, restrict
+from coxfusion.zplus_module import ZPlusModule, ade_module, decompose, regular_element, restrict
 
 
 def z2_group_ring():
@@ -57,11 +57,11 @@ class TestFromFusionRing:
 
 class TestVerifyAxioms:
     def test_large_verlinde(self):
-        assert all_passed(verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(30)), 1e-10))
+        assert all_passed(verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(30))))
 
     def test_large_even_part(self):
         sub, _ = even_subring(verlinde_ring(29))
-        assert all_passed(verify_hypergroup_axioms(from_fusion_ring(sub), 1e-10))
+        assert all_passed(verify_hypergroup_axioms(from_fusion_ring(sub)))
 
     def test_associativity_residual_of_r30(self):
         # the rank**4 einsum check this replaced gave exactly this value
@@ -74,7 +74,7 @@ class TestVerifyAxioms:
         constants = np.array(hg.constants)
         constants[1, 2, 0] += 1e-3
         broken = Hypergroup(hg.labels, constants, hg.unit, hg.involution)
-        names = [check.name for check in failures(broken.verify_axioms(1e-10))]
+        names = [check.name for check in failures(verify_hypergroup_axioms(broken))]
         assert "row sums equal 1" in names
 
     @pytest.mark.parametrize("n", range(1, 31))
@@ -171,10 +171,12 @@ class TestFixedSpace:
         fixed = fixed_space(action_from_module(restricted))
         assert fixed.dimension == 2
 
-        submodules, components = decompose(restricted)
-        assert len(submodules) == 2
+        components = decompose(restricted)
+        assert len(components) == 2
         regulars = []
-        for submodule, comp in zip(submodules, components):
+        for comp in components:
+            labels = [restricted.labels[v] for v in comp]
+            submodule = ZPlusModule(sub, labels, restricted.actions[:, comp][:, :, comp])
             padded = np.zeros(d.rank)
             padded[comp] = regular_element(submodule).coordinates
             regulars.append(padded)
@@ -190,11 +192,3 @@ class TestFixedSpace:
         for vec in fixed.basis:
             for mat in action.matrices:
                 assert np.max(np.abs(mat @ vec - vec)) < 1e-8
-
-
-def test_json_round_digits():
-    hg = from_fusion_ring(fib_ring())
-    data = hg.to_dict()
-    assert data["labels"] == ["1/FP(1)", "x/FP(x)"]
-    flat = np.array(data["constants"])
-    assert np.max(np.abs(flat - hg.constants)) < 1e-14

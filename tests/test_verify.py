@@ -29,7 +29,7 @@ from coxfusion.verify import (
     reports_to_json,
     run_suite,
 )
-from coxfusion.zplus_module import ade_module, regular_element, restrict
+from coxfusion.zplus_module import ZPlusModule, ade_module, regular_element, restrict
 
 
 def even_restriction(d):
@@ -227,15 +227,20 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
     for name in ("ade_module", "restrict", "coxeter_number", "perron_eigenpair"):
         rebind(monkeypatch, name, counting(name))
     monkeypatch.setattr(CoxeterDiagram, "is_ade", counting("is_ade")(CoxeterDiagram.is_ade))
+    monkeypatch.setattr(
+        ZPlusModule, "__init__", counting("ZPlusModule")(ZPlusModule.__init__)
+    )
     # FP dimensions are cached on the ring objects; start from fresh rings.
     verlinde_ring.cache_clear()
     even_subring.cache_clear()
     assert check_main_theorem(diagram("E", 8)).passed
-    # One Perron solve each for the full ring, the even ring and the module.
+    # One Perron solve each for the full ring, the even ring and the module;
+    # the only modules built are the ADE module and its even restriction.
     assert calls == {
         "ade_module": 1,
         "restrict": 1,
         "coxeter_number": 1,
         "is_ade": 1,
         "perron_eigenpair": 3,
+        "ZPlusModule": 2,
     }

@@ -174,19 +174,19 @@ class TestRestrict:
 
 class TestDecompose:
     def test_full_module_connected(self):
-        _, components = decompose(ade_module(diagram("A", 3)))
+        components = decompose(ade_module(diagram("A", 3)))
         assert components == [[0, 1, 2]]
 
     def test_a3_even_split(self):
         module = ade_module(diagram("A", 3))
         sub, embedding = even_subring(module.ring)
-        _, components = decompose(restrict(module, sub, embedding))
+        components = decompose(restrict(module, sub, embedding))
         assert components == [[0, 2], [1]]
 
     def test_d4_even_split(self):
         module = ade_module(diagram("D", 4))
         sub, embedding = even_subring(module.ring)
-        _, components = decompose(restrict(module, sub, embedding))
+        components = decompose(restrict(module, sub, embedding))
         assert sorted(len(c) for c in components) == [1, 3]
         assert components[0] == [0, 2, 3]  # leaves around the centre vertex
 
@@ -196,7 +196,7 @@ class TestDecompose:
     def test_even_restriction_matches_bipartition(self, d):
         module = ade_module(d)
         sub, embedding = even_subring(module.ring)
-        _, components = decompose(restrict(module, sub, embedding))
+        components = decompose(restrict(module, sub, embedding))
         parts = bipartition(d)
         assert len(components) == 2
         assert components == [sorted(parts.plus), sorted(parts.minus)]
@@ -239,9 +239,11 @@ class TestRegularElement:
     def test_plus_component_of_a3(self):
         module = ade_module(diagram("A", 3))
         sub, embedding = even_subring(module.ring)
-        submodules, components = decompose(restrict(module, sub, embedding))
-        assert components[0] == [0, 2]
-        reg = regular_element(submodules[0])
+        restricted = restrict(module, sub, embedding)
+        plus = decompose(restricted)[0]
+        assert plus == [0, 2]
+        actions = restricted.actions[:, plus][:, :, plus]
+        reg = regular_element(ZPlusModule(sub, ("α_1", "α_3"), actions))
         assert np.max(np.abs(reg.coordinates - np.array([0.5, 0.5]))) < 1e-10
 
     def test_reducible_rejected(self):
@@ -265,10 +267,3 @@ class TestRegularElement:
         reg = regular_element(ade_module(parse_diagram(tag)))
         assert reg.coordinates.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(reg.coordinates > 0)
-
-
-def test_json_serialization():
-    module = ade_module(diagram("A", 2))
-    data = module.to_dict()
-    assert data["labels"] == ["α_1", "α_2"]
-    assert data["actions"][1] == [[0, 1], [1, 0]]
