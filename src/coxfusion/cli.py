@@ -1,9 +1,9 @@
 """Command-line surface: fusion tables, theorem verification, projections.
 
-Exit codes: 0 success, 1 usage or precondition error or numerical
-non-convergence, 2 verification failure, 3 I/O failure.  Output is
-deterministic: floats are rendered at 12 significant digits and all
-iteration is in fixed order.
+Exit codes: 0 success, 1 usage or precondition error, numerical
+non-convergence or exhausted memory, 2 verification failure, 3 I/O
+failure.  Output is deterministic: floats are rendered at 12 significant
+digits and all iteration is in fixed order.
 """
 
 from __future__ import annotations
@@ -253,8 +253,9 @@ def main(argv=None) -> int:
         if args.func is cmd_verify and not (args.lemmas or args.theorem or args.all):
             args.all = True
         return args.func(args)
-    except (UsageError, CoxeterError, FusionRingError, ValueError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (UsageError, CoxeterError, FusionRingError, ValueError, ArithmeticError,
+            MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

@@ -3,8 +3,8 @@
 A fusion ring induces a hypergroup by renormalising each basis element
 by its Frobenius-Perron dimension; a Z+-module then induces an action
 whose matrices are the integer actions divided by the same dimensions.
-Fixed subspaces are extracted numerically by singular-value
-thresholding.
+A common fixed vector lies in the kernel of T = sum_i (I - Theta_i); the
+fixed space is cut out of that kernel by singular-value thresholding.
 """
 
 from __future__ import annotations
@@ -132,17 +132,17 @@ class FixedSpace:
 
 
 def fixed_space(action: HypergroupAction) -> FixedSpace:
-    """Intersection of the kernels of Theta(r_i) - I.
+    """Intersection of the kernels of Theta(r_i) - I, found inside ker T.
 
-    The matrices Theta(r_i) - I are stacked into one tall matrix whose
-    numerical kernel (singular values below the absolute cut 1e-8) is
-    the fixed subspace.
-    """
-    dim = action.dimension
-    eye = np.eye(dim)
-    stacked = np.concatenate([mat - eye for mat in action.matrices], axis=0)
-    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    kept = int(np.sum(svals >= 1e-8))
-    basis = vt[kept:].copy()
+    V: right singular vectors of T = sum_i (I - Theta_i) at singular value <= sqrt(k)*1e-8;
+    result V ker(S V) at the absolute cut 1e-8, S the never-built stack of Theta_i - I.
+    |T v| <= sqrt(k) |S v|, so it is the stacked SVD's kernel when T's least singular value
+    sigma above the cut is far from it (ADE: I - Theta_i >= 0, dim V = 2, sigma >= 1.38)."""
+    k, dim = action.matrices.shape[:2]
+    _, svals, vt = np.linalg.svd(k * np.eye(dim) - action.matrices.sum(axis=0))
+    cand = vt[svals <= np.sqrt(k) * 1e-8]
+    moved = (action.matrices @ cand.T - cand.T).reshape(k * dim, len(cand))
+    _, svals, vt = np.linalg.svd(moved, full_matrices=False)
+    basis = vt[int(np.sum(svals >= 1e-8)) :] @ cand
     basis.setflags(write=False)
     return FixedSpace(basis)

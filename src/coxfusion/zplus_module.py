@@ -51,18 +51,22 @@ class ZPlusModule:
 
     def verify_axioms(self) -> list[CheckResult]:
         """Exact checks: unit action, nonnegativity, ring compatibility, the
-        last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in the dtype
-        ``exact_dtype`` picks, up to the first i with a mismatch."""
+        last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in two reused
+        buffers of the dtype ``exact_dtype`` picks, up to the first i with a mismatch."""
         acts, c = self.actions, self.ring.constants
         top = int(np.abs(acts).max(initial=0))
         dtype = exact_dtype(max(self.rank * top, self.ring.rank * int(c.max())) * top)
-        a, x = acts.astype(dtype), c.astype(dtype)
-        bad = (a[i] @ a != np.tensordot(x[i], a, 1) for i in range(len(c)))
+        a, x = np.ascontiguousarray(acts, dtype=dtype), c.astype(dtype)
+        left, right = np.empty_like(a), np.empty_like(a)
         eye = np.eye(self.rank, dtype=np.int64)
+        def bad():
+            for i in range(len(c)):
+                np.matmul(x[i], a.reshape(len(c), -1), out=right.reshape(len(c), -1))
+                yield np.subtract(np.matmul(a[i], a, out=left), right, out=left)
         return [
             exact_check("unit acts as identity", acts[self.ring.unit] != eye),
             exact_check("nonnegative integer entries", acts < 0),
-            sliced_check("module compatibility", bad),
+            sliced_check("module compatibility", bad()),
         ]
 
     def __repr__(self) -> str:

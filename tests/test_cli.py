@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coxfusion
+import coxfusion.cli
 import coxfusion.coxeter
 import coxfusion.zplus_module
 from coxfusion.cli import main, parse_roster
@@ -70,6 +71,19 @@ class TestRing:
         assert json.loads(target.read_text())["Δ_1"] == pytest.approx(
             2.0 * math.cos(math.pi / 5.0), abs=1e-10
         )
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.28 TiB"), MemoryError()])
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, exc):
+        # A real ``ring 100000`` asks for an n**3 mask and may be killed by the
+        # system before numpy raises, so the failure is injected.
+        def exhausted(n):
+            raise exc
+
+        monkeypatch.setattr(coxfusion.cli, "verlinde_ring", exhausted)
+        code, out, err = run(capsys, "ring", "100000", "--fpdims")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {str(exc) or 'MemoryError'}\n"
 
     def test_out_unwritable(self, capsys, tmp_path):
         code, _, err = run(

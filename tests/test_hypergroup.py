@@ -1,14 +1,16 @@
 """Hypergroups from fusion rings, induced actions and fixed subspaces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coxfusion.coxeter import diagram
+from coxfusion.coxeter import diagram, parse_diagram
 from coxfusion.fusion_ring import FusionRing, even_subring, fib_ring, verlinde_ring
 from coxfusion.hypergroup import (
     Hypergroup,
+    HypergroupAction,
     action_from_module,
     fixed_space,
     from_fusion_ring,
@@ -16,6 +18,7 @@ from coxfusion.hypergroup import (
 )
 from coxfusion.linalg import subspace_projector
 from coxfusion.report import all_passed, failures
+from coxfusion.verify import default_roster
 from coxfusion.zplus_module import ZPlusModule, ade_module, decompose, regular_element, restrict
 
 
@@ -192,3 +195,70 @@ class TestFixedSpace:
         for vec in fixed.basis:
             for mat in action.matrices:
                 assert np.max(np.abs(mat @ vec - vec)) < 1e-8
+
+
+def stacked_fixed_space(action):
+    """Reference: thin SVD of the (k n) x n stack of Theta_i - I at the cut 1e-8."""
+    eye = np.eye(action.dimension)
+    stacked = np.concatenate([mat - eye for mat in action.matrices])
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    return vt[int(np.sum(svals >= 1e-8)) :]
+
+
+def even_action(tag):
+    module = ade_module(parse_diagram(tag))
+    sub, embedding = even_subring(module.ring)
+    return action_from_module(restrict(module, sub, embedding))
+
+
+def plain_action(*matrices):
+    return HypergroupAction(verlinde_ring(len(matrices)), np.stack(matrices))
+
+
+class TestFixedSpaceInsideKernelOfSum:
+    @pytest.mark.parametrize(
+        "tag", [d.name for d in default_roster()] + ["A25", "A50", "A100", "D50", "D100"]
+    )
+    def test_matches_stacked_svd(self, tag):
+        action = even_action(tag)
+        basis, reference = fixed_space(action).basis, stacked_fixed_space(action)
+        assert basis.shape == reference.shape == (2, action.dimension)
+        assert np.max(np.abs(basis.T @ basis - reference.T @ reference)) <= 1e-13
+
+    def test_cancellation_in_the_sum(self):
+        # T = 3I - (I + (I + N) + (I - N)) = 0, yet only ker N = span(e_0, e_2) is fixed.
+        eye = np.eye(3)
+        nil = np.outer(eye[0], eye[1])
+        basis = fixed_space(plain_action(eye, eye + nil, eye - nil)).basis
+        assert basis.shape == (2, 3)
+        assert np.max(np.abs(basis.T @ basis - np.diag([1.0, 0.0, 1.0]))) < 1e-15
+
+    # T's cut is sqrt(2) * 1e-8 here: 1.2e-8 passes it and is then cut by S V's 1e-8.
+    # Theta V - V carries rounding of order eps, so u is resolved to about eps / shift.
+    @pytest.mark.parametrize(
+        "shift,dimension", [(1e-6, 2), (1.2e-8, 2), (0.9e-8, 3), (1e-10, 3)]
+    )
+    def test_direction_moved_by_shift(self, shift, dimension):
+        eye = np.eye(3)
+        u = np.array([1.0, 2.0, 2.0]) / 3
+        action = plain_action(eye, eye - shift * np.outer(u, u))
+        basis, reference = fixed_space(action).basis, stacked_fixed_space(action)
+        assert basis.shape == reference.shape == (dimension, 3)
+        assert np.max(np.abs(basis.T @ basis - reference.T @ reference)) < 1e-15 / shift
+        if dimension == 2:
+            assert np.max(np.abs(basis @ u)) < 1e-15 / shift
+
+    def test_no_fixed_vector_gives_empty_basis(self):
+        fixed = fixed_space(plain_action(-np.eye(3), 0.5 * np.eye(3)))
+        assert fixed.basis.shape == (0, 3)
+        assert fixed.dimension == 0
+
+    def test_never_builds_the_stack(self):
+        action = even_action("D100")
+        tracemalloc.start()
+        try:
+            fixed_space(action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < action.matrices.nbytes / 4

@@ -123,6 +123,36 @@ class TestVerifyModuleAxioms:
         report = {c.name: c for c in broken.verify_axioms()}
         assert report["module compatibility"].witness == expected
 
+    @pytest.mark.parametrize(
+        "d", [x for x in ADE_ROSTER if x.rank >= 2], ids=lambda d: d.name
+    )
+    def test_any_memory_layout_passes(self, d):
+        # decompose's submodules, actions[:, comp][:, :, comp], keep axis 2 outermost
+        module = ade_module(d)
+        sub, embedding = even_subring(module.ring)
+        restricted = restrict(module, sub, embedding)
+        for comp in decompose(restricted):
+            actions = restricted.actions[:, comp][:, :, comp]
+            labels = [restricted.labels[v] for v in comp]
+            assert all_passed(ZPlusModule(sub, labels, actions).verify_axioms())
+        fortran = np.asfortranarray(module.actions)
+        assert all_passed(ZPlusModule(module.ring, module.labels, fortran).verify_axioms())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compatibility_witness_independent_of_layout(self, seed):
+        rng = np.random.default_rng(seed)
+        module = ade_module(ADE_ROSTER[int(rng.integers(len(ADE_ROSTER)))])
+        actions = np.array(module.actions)
+        actions[tuple(rng.integers(0, actions.shape, 3))] += 1
+        every = np.arange(actions.shape[1])
+        witnesses = {
+            check.witness
+            for layout in (actions, np.asfortranarray(actions), actions[:, every][:, :, every])
+            for check in ZPlusModule(module.ring, module.labels, layout).verify_axioms()
+            if check.name == "module compatibility"
+        }
+        assert len(witnesses) == 1
+
     def test_d50_within_seconds(self):
         # the rank**4 check held about 380 MB of temporaries here
         module = ade_module(diagram("D", 50))
