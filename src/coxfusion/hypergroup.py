@@ -19,30 +19,25 @@ from .zplus_module import ZPlusModule
 
 
 class Hypergroup:
-    """Real algebra with row-stochastic nonnegative structure constants."""
+    """Real algebra with row-stochastic nonnegative structure constants.
 
-    def __init__(self, labels, constants, unit: int = 0, involution=None):
-        labels = tuple(str(lab) for lab in labels)
-        rank = len(labels)
+    Basis element 0 is the unit and the basis is self-dual, as in the
+    fusion rings it is built from.
+    """
+
+    def __init__(self, constants):
         constants = np.array(constants, dtype=float)
-        if constants.shape != (rank, rank, rank):
-            raise ValueError(
-                f"constants tensor has shape {constants.shape}, expected {(rank,) * 3}"
-            )
-        if involution is None:
-            involution = tuple(range(rank))
+        if constants.ndim != 3 or constants.shape != (len(constants),) * 3:
+            raise ValueError(f"constants tensor has shape {constants.shape}, expected (n, n, n)")
         constants.setflags(write=False)
-        self.labels = labels
         self.constants = constants
-        self.unit = unit
-        self.involution = tuple(int(i) for i in involution)
 
     @property
     def rank(self) -> int:
-        return len(self.labels)
+        return len(self.constants)
 
     def __repr__(self) -> str:
-        return f"Hypergroup(rank={self.rank}, labels={list(self.labels)})"
+        return f"Hypergroup(rank={self.rank})"
 
 
 def from_fusion_ring(ring: FusionRing) -> Hypergroup:
@@ -53,8 +48,7 @@ def from_fusion_ring(ring: FusionRing) -> Hypergroup:
         * fp[None, None, :]
         / (fp[:, None, None] * fp[None, :, None])
     )
-    labels = tuple(f"{lab}/FP({lab})" for lab in ring.labels)
-    return Hypergroup(labels, constants, ring.unit, ring.involution)
+    return Hypergroup(constants)
 
 
 _AXIOM_TOL = 1e-10
@@ -63,18 +57,16 @@ _AXIOM_TOL = 1e-10
 def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     """Checks of the hypergroup axioms; failures are reported.
 
-    Unit law, row sums and associativity pass within 1e-10 and the
-    symmetry of the unit coefficients within 1e-12.  The associativity
-    witness is max |(b_i b_j) b_k - b_i (b_j b_k)|, taken one i at a
-    time in rank**3 memory.
+    Unit law, row sums and associativity pass within 1e-10.  With b_0
+    the unit and a self-dual basis, the involution conditions ask the
+    unit coefficients c_{ij}^0 to be symmetric within 1e-12 and nonzero
+    exactly at i == j.  The associativity witness is
+    max |(b_i b_j) b_k - b_i (b_j b_k)|, taken one i at a time in rank**3 memory.
     """
     c = hg.constants
-    n = hg.rank
-    u = hg.unit
-    inv = np.array(hg.involution)
-    eye = np.eye(n)
+    eye = np.eye(hg.rank)
     unit_ok = (
-        np.max(np.abs(c[u] - eye)) < _AXIOM_TOL and np.max(np.abs(c[:, u, :] - eye)) < _AXIOM_TOL
+        np.max(np.abs(c[0] - eye)) < _AXIOM_TOL and np.max(np.abs(c[:, 0, :] - eye)) < _AXIOM_TOL
     )
     sums = c.sum(axis=2)
     rows_ok = np.max(np.abs(sums - 1.0)) < _AXIOM_TOL
@@ -82,15 +74,14 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     if not rows_ok:
         i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
         witness = (int(i), int(j), float(sums[i, j]))
-    perm_ok = inv[u] == u and np.array_equal(inv[inv], np.arange(n))
-    sym_ok = np.max(np.abs(c[:, :, u] - c[:, :, u].T)) < 1e-12
-    support_ok = np.array_equal(c[:, :, u] > 0, np.arange(n)[None, :] == inv[:, None])
+    sym_ok = np.max(np.abs(c[:, :, 0] - c[:, :, 0].T)) < 1e-12
+    support_ok = np.array_equal(c[:, :, 0] > 0, eye > 0)
     assoc_err = max(float(max(a.max(), -a.min())) for a in associators(c))
     return [
         exact_check("nonnegativity", c < 0),
         CheckResult("unit law", bool(unit_ok)),
         CheckResult("row sums equal 1", bool(rows_ok), witness),
-        CheckResult("involution conditions", bool(perm_ok and sym_ok and support_ok)),
+        CheckResult("involution conditions", bool(sym_ok and support_ok)),
         CheckResult("associativity", assoc_err < _AXIOM_TOL, assoc_err),
     ]
 
@@ -99,13 +90,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
 class HypergroupAction:
     """Algebra homomorphism into matrices: one matrix per basis element."""
 
-    ring: FusionRing
     matrices: np.ndarray  # (rank, dim, dim)
-
-    @property
-    def hypergroup(self) -> Hypergroup:
-        """The acting hypergroup, built from ``ring`` on each access."""
-        return from_fusion_ring(self.ring)
 
     @property
     def dimension(self) -> int:
@@ -117,7 +102,7 @@ def action_from_module(module: ZPlusModule) -> HypergroupAction:
     fp = module.ring.fp_dims()
     matrices = module.actions.astype(float) / fp[:, None, None]
     matrices.setflags(write=False)
-    return HypergroupAction(module.ring, matrices)
+    return HypergroupAction(matrices)
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,11 @@ def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def subspace_projector(vectors) -> np.ndarray:
-    """Orthogonal projector onto the span of the given row vectors."""
+    """Orthogonal projector onto the span of the given row vectors; the zero
+    matrix for a (0, n) array of them."""
     rows = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if rows.size == 0:
-        raise ValueError("cannot project onto an empty span")
+    if rows.shape[1] == 0:
+        raise ValueError("cannot project: the vectors have no ambient dimension")
     q, _ = np.linalg.qr(rows.T)
     return q @ q.T
 

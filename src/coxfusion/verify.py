@@ -130,10 +130,7 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     fixed = fixed_space(action_from_module(restricted))
 
     plane = coxeter_plane(d)
-    if fixed.dimension > 0:
-        proj_fixed = subspace_projector(fixed.basis)
-    else:
-        proj_fixed = np.zeros((d.rank, d.rank))
+    proj_fixed = subspace_projector(fixed.basis)
     proj_plane = subspace_projector([plane.u_plus, plane.u_minus])
     distance = float(np.linalg.norm(proj_fixed - proj_plane))
 

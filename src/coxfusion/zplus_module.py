@@ -20,7 +20,7 @@ from .linalg import EXACT_FLOAT_BOUND, connected_components, exact_dtype, perron
 from .report import CheckResult, exact_check, sliced_check
 
 
-class ZPlusModuleError(Exception):
+class ZPlusModuleError(ValueError):
     """Malformed module data or a failed construction self-test."""
 
 
@@ -28,45 +28,40 @@ class ZPlusModule:
     """Module basis with one nonnegative integer matrix per ring basis.
 
     ``actions[i]`` is the matrix of the ring basis element b_i; entry
-    (k, l) is the coefficient of m_k in b_i . m_l.
+    (k, l) is the coefficient of m_k in b_i . m_l.  As in ``FusionRing``,
+    b_0 is the unit and the ring's basis is self-dual.
     """
 
-    def __init__(self, ring: FusionRing, labels, actions):
-        labels = tuple(str(lab) for lab in labels)
-        m = len(labels)
+    def __init__(self, ring: FusionRing, actions):
         actions = np.array(actions, dtype=np.int64)
+        m = actions.shape[-1] if actions.ndim else 0
         if actions.shape != (ring.rank, m, m):
             raise ZPlusModuleError(
                 f"actions tensor has shape {actions.shape}, expected {(ring.rank, m, m)}"
             )
         actions.setflags(write=False)
         self.ring = ring
-        self.labels = labels
         self.actions = actions
 
     @property
     def rank(self) -> int:
         """Module rank (number of basis elements)."""
-        return len(self.labels)
+        return self.actions.shape[1]
 
     def verify_axioms(self) -> list[CheckResult]:
         """Exact checks: unit action, nonnegativity, ring compatibility, the
-        last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in two reused
-        buffers of the dtype ``exact_dtype`` picks, up to the first i with a mismatch."""
+        last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in the dtype
+        ``exact_dtype`` picks, up to the first i with a mismatch."""
         acts, c = self.actions, self.ring.constants
         top = int(np.abs(acts).max(initial=0))
         dtype = exact_dtype(max(self.rank * top, self.ring.rank * int(c.max())) * top)
-        a, x = np.ascontiguousarray(acts, dtype=dtype), c.astype(dtype)
-        left, right = np.empty_like(a), np.empty_like(a)
+        a, x = acts.astype(dtype), c.astype(dtype)
+        bad = (a[i] @ a != np.tensordot(x[i], a, 1) for i in range(len(c)))
         eye = np.eye(self.rank, dtype=np.int64)
-        def bad():
-            for i in range(len(c)):
-                np.matmul(x[i], a.reshape(len(c), -1), out=right.reshape(len(c), -1))
-                yield np.subtract(np.matmul(a[i], a, out=left), right, out=left)
         return [
-            exact_check("unit acts as identity", acts[self.ring.unit] != eye),
+            exact_check("unit acts as identity", acts[0] != eye),
             exact_check("nonnegative integer entries", acts < 0),
-            sliced_check("module compatibility", bad()),
+            sliced_check("module compatibility", bad),
         ]
 
     def __repr__(self) -> str:
@@ -76,7 +71,7 @@ class ZPlusModule:
 def regular_module(ring: FusionRing) -> ZPlusModule:
     """The ring acting on itself by left multiplication."""
     actions = np.stack([ring.left_mult_matrix(i) for i in range(ring.rank)])
-    return ZPlusModule(ring, ring.labels, actions)
+    return ZPlusModule(ring, actions)
 
 
 def ade_module(d: CoxeterDiagram) -> ZPlusModule:
@@ -100,8 +95,7 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
         raise ZPlusModuleError(f"Chebyshev actions of {d.name} exceed exact float64 range")
     if np.any(acts < 0):
         raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
-    labels = tuple(f"α_{i + 1}" for i in range(d.rank))
-    return ZPlusModule(verlinde_ring(len(acts)), labels, acts)
+    return ZPlusModule(verlinde_ring(len(acts)), acts)
 
 
 def restrict(module: ZPlusModule, sub: FusionRing, embedding) -> ZPlusModule:
@@ -117,8 +111,7 @@ def restrict(module: ZPlusModule, sub: FusionRing, embedding) -> ZPlusModule:
         raise FusionRingError("embedding is not closed under the parent product")
     if np.any(block[:, :, embedding] != sub.constants):
         raise FusionRingError("subring constants disagree with the parent ring")
-    actions = module.actions[embedding]
-    return ZPlusModule(sub, module.labels, actions)
+    return ZPlusModule(sub, module.actions[embedding])
 
 
 def decompose(module: ZPlusModule) -> list[list[int]]:

@@ -21,6 +21,7 @@ import coxfusion.zplus_module
 from coxfusion.cli import main, parse_roster
 from coxfusion.coxeter import CoxeterDiagram
 from coxfusion.linalg import ConvergenceError
+from coxfusion.zplus_module import ZPlusModuleError
 
 
 def run(capsys, *argv):
@@ -35,6 +36,8 @@ class TestRing:
         assert code == 0
         data = json.loads(out)
         assert data["labels"] == ["Δ_0", "Δ_1", "Δ_2"]
+        assert data["unit"] == 0
+        assert data["involution"] == [0, 1, 2]
         assert data["products"]["Δ_1*Δ_1"] == ["Δ_0", "Δ_2"]
 
     def test_fpdims(self, capsys):
@@ -183,6 +186,18 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "A3")
         assert code == 1 and out == ""
         assert err == "error: power iteration did not converge in 1 steps\n"
+
+    def test_module_error_is_one_error_line(self, capsys, monkeypatch):
+        # regular_element's absolute 1e-9 residual can fail at large rank
+        def residual_too_large(module):
+            raise ZPlusModuleError("eigen-relation for basis element 1 fails (residual 2.000e-09)")
+
+        monkeypatch.setattr(coxfusion.verify, "regular_element", residual_too_large)
+        code, out, err = run(capsys, "verify", "E8")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: eigen-relation for basis element 1 fails (residual 2.000e-09)"
+        ]
 
 
 class TestProject:

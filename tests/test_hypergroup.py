@@ -76,7 +76,7 @@ class TestVerifyAxioms:
         hg = from_fusion_ring(verlinde_ring(4))
         constants = np.array(hg.constants)
         constants[1, 2, 0] += 1e-3
-        broken = Hypergroup(hg.labels, constants, hg.unit, hg.involution)
+        broken = Hypergroup(constants)
         names = [check.name for check in failures(verify_hypergroup_axioms(broken))]
         assert "row sums equal 1" in names
 
@@ -85,11 +85,11 @@ class TestVerifyAxioms:
         for ring in (verlinde_ring(n), even_subring(verlinde_ring(n))[0]):
             hg = from_fusion_ring(ring)
             assert np.max(np.abs(hg.constants.sum(axis=2) - 1.0)) < 1e-10
-            col0 = hg.constants[:, :, hg.unit]
+            col0 = hg.constants[:, :, 0]
             assert np.max(np.abs(col0 - col0.T)) < 1e-12
             for i in range(hg.rank):
                 for j in range(hg.rank):
-                    assert (col0[i, j] > 0) == (j == hg.involution[i])
+                    assert (col0[i, j] > 0) == (j == i)
 
 
 class TestActionFromModule:
@@ -116,7 +116,7 @@ class TestActionFromModule:
 
         module = ade_module(parse_diagram(tag))
         action = action_from_module(module)
-        hg = action.hypergroup
+        hg = from_fusion_ring(module.ring)
         for i in range(hg.rank):
             for j in range(hg.rank):
                 lhs = action.matrices[i] @ action.matrices[j]
@@ -124,26 +124,11 @@ class TestActionFromModule:
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-    def test_hypergroup_built_on_demand(self, monkeypatch):
-        import coxfusion.hypergroup
-
-        module = ade_module(diagram("E", 6))
-
-        def forbidden(ring):
-            raise AssertionError("action_from_module built the hypergroup")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(coxfusion.hypergroup, "from_fusion_ring", forbidden)
-            action = action_from_module(module)
-        assert action.ring is module.ring
-        assert np.array_equal(action.hypergroup.constants, from_fusion_ring(module.ring).constants)
-
-
 class TestFixedSpace:
     def test_trivial_action(self):
         from coxfusion.hypergroup import HypergroupAction
 
-        action = HypergroupAction(verlinde_ring(1), np.eye(4)[None, :, :])
+        action = HypergroupAction(np.eye(4)[None, :, :])
         assert fixed_space(action).dimension == 4
 
     def test_a3_even(self):
@@ -178,8 +163,7 @@ class TestFixedSpace:
         assert len(components) == 2
         regulars = []
         for comp in components:
-            labels = [restricted.labels[v] for v in comp]
-            submodule = ZPlusModule(sub, labels, restricted.actions[:, comp][:, :, comp])
+            submodule = ZPlusModule(sub, restricted.actions[:, comp][:, :, comp])
             padded = np.zeros(d.rank)
             padded[comp] = regular_element(submodule).coordinates
             regulars.append(padded)
@@ -212,7 +196,7 @@ def even_action(tag):
 
 
 def plain_action(*matrices):
-    return HypergroupAction(verlinde_ring(len(matrices)), np.stack(matrices))
+    return HypergroupAction(np.stack(matrices))
 
 
 class TestFixedSpaceInsideKernelOfSum:

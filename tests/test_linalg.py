@@ -7,7 +7,7 @@ import pytest
 
 from coxfusion.coxeter import diagram
 from coxfusion.fusion_ring import verlinde_ring
-from coxfusion.linalg import exact_dtype, perron_eigenpair
+from coxfusion.linalg import exact_dtype, perron_eigenpair, subspace_projector
 
 
 class TestPerronEigenpair:
@@ -44,3 +44,14 @@ class TestExactDtype:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             exact_dtype(2**63)
+
+
+class TestSubspaceProjector:
+    def test_no_vectors_give_the_zero_matrix(self):
+        proj = subspace_projector(np.zeros((0, 4)))
+        assert proj.shape == (4, 4)
+        assert not proj.any()
+
+    def test_no_ambient_dimension_rejected(self):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            subspace_projector([])

@@ -17,7 +17,7 @@ from coxfusion.coxeter import (
     parse_diagram,
 )
 from coxfusion.fusion_ring import even_subring, verlinde_ring
-from coxfusion.hypergroup import action_from_module, fixed_space
+from coxfusion.hypergroup import FixedSpace, action_from_module, fixed_space
 from coxfusion.linalg import subspace_projector
 from coxfusion.verify import (
     check_bifurcation_lemma,
@@ -126,6 +126,17 @@ class TestMainTheorem:
         assert report.passed
         assert report.h == 30
         assert abs(abs(report.rotation_angle) - 2.0 * math.pi / 30.0) < 1e-10
+
+    def test_empty_fixed_space_fails_at_the_plane_distance(self, monkeypatch):
+        # the projector onto no vectors is zero, so the distance is |P_plane| = sqrt(2)
+        import coxfusion.verify
+
+        empty = FixedSpace(np.zeros((0, 8)))
+        monkeypatch.setattr(coxfusion.verify, "fixed_space", lambda action: empty)
+        report = check_main_theorem(diagram("E", 8))
+        assert not report.passed
+        assert report.fixed_dimension == 0
+        assert report.projector_distance == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_rank_one_rejected(self):
         with pytest.raises(CoxeterError):

@@ -95,7 +95,7 @@ class TestVerifyModuleAxioms:
         module = ade_module(diagram("A", 4))
         actions = np.array(module.actions)
         actions[1, 0, 1] = 0
-        broken = ZPlusModule(module.ring, module.labels, actions)
+        broken = ZPlusModule(module.ring, actions)
         bad = failures(broken.verify_axioms())
         assert any(check.name == "module compatibility" for check in bad)
         assert all(check.witness is not None for check in bad)
@@ -105,7 +105,7 @@ class TestVerifyModuleAxioms:
         module = ade_module(diagram("A", 4))
         actions = np.array(module.actions)
         actions[2, 1, 3] += 1
-        report = {c.name: c for c in ZPlusModule(module.ring, module.labels, actions).verify_axioms()}
+        report = {c.name: c for c in ZPlusModule(module.ring, actions).verify_axioms()}
         assert report["module compatibility"].witness == (1, 1, 1, 3)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -119,7 +119,7 @@ class TestVerifyModuleAxioms:
         right = np.einsum("ijk,kac->ijac", module.ring.constants, actions)
         hits = np.argwhere(left != right)
         expected = tuple(int(x) for x in hits[0]) if len(hits) else None
-        broken = ZPlusModule(module.ring, module.labels, actions)
+        broken = ZPlusModule(module.ring, actions)
         report = {c.name: c for c in broken.verify_axioms()}
         assert report["module compatibility"].witness == expected
 
@@ -133,10 +133,9 @@ class TestVerifyModuleAxioms:
         restricted = restrict(module, sub, embedding)
         for comp in decompose(restricted):
             actions = restricted.actions[:, comp][:, :, comp]
-            labels = [restricted.labels[v] for v in comp]
-            assert all_passed(ZPlusModule(sub, labels, actions).verify_axioms())
+            assert all_passed(ZPlusModule(sub, actions).verify_axioms())
         fortran = np.asfortranarray(module.actions)
-        assert all_passed(ZPlusModule(module.ring, module.labels, fortran).verify_axioms())
+        assert all_passed(ZPlusModule(module.ring, fortran).verify_axioms())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_compatibility_witness_independent_of_layout(self, seed):
@@ -148,7 +147,7 @@ class TestVerifyModuleAxioms:
         witnesses = {
             check.witness
             for layout in (actions, np.asfortranarray(actions), actions[:, every][:, :, every])
-            for check in ZPlusModule(module.ring, module.labels, layout).verify_axioms()
+            for check in ZPlusModule(module.ring, layout).verify_axioms()
             if check.name == "module compatibility"
         }
         assert len(witnesses) == 1
@@ -197,7 +196,7 @@ class TestRestrict:
         sub, embedding = even_subring(module.ring)
         bad = np.array(sub.constants)
         bad[1, 1, 1] += 1
-        wrong = FusionRing(sub.labels, bad, sub.unit, sub.involution)
+        wrong = FusionRing(sub.labels, bad)
         with pytest.raises(FusionRingError, match="disagree"):
             restrict(module, wrong, embedding)
 
@@ -262,7 +261,7 @@ class TestRegularElement:
         assert np.max(np.abs(reg.coordinates - perron)) < 1e-10
 
     def test_trivial_ring_module(self):
-        module = ZPlusModule(verlinde_ring(1), ("m",), [[[1]]])
+        module = ZPlusModule(verlinde_ring(1), [[[1]]])
         reg = regular_element(module)
         assert reg.coordinates.tolist() == [1.0]
 
@@ -273,7 +272,7 @@ class TestRegularElement:
         plus = decompose(restricted)[0]
         assert plus == [0, 2]
         actions = restricted.actions[:, plus][:, :, plus]
-        reg = regular_element(ZPlusModule(sub, ("α_1", "α_3"), actions))
+        reg = regular_element(ZPlusModule(sub, actions))
         assert np.max(np.abs(reg.coordinates - np.array([0.5, 0.5]))) < 1e-10
 
     def test_reducible_rejected(self):
