@@ -20,11 +20,9 @@ from .coxeter import (
     rotation_angle,
 )
 from .fusion_ring import (
-    FusionElement,
     FusionRing,
     FusionRingError,
     even_subring,
-    fib_ring,
     verlinde_ring,
 )
 from .hypergroup import (
@@ -36,7 +34,7 @@ from .hypergroup import (
     from_fusion_ring,
     verify_hypergroup_axioms,
 )
-from .report import CheckResult, all_passed, failures
+from .report import CheckResult, all_passed
 from .verify import (
     TheoremReport,
     check_bifurcation_lemma,
@@ -53,7 +51,6 @@ from .zplus_module import (
     ade_module,
     decompose,
     regular_element,
-    regular_module,
     restrict,
 )
 

@@ -55,10 +55,6 @@ class CoxeterDiagram:
     def rank(self) -> int:
         return self.coxeter_matrix.shape[0]
 
-    def order(self, i: int, j: int) -> int:
-        """Bond order m(i, j); INFINITE encodes an unbounded order."""
-        return int(self.coxeter_matrix[i, j])
-
     def edges(self) -> list[tuple[int, int]]:
         """Pairs i < j joined by a bond of order >= 3 or infinite, in row order."""
         return [tuple(e) for e in np.argwhere(np.triu(self.adjacency_matrix())).tolist()]

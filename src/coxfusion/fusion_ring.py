@@ -1,8 +1,8 @@
 """Fusion rings with exact integer structure constants.
 
-Covers the generic based-ring machinery plus the two concrete families
+Covers the generic based-ring machinery plus the one concrete family
 used downstream: the Verlinde ring R_n = Z[x]/(Delta_n) with basis
-Delta_0..Delta_{n-1}, and the rank-2 Fibonacci ring.  Frobenius-Perron
+Delta_0..Delta_{n-1}, and its even part.  Frobenius-Perron
 dimensions come from one Perron solve on the stack of left
 multiplication matrices: the regular element sum_i FP(b_i) b_i is their
 common Perron vector, and each dimension is a Rayleigh quotient on it.
@@ -50,23 +50,6 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def element(self, coefficients) -> "FusionElement":
-        return FusionElement(self, np.array(coefficients, dtype=np.int64))
-
-    def basis_element(self, i: int) -> "FusionElement":
-        coeffs = np.zeros(self.rank, dtype=np.int64)
-        coeffs[i] = 1
-        return FusionElement(self, coeffs)
-
-    def one(self) -> "FusionElement":
-        return self.basis_element(0)
-
-    def left_mult_matrix(self, i: int) -> np.ndarray:
-        """Matrix of left multiplication by b_i; entry (k, j) is c_{ij}^k."""
-        if not 0 <= i < self.rank:
-            raise IndexError(f"basis index {i} out of range for rank {self.rank}")
-        return self.constants[i].T.copy()
 
     def fp_dims(self) -> np.ndarray:
         """Frobenius-Perron dimensions of all basis elements (cached)."""
@@ -116,54 +99,6 @@ class FusionRing:
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 
 
-class FusionElement:
-    """Integer linear combination of the basis of one fusion ring."""
-
-    def __init__(self, ring: FusionRing, coefficients):
-        coefficients = np.asarray(coefficients, dtype=np.int64)
-        if coefficients.shape != (ring.rank,):
-            raise FusionRingError(
-                f"coefficient vector has length {coefficients.size}, expected {ring.rank}"
-            )
-        self.ring = ring
-        self.coefficients = coefficients
-
-    def _check_ring(self, other: "FusionElement"):
-        if self.ring is not other.ring:
-            raise FusionRingError("elements belong to different rings")
-
-    def __add__(self, other: "FusionElement") -> "FusionElement":
-        self._check_ring(other)
-        return FusionElement(self.ring, self.coefficients + other.coefficients)
-
-    def __sub__(self, other: "FusionElement") -> "FusionElement":
-        self._check_ring(other)
-        return FusionElement(self.ring, self.coefficients - other.coefficients)
-
-    def __mul__(self, other: "FusionElement") -> "FusionElement":
-        self._check_ring(other)
-        out = np.einsum(
-            "i,j,ijk->k", self.coefficients, other.coefficients, self.ring.constants
-        )
-        return FusionElement(self.ring, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FusionElement)
-            and self.ring is other.ring
-            and np.array_equal(self.coefficients, other.coefficients)
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coefficients.tobytes()))
-
-    def __repr__(self) -> str:
-        terms = [
-            f"{c}*{lab}" for c, lab in zip(self.coefficients, self.ring.labels) if c != 0
-        ]
-        return " + ".join(terms) if terms else "0"
-
-
 def associators(c: np.ndarray):
     """Yield (b_i b_j) b_k - b_i (b_j b_k) as a [j, k, l] array for i = 0, 1, ...
 
@@ -196,16 +131,6 @@ def verlinde_ring(n: int) -> FusionRing:
     mask &= k % 2 == total % 2
     labels = tuple(f"Δ_{k}" for k in range(n))
     return FusionRing(labels, mask)
-
-
-def fib_ring() -> FusionRing:
-    """Rank-2 Fibonacci ring: basis {1, x} with x*x = 1 + x."""
-    constants = np.zeros((2, 2, 2), dtype=np.int64)
-    constants[0] = np.eye(2, dtype=np.int64)
-    constants[1, 0, 1] = 1
-    constants[1, 1, 0] = 1
-    constants[1, 1, 1] = 1
-    return FusionRing(("1", "x"), constants)
 
 
 @functools.lru_cache(maxsize=None)

@@ -92,10 +92,6 @@ class HypergroupAction:
 
     matrices: np.ndarray  # (rank, dim, dim)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrices.shape[1]
-
 
 def action_from_module(module: ZPlusModule) -> HypergroupAction:
     """Action of the ring's hypergroup induced by a Z+-module."""

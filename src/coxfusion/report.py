@@ -46,7 +46,3 @@ def sliced_check(name: str, bad) -> CheckResult:
 
 def all_passed(report: list[CheckResult]) -> bool:
     return all(check.passed for check in report)
-
-
-def failures(report: list[CheckResult]) -> list[CheckResult]:
-    return [check for check in report if not check.passed]

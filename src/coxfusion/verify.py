@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,6 @@ class TheoremReport:
     rotation_angle: float
     lemmas: tuple[CheckResult, ...]
     passed: bool
-    seconds: float
 
     def to_dict(self) -> dict:
         return {
@@ -122,7 +120,6 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     """
     if d.rank < 2:
         raise CoxeterError(f"diagram {d.name} has rank < 2")
-    start = time.perf_counter()
 
     module = ade_module(d)
     even, embedding = even_subring(module.ring)
@@ -149,7 +146,6 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
         rotation_angle=rotation_angle(plane),
         lemmas=lemmas,
         passed=passed,
-        seconds=time.perf_counter() - start,
     )
 
 

@@ -68,12 +68,6 @@ class ZPlusModule:
         return f"ZPlusModule(ring_rank={self.ring.rank}, module_rank={self.rank})"
 
 
-def regular_module(ring: FusionRing) -> ZPlusModule:
-    """The ring acting on itself by left multiplication."""
-    actions = np.stack([ring.left_mult_matrix(i) for i in range(ring.rank)])
-    return ZPlusModule(ring, actions)
-
-
 def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     """The Z+-module of an ADE diagram over the Verlinde ring R_{h-1}.
 

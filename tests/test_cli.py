@@ -319,6 +319,12 @@ class TestSuite:
         assert lines[1].split(",")[0] == "A2"
         assert lines[2].split(",")[0] == "E6"
 
+    def test_non_ade_roster_entry_rejected(self, capsys):
+        code, out, err = run(capsys, "suite", "--roster", "A2,B3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "roster diagram B3" in err
+
     def test_rank_one_in_roster_rejected(self, capsys):
         code, _, err = run(capsys, "suite", "--roster", "A1,A2")
         assert code == 1 and "rank" in err

@@ -59,11 +59,11 @@ class TestDiagram:
     def test_a3_path(self):
         d = diagram("A", 3)
         assert d.edges() == [(0, 1), (1, 2)]
-        assert all(d.order(i, j) == 3 for i, j in d.edges())
+        assert all(d.coxeter_matrix[i, j] == 3 for i, j in d.edges())
 
     def test_i2_label(self):
         d = diagram("I2", m=7)
-        assert d.order(0, 1) == 7
+        assert d.coxeter_matrix[0, 1] == 7
 
     def test_d4_star(self):
         d = diagram("D", 4)
@@ -81,7 +81,7 @@ class TestDiagram:
 
     def test_parse(self):
         assert parse_diagram("A3").name == "A3"
-        assert parse_diagram("I2(7)").order(0, 1) == 7
+        assert parse_diagram("I2(7)").coxeter_matrix[0, 1] == 7
         assert parse_diagram("e8").rank == 8
         with pytest.raises(CoxeterError):
             parse_diagram("Q17")
@@ -105,7 +105,7 @@ class TestDiagram:
 
     def test_integral_floats_accepted(self):
         d = CoxeterDiagram([[1.0, 3.0], [3.0, 1.0]])
-        assert d.coxeter_matrix.dtype == np.int64 and d.order(0, 1) == 3
+        assert d.coxeter_matrix.dtype == np.int64 and d.coxeter_matrix[0, 1] == 3
 
     def test_is_ade(self):
         assert diagram("A", 5).is_ade()
@@ -162,7 +162,7 @@ class TestReflections:
             for j in range(d.rank):
                 if i == j:
                     continue
-                power = np.linalg.matrix_power(s[i] @ s[j], d.order(i, j))
+                power = np.linalg.matrix_power(s[i] @ s[j], d.coxeter_matrix[i, j])
                 assert np.max(np.abs(power - np.eye(d.rank))) < 1e-9
 
 
@@ -286,6 +286,18 @@ class TestCoxeterPlane:
     def test_rank_one_rejected(self):
         with pytest.raises(CoxeterError):
             coxeter_plane(diagram("A", 1))
+
+    @pytest.mark.parametrize("tag", ["E8", "H4", "I2(7)", "B3"])
+    def test_wrong_h_has_no_plane(self, monkeypatch, tag):
+        # 2cos(pi/(h+1)) is no eigenvalue of 2I - A; E8 reads 1.98973864678
+        # against its closest eigenvalue 1.98904379074
+        import coxfusion.coxeter
+
+        d = parse_diagram(tag)
+        h = coxeter_number(d)
+        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _: h + 1)
+        with pytest.raises(CoxeterError, match="no eigenvalue of 2I-A near"):
+            coxeter_plane(d)
 
     @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
     def test_eigenvector_relations(self, d):

@@ -7,7 +7,13 @@ import pytest
 
 from coxfusion.coxeter import diagram
 from coxfusion.fusion_ring import verlinde_ring
-from coxfusion.linalg import exact_dtype, perron_eigenpair, subspace_projector
+from coxfusion.linalg import (
+    ConvergenceError,
+    exact_dtype,
+    matrix_order,
+    perron_eigenpair,
+    subspace_projector,
+)
 
 
 class TestPerronEigenpair:
@@ -55,3 +61,10 @@ class TestSubspaceProjector:
     def test_no_ambient_dimension_rejected(self):
         with pytest.raises(ValueError, match="ambient dimension"):
             subspace_projector([])
+
+
+class TestMatrixOrder:
+    def test_infinite_order_stops_at_the_cap(self):
+        # the shear's k-th power is [[1, k], [0, 1]], never the identity
+        with pytest.raises(ConvergenceError, match="exceeds cap 50"):
+            matrix_order([[1, 1], [0, 1]], cap=50)
