@@ -26,8 +26,6 @@ from .coxeter import (
 from .fusion_ring import even_subring, verlinde_ring
 from .report import all_passed
 
-DEFAULT_ROSTER = "A2..A12,D4..D12,E6,E7,E8"
-
 
 class UsageError(Exception):
     pass
@@ -185,7 +183,7 @@ def parse_roster(spec: str) -> list[CoxeterDiagram]:
 
 def cmd_suite(args) -> int:
     tol = _tolerance(args)
-    roster = parse_roster(args.roster)
+    roster = verify_mod.default_roster() if args.roster is None else parse_roster(args.roster)
     if not roster:
         raise UsageError(f"roster {args.roster!r} names no diagram")
     for d in roster:
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_project.set_defaults(func=cmd_project)
 
     p_suite = sub.add_parser("suite", help="main-theorem check over a diagram roster")
-    p_suite.add_argument("--roster", default=DEFAULT_ROSTER)
+    p_suite.add_argument("--roster")
     p_suite.add_argument("--tol", type=float)
     p_suite.add_argument("--out")
     p_suite.add_argument("--csv")

@@ -25,7 +25,6 @@ from .coxeter import (
     diagram,
     rotation_angle,
 )
-from .fusion_ring import even_subring
 from .hypergroup import action_from_module, fixed_space
 from .linalg import subspace_projector
 from .report import CheckResult
@@ -38,14 +37,13 @@ _REGULAR_SPLIT_TOL = 1e-9
 
 
 def check_bifurcation_lemma(adjacency: np.ndarray, parts: Bipartition) -> CheckResult:
-    """Delta_1 maps each bipartition class into the other, exactly."""
-    blocks = [
-        adjacency[np.ix_(parts.plus, parts.plus)],
-        adjacency[np.ix_(parts.minus, parts.minus)],
-    ]
-    offenders = [
-        tuple(int(x) for x in np.argwhere(b != 0)[0]) for b in blocks if np.any(b != 0)
-    ]
+    """Delta_1 maps each bipartition class into the other, exactly; the
+    witness names the first joined vertex pair in each failing class."""
+    offenders = []
+    for cls in (parts.plus, parts.minus):
+        hits = np.argwhere(adjacency[np.ix_(cls, cls)] != 0)
+        if len(hits):
+            offenders.append(tuple(int(cls[k]) for k in hits[0]))
     return CheckResult("bifurcation lemma", not offenders, offenders or None)
 
 
@@ -122,8 +120,7 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
         raise CoxeterError(f"diagram {d.name} has rank < 2")
 
     module = ade_module(d)
-    even, embedding = even_subring(module.ring)
-    restricted = restrict(module, even, embedding)
+    restricted = restrict(module)
     fixed = fixed_space(action_from_module(restricted))
 
     plane = coxeter_plane(d)

@@ -5,7 +5,8 @@ Verlinde ring R_{h-1}; its generator Delta_1 acts by the diagram's
 adjacency matrix and the remaining actions are generated by the
 Chebyshev recursion.  h is read off that recursion (Delta_{h-1} is the
 first action to vanish), so the module is built from the adjacency
-matrix alone and never consults the Coxeter element.
+matrix alone and never consults the Coxeter element.  ``restrict``
+views a module over the even part of its ring, the only subring used.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxeter import CoxeterDiagram, CoxeterError
-from .fusion_ring import FusionRing, FusionRingError, verlinde_ring
+from .fusion_ring import FusionRing, even_subring, verlinde_ring
 from .linalg import EXACT_FLOAT_BOUND, connected_components, exact_dtype, perron_eigenpair
 from .report import CheckResult, exact_check, sliced_check
 
@@ -92,20 +93,14 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     return ZPlusModule(verlinde_ring(len(acts)), acts)
 
 
-def restrict(module: ZPlusModule, sub: FusionRing, embedding) -> ZPlusModule:
-    """View the module over a fusion subring via an index embedding."""
-    embedding = np.asarray(embedding, dtype=np.int64)
-    if embedding.shape != (sub.rank,):
-        raise FusionRingError("embedding length does not match subring rank")
-    parent = module.ring
-    if np.any((embedding < 0) | (embedding >= parent.rank)):
-        raise FusionRingError("embedding index out of range for the parent ring")
-    block = parent.constants[np.ix_(embedding, embedding)]
-    if np.any(np.delete(block, embedding, axis=2) != 0):
-        raise FusionRingError("embedding is not closed under the parent product")
-    if np.any(block[:, :, embedding] != sub.constants):
-        raise FusionRingError("subring constants disagree with the parent ring")
-    return ZPlusModule(sub, module.actions[embedding])
+def restrict(module: ZPlusModule) -> ZPlusModule:
+    """The module viewed over the even subring of its ring.
+
+    The subring and its embedding come from ``even_subring`` (cached per
+    ring); the actions of the even basis elements are kept as they are.
+    """
+    even, embedding = even_subring(module.ring)
+    return ZPlusModule(even, module.actions[list(embedding)])
 
 
 def decompose(module: ZPlusModule) -> list[list[int]]:

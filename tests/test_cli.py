@@ -21,6 +21,7 @@ import coxfusion.zplus_module
 from coxfusion.cli import main, parse_roster
 from coxfusion.coxeter import CoxeterDiagram
 from coxfusion.linalg import ConvergenceError
+from coxfusion.verify import default_roster
 from coxfusion.zplus_module import ZPlusModuleError
 
 
@@ -298,6 +299,7 @@ class TestSuite:
         assert code == 0
         data = json.loads(out)
         assert len(data) == 23
+        assert [row["diagram"] for row in data] == [d.name for d in default_roster()]
         assert max(row["projector_distance"] for row in data) < 1e-8
 
     def test_csv_output(self, capsys, tmp_path):

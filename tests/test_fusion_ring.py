@@ -94,6 +94,14 @@ class TestEvenSubring:
         assert embedding == (0, 2, 4)
         assert sub.constants[1, 1].tolist() == [1, 1, 1]
 
+    def test_not_closed_raises(self):
+        # The only guard on the even part: here Delta_2 * Delta_2 reaches Delta_1.
+        ring = verlinde_ring(3)
+        bad = np.array(ring.constants)
+        bad[2, 2, 1] = 1
+        with pytest.raises(FusionRingError, match="not multiplicatively closed"):
+            even_subring(FusionRing(ring.labels, bad))
+
     @pytest.mark.parametrize("n", range(1, 16))
     def test_axioms_exact(self, n):
         sub, _ = even_subring(verlinde_ring(n))
@@ -175,6 +183,15 @@ class TestFPDim:
             expected = np.array([math.sin((k + 1) * y) / math.sin(y) for k in range(n)])
             assert np.max(np.abs(ring.fp_dims() - expected)) < 1e-9
             assert np.max(np.abs(sub.fp_dims() - expected[list(embedding)])) < 1e-9
+
+    def test_fp_dims_independent_of_memory_layout(self):
+        # Constants are stored C-ordered, so the Perron solve sees the same
+        # memory whatever the layout of the integers it was given.
+        for n in range(2, 60):
+            for ring in (verlinde_ring(n), even_subring(verlinde_ring(n))[0]):
+                c = np.array(ring.constants)
+                dims = [FusionRing(ring.labels, x).fp_dims() for x in (c, np.asfortranarray(c))]
+                assert np.array_equal(dims[0], dims[1]), ring
 
     def test_non_associative_ring_has_no_common_perron_vector(self):
         # The left multiplication matrices no longer commute, so no single

@@ -105,8 +105,7 @@ class TestActionFromModule:
 
     def test_even_restriction(self):
         module = ade_module(diagram("A", 3))
-        sub, embedding = even_subring(module.ring)
-        action = action_from_module(restrict(module, sub, embedding))
+        action = action_from_module(restrict(module))
         assert np.allclose(action.matrices[0], np.eye(3))
         swap = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=float)
         assert np.allclose(action.matrices[1], swap, atol=1e-10)
@@ -134,8 +133,7 @@ class TestFixedSpace:
 
     def test_a3_even(self):
         module = ade_module(diagram("A", 3))
-        sub, embedding = even_subring(module.ring)
-        fixed = fixed_space(action_from_module(restrict(module, sub, embedding)))
+        fixed = fixed_space(action_from_module(restrict(module)))
         assert fixed.dimension == 2
         expected = subspace_projector([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         actual = subspace_projector(fixed.basis)
@@ -143,8 +141,7 @@ class TestFixedSpace:
 
     def test_e8_even(self):
         module = ade_module(diagram("E", 8))
-        sub, embedding = even_subring(module.ring)
-        fixed = fixed_space(action_from_module(restrict(module, sub, embedding)))
+        fixed = fixed_space(action_from_module(restrict(module)))
         assert fixed.dimension == 2
 
     @pytest.mark.parametrize(
@@ -155,8 +152,7 @@ class TestFixedSpace:
 
         d = parse_diagram(tag)
         module = ade_module(d)
-        sub, embedding = even_subring(module.ring)
-        restricted = restrict(module, sub, embedding)
+        restricted = restrict(module)
         fixed = fixed_space(action_from_module(restricted))
         assert fixed.dimension == 2
 
@@ -164,7 +160,7 @@ class TestFixedSpace:
         assert len(components) == 2
         regulars = []
         for comp in components:
-            submodule = ZPlusModule(sub, restricted.actions[:, comp][:, :, comp])
+            submodule = ZPlusModule(restricted.ring, restricted.actions[:, comp][:, :, comp])
             padded = np.zeros(d.rank)
             padded[comp] = regular_element(submodule).coordinates
             regulars.append(padded)
@@ -174,8 +170,7 @@ class TestFixedSpace:
 
     def test_invariant_basis_vectors(self):
         module = ade_module(diagram("D", 6))
-        sub, embedding = even_subring(module.ring)
-        action = action_from_module(restrict(module, sub, embedding))
+        action = action_from_module(restrict(module))
         fixed = fixed_space(action)
         for vec in fixed.basis:
             for mat in action.matrices:
@@ -192,8 +187,7 @@ def stacked_fixed_space(action):
 
 def even_action(tag):
     module = ade_module(parse_diagram(tag))
-    sub, embedding = even_subring(module.ring)
-    return action_from_module(restrict(module, sub, embedding))
+    return action_from_module(restrict(module))
 
 
 def plain_action(*matrices):

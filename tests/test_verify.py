@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coxfusion.coxeter import (
+    Bipartition,
     CoxeterDiagram,
     CoxeterError,
     bipartition,
@@ -33,9 +34,7 @@ from coxfusion.zplus_module import ZPlusModule, ade_module, regular_element, res
 
 
 def even_restriction(d):
-    module = ade_module(d)
-    even, embedding = even_subring(module.ring)
-    return restrict(module, even, embedding)
+    return restrict(ade_module(d))
 
 
 class TestBifurcationLemma:
@@ -47,6 +46,17 @@ class TestBifurcationLemma:
     def test_rank_one(self):
         d = diagram("A", 1)
         assert check_bifurcation_lemma(d.adjacency_matrix(), bipartition(d)).passed
+
+    @pytest.mark.parametrize(
+        "plus,minus,witness",
+        [((0, 2, 3), (1,), [(2, 3)]), ((0,), (1, 2, 3), [(1, 2)])],
+    )
+    def test_witness_names_vertices(self, plus, minus, witness):
+        # A4 is the path 0-1-2-3; each wrong class joins one edge.
+        parts = Bipartition(plus=plus, minus=minus)
+        result = check_bifurcation_lemma(diagram("A", 4).adjacency_matrix(), parts)
+        assert not result.passed
+        assert result.witness == witness
 
     def test_rejects_non_ade(self):
         # The ADE gate sits in ade_module, the first stage of every check.
@@ -212,8 +222,7 @@ class TestIndependence:
         )
         module = ade_module(parse_diagram(tag))
         assert module.ring.rank == h - 1
-        even, embedding = even_subring(module.ring)
-        action = action_from_module(restrict(module, even, embedding))
+        action = action_from_module(restrict(module))
         assert fixed_space(action).dimension == 2
 
     @pytest.mark.parametrize("tag,h", [("E8", 30), ("D7", 12)])
@@ -235,7 +244,7 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
 
         return make
 
-    for name in ("ade_module", "restrict", "coxeter_number", "perron_eigenpair"):
+    for name in ("ade_module", "restrict", "even_subring", "coxeter_number", "perron_eigenpair"):
         rebind(monkeypatch, name, counting(name))
     monkeypatch.setattr(CoxeterDiagram, "is_ade", counting("is_ade")(CoxeterDiagram.is_ade))
     monkeypatch.setattr(
@@ -250,6 +259,7 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
     assert calls == {
         "ade_module": 1,
         "restrict": 1,
+        "even_subring": 1,
         "coxeter_number": 1,
         "is_ade": 1,
         "perron_eigenpair": 3,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coxfusion.coxeter import CoxeterError, bipartition, diagram, parse_diagram
-from coxfusion.fusion_ring import FusionRing, FusionRingError, even_subring, verlinde_ring
+from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.report import all_passed
 from coxfusion.zplus_module import (
     ZPlusModule,
@@ -123,11 +123,10 @@ class TestVerifyModuleAxioms:
     def test_any_memory_layout_passes(self, d):
         # decompose's submodules, actions[:, comp][:, :, comp], keep axis 2 outermost
         module = ade_module(d)
-        sub, embedding = even_subring(module.ring)
-        restricted = restrict(module, sub, embedding)
+        restricted = restrict(module)
         for comp in decompose(restricted):
             actions = restricted.actions[:, comp][:, :, comp]
-            assert all_passed(ZPlusModule(sub, actions).verify_axioms())
+            assert all_passed(ZPlusModule(restricted.ring, actions).verify_axioms())
         fortran = np.asfortranarray(module.actions)
         assert all_passed(ZPlusModule(module.ring, fortran).verify_axioms())
 
@@ -157,42 +156,22 @@ class TestVerifyModuleAxioms:
 class TestRestrict:
     def test_a3_even(self):
         module = ade_module(diagram("A", 3))
-        sub, embedding = even_subring(module.ring)
-        restricted = restrict(module, sub, embedding)
+        restricted = restrict(module)
         assert restricted.actions[0].tolist() == np.eye(3, dtype=int).tolist()
         assert restricted.actions[1].tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
-    def test_identity_restriction(self):
-        module = ade_module(diagram("D", 5))
-        same = restrict(module, module.ring, range(module.ring.rank))
-        assert np.array_equal(same.actions, module.actions)
-
     def test_a2_even_is_trivial_ring(self):
         module = ade_module(diagram("A", 2))
-        sub, embedding = even_subring(module.ring)
-        restricted = restrict(module, sub, embedding)
+        restricted = restrict(module)
         assert restricted.ring.rank == 1
         assert restricted.actions.tolist() == [np.eye(2, dtype=int).tolist()]
 
-    def test_bad_embedding(self):
-        module = ade_module(diagram("A", 4))
-        sub, _ = even_subring(module.ring)
-        with pytest.raises(Exception):
-            restrict(module, sub, (0, 1))  # odd index: not the even embedding
-
-    def test_embedding_not_closed(self):
-        # Delta_1 * Delta_1 = Delta_0 + Delta_2 leaves the span of (0, 1).
-        with pytest.raises(FusionRingError, match="not closed"):
-            restrict(ade_module(diagram("A", 5)), verlinde_ring(2), (0, 1))
-
-    def test_subring_constants_disagree(self):
-        module = ade_module(diagram("A", 5))
-        sub, embedding = even_subring(module.ring)
-        bad = np.array(sub.constants)
-        bad[1, 1, 1] += 1
-        wrong = FusionRing(sub.labels, bad)
-        with pytest.raises(FusionRingError, match="disagree"):
-            restrict(module, wrong, embedding)
+    @pytest.mark.parametrize("tag", ["A2", "A3", "D5", "E8"])
+    def test_over_the_cached_even_subring(self, tag):
+        module = ade_module(parse_diagram(tag))
+        restricted = restrict(module)
+        assert restricted.ring is even_subring(module.ring)[0]
+        assert np.array_equal(restricted.actions, module.actions[::2])
 
 
 class TestDecompose:
@@ -202,14 +181,12 @@ class TestDecompose:
 
     def test_a3_even_split(self):
         module = ade_module(diagram("A", 3))
-        sub, embedding = even_subring(module.ring)
-        components = decompose(restrict(module, sub, embedding))
+        components = decompose(restrict(module))
         assert components == [[0, 2], [1]]
 
     def test_d4_even_split(self):
         module = ade_module(diagram("D", 4))
-        sub, embedding = even_subring(module.ring)
-        components = decompose(restrict(module, sub, embedding))
+        components = decompose(restrict(module))
         assert sorted(len(c) for c in components) == [1, 3]
         assert components[0] == [0, 2, 3]  # leaves around the centre vertex
 
@@ -218,8 +195,7 @@ class TestDecompose:
     )
     def test_even_restriction_matches_bipartition(self, d):
         module = ade_module(d)
-        sub, embedding = even_subring(module.ring)
-        components = decompose(restrict(module, sub, embedding))
+        components = decompose(restrict(module))
         parts = bipartition(d)
         assert len(components) == 2
         assert components == [sorted(parts.plus), sorted(parts.minus)]
@@ -261,19 +237,17 @@ class TestRegularElement:
 
     def test_plus_component_of_a3(self):
         module = ade_module(diagram("A", 3))
-        sub, embedding = even_subring(module.ring)
-        restricted = restrict(module, sub, embedding)
+        restricted = restrict(module)
         plus = decompose(restricted)[0]
         assert plus == [0, 2]
         actions = restricted.actions[:, plus][:, :, plus]
-        reg = regular_element(ZPlusModule(sub, actions))
+        reg = regular_element(ZPlusModule(restricted.ring, actions))
         assert np.max(np.abs(reg.coordinates - np.array([0.5, 0.5]))) < 1e-10
 
     def test_reducible_rejected(self):
         module = ade_module(diagram("A", 3))
-        sub, embedding = even_subring(module.ring)
         with pytest.raises(ZPlusModuleError):
-            regular_element(restrict(module, sub, embedding))
+            regular_element(restrict(module))
 
     @pytest.mark.parametrize("d", ADE_ROSTER, ids=lambda d: d.name)
     def test_eigen_relations_full_roster(self, d):
