@@ -15,7 +15,6 @@ from .coxeter import (
     distinguished_coxeter_element,
     parse_diagram,
     project_to_plane,
-    reflection_matrices,
     root_system,
     rotation_angle,
 )
@@ -26,7 +25,6 @@ from .fusion_ring import (
     verlinde_ring,
 )
 from .hypergroup import (
-    FixedSpace,
     Hypergroup,
     HypergroupAction,
     action_from_module,
@@ -45,7 +43,6 @@ from .verify import (
     run_suite,
 )
 from .zplus_module import (
-    RegularElement,
     ZPlusModule,
     ZPlusModuleError,
     ade_module,

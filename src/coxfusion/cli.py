@@ -107,11 +107,12 @@ def cmd_verify(args) -> int:
     report = verify_mod.check_main_theorem(d, tol=_tolerance(args))
     results = {}
     ok = True
-    if args.lemmas or args.all:
+    # both sections unless one of them is named
+    if not args.theorem:
         for check in report.lemmas:
             results[check.name] = check.to_dict()
             ok = ok and check.passed
-    if args.theorem or args.all:
+    if not args.lemmas:
         results["main theorem"] = report.to_dict()
         ok = ok and report.passed
     _emit(json.dumps(results, ensure_ascii=False, indent=2), args.out)
@@ -247,8 +248,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.func is cmd_verify and not (args.lemmas or args.theorem or args.all):
-            args.all = True
         return args.func(args)
     except (UsageError, ValueError, ArithmeticError, MemoryError) as exc:
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")

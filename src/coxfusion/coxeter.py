@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import connected_components, matrix_order
+from .linalg import connected_components, matrix_order, positive_definite
 
 #: Sentinel for an infinite bond order inside integer Coxeter matrices.
 INFINITE = 0
@@ -70,14 +70,14 @@ class CoxeterDiagram:
         return self.is_connected() and len(self.edges()) == self.rank - 1
 
     def is_ade(self) -> bool:
-        """Simply laced and of finite type (adjacency spectral radius < 2)."""
+        """Simply laced, connected and of finite type: 2I - A positive definite,
+        so the adjacency spectral radius is below 2."""
         off = self.coxeter_matrix[~np.eye(self.rank, dtype=bool)]
         if np.any((off != 2) & (off != 3)):
             return False
         if not self.is_connected():
             return False
-        top = float(np.max(np.linalg.eigvalsh(self.adjacency_matrix().astype(float))))
-        return top < 2.0 - 1e-9
+        return positive_definite(2.0 * np.eye(self.rank) - self.adjacency_matrix())
 
     def __repr__(self) -> str:
         return f"CoxeterDiagram({self.name}, rank={self.rank})"
@@ -173,18 +173,6 @@ def cartan_form(d: CoxeterDiagram) -> np.ndarray:
     return form
 
 
-def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:
-    """Matrices of the simple reflections s_i in the alpha basis."""
-    form = cartan_form(d)
-    n = d.rank
-    out = []
-    for i in range(n):
-        mat = np.eye(n)
-        mat[i, :] -= form[i, :]
-        out.append(mat)
-    return out
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """Parity classes of graph distance from vertex 1 (index 0)."""
@@ -205,14 +193,18 @@ def bipartition(d: CoxeterDiagram) -> Bipartition:
 
 def _bipartite_word(d: CoxeterDiagram) -> tuple[list[np.ndarray], np.ndarray]:
     """The running product along i_1 ... i_n, the even class then the odd class:
-    the roots theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j} and gamma = s_{i_1} ... s_{i_n}."""
+    the roots theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j} and gamma = s_{i_1} ... s_{i_n}.
+
+    s_k = I - e_k form[k] changes only row k, so multiplying by it on the
+    right is the rank-1 update gamma -= gamma[:, k] form[k], done in place;
+    theta_j is copied out before its column is updated."""
     parts = bipartition(d)
-    refl = reflection_matrices(d)
+    form = cartan_form(d)
     gamma = np.eye(d.rank)
     theta = []
     for k in parts.plus + parts.minus:
-        theta.append(gamma[:, k])
-        gamma = gamma @ refl[k]
+        theta.append(gamma[:, k].copy())
+        gamma -= np.outer(gamma[:, k], form[k])
     return theta, gamma
 
 
@@ -226,17 +218,16 @@ def coxeter_number(d: CoxeterDiagram) -> int:
 
     A Coxeter group is finite exactly when its bilinear form is positive
     definite (Humphreys, Reflection Groups and Coxeter Groups, 6.4).  The
-    diagram must be connected, and the smallest eigenvalue of its form
-    must exceed 10 * rank * eps times the largest: in that unit affine
-    forms read -0.35 to 0, finite types 1e8 (D300) to 3e12 (H4), and
-    I2(m) about 5.6e15 / m**2.  Then ``matrix_order`` finds h below
+    diagram must be connected and its form must pass ``positive_definite``
+    (smallest eigenvalue above 10 * rank * eps times the largest): in that
+    unit affine forms read -0.35 to 0, finite types 1e8 (D300) to 3e12
+    (H4), and I2(m) about 5.6e15 / m**2.  Then ``matrix_order`` finds h below
     the cap max(2 * rank, 30, largest bond order), which bounds h for
     every finite irreducible type; a ConvergenceError is numerical.
     """
     if not d.is_connected():
         raise CoxeterError("Coxeter number requires an irreducible (connected) diagram")
-    evals = np.linalg.eigvalsh(cartan_form(d))
-    if evals[0] <= 10 * d.rank * np.finfo(float).eps * evals[-1]:
+    if not positive_definite(cartan_form(d)):
         raise CoxeterError(
             f"diagram {d.name} is not of finite type: its bilinear form is not positive definite"
         )

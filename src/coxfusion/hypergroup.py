@@ -101,19 +101,9 @@ def action_from_module(module: ZPlusModule) -> HypergroupAction:
     return HypergroupAction(matrices)
 
 
-@dataclass(frozen=True)
-class FixedSpace:
-    """Orthonormal basis (rows) of the common fixed subspace."""
-
-    basis: np.ndarray  # (dimension_of_fixed_space, ambient_dimension)
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[0]
-
-
-def fixed_space(action: HypergroupAction) -> FixedSpace:
-    """Intersection of the kernels of Theta(r_i) - I, found inside ker T.
+def fixed_space(action: HypergroupAction) -> np.ndarray:
+    """Read-only (dim, n) orthonormal rows spanning the intersection of the
+    kernels of Theta(r_i) - I, found inside ker T.
 
     V: right singular vectors of T = sum_i (I - Theta_i) at singular value <= sqrt(k)*1e-8;
     result V ker(S V) at the absolute cut 1e-8, S the never-built stack of Theta_i - I.
@@ -126,4 +116,4 @@ def fixed_space(action: HypergroupAction) -> FixedSpace:
     _, svals, vt = np.linalg.svd(moved, full_matrices=False)
     basis = vt[int(np.sum(svals >= 1e-8)) :] @ cand
     basis.setflags(write=False)
-    return FixedSpace(basis)
+    return basis

@@ -1,4 +1,5 @@
-"""Small numerical kernels: Perron pairs, projectors, components, exact matmuls."""
+"""Small numerical kernels: Perron pairs, positive definiteness, projectors,
+components, exact matmuls."""
 
 from __future__ import annotations
 
@@ -68,6 +69,13 @@ def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
                 return values, vec
         rq_prev = rq
     raise ConvergenceError(f"power iteration did not converge in {_PERRON_MAX_ITER} steps")
+
+
+def positive_definite(sym) -> bool:
+    """Whether a symmetric matrix is positive definite at working precision:
+    its smallest eigenvalue exceeds 10 * n * eps times its largest."""
+    evals = np.linalg.eigvalsh(sym)
+    return bool(evals[0] > 10 * len(evals) * np.finfo(float).eps * evals[-1])
 
 
 def subspace_projector(vectors) -> np.ndarray:

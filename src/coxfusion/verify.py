@@ -62,7 +62,7 @@ def check_regular_split(module: ZPlusModule, parts: Bipartition) -> CheckResult:
     module by masking the bipartition classes, which fixes the relative
     scaling of the two halves.
     """
-    reg = regular_element(module).coordinates
+    reg = regular_element(module)
     r_plus = np.zeros(module.rank)
     r_minus = np.zeros(module.rank)
     r_plus[list(parts.plus)] = reg[list(parts.plus)]
@@ -121,10 +121,10 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
 
     module = ade_module(d)
     restricted = restrict(module)
-    fixed = fixed_space(action_from_module(restricted))
+    basis = fixed_space(action_from_module(restricted))
 
     plane = coxeter_plane(d)
-    proj_fixed = subspace_projector(fixed.basis)
+    proj_fixed = subspace_projector(basis)
     proj_plane = subspace_projector([plane.u_plus, plane.u_minus])
     distance = float(np.linalg.norm(proj_fixed - proj_plane))
 
@@ -134,11 +134,11 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
         check_decomposition_lemma(restricted, parts),
         check_regular_split(module, parts),
     )
-    passed = fixed.dimension == 2 and distance < tol and module.ring.rank + 1 == plane.h
+    passed = len(basis) == 2 and distance < tol and module.ring.rank + 1 == plane.h
     return TheoremReport(
         diagram=d.name,
         h=plane.h,
-        fixed_dimension=fixed.dimension,
+        fixed_dimension=len(basis),
         projector_distance=distance,
         rotation_angle=rotation_angle(plane),
         lemmas=lemmas,

@@ -11,14 +11,11 @@ views a module over the even part of its ring, the only subring used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coxeter import CoxeterDiagram, CoxeterError
 from .fusion_ring import FusionRing, even_subring, verlinde_ring
-from .linalg import EXACT_FLOAT_BOUND, connected_components, exact_dtype, perron_eigenpair
-from .report import CheckResult, exact_check, sliced_check
+from .linalg import EXACT_FLOAT_BOUND, connected_components, perron_eigenpair
 
 
 class ZPlusModuleError(ValueError):
@@ -48,22 +45,6 @@ class ZPlusModule:
     def rank(self) -> int:
         """Module rank (number of basis elements)."""
         return self.actions.shape[1]
-
-    def verify_axioms(self) -> list[CheckResult]:
-        """Exact checks: unit action, nonnegativity, ring compatibility, the
-        last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in the dtype
-        ``exact_dtype`` picks, up to the first i with a mismatch."""
-        acts, c = self.actions, self.ring.constants
-        top = int(np.abs(acts).max(initial=0))
-        dtype = exact_dtype(max(self.rank * top, self.ring.rank * int(c.max())) * top)
-        a, x = acts.astype(dtype), c.astype(dtype)
-        bad = (a[i] @ a != np.tensordot(x[i], a, 1) for i in range(len(c)))
-        eye = np.eye(self.rank, dtype=np.int64)
-        return [
-            exact_check("unit acts as identity", acts[0] != eye),
-            exact_check("nonnegative integer entries", acts < 0),
-            sliced_check("module compatibility", bad),
-        ]
 
     def __repr__(self) -> str:
         return f"ZPlusModule(ring_rank={self.ring.rank}, module_rank={self.rank})"
@@ -115,17 +96,11 @@ def decompose(module: ZPlusModule) -> list[list[int]]:
     return connected_components(support | support.T)
 
 
-@dataclass(frozen=True)
-class RegularElement:
-    """Common positive eigenvector of all actions, coordinate-sum 1."""
+def regular_element(module: ZPlusModule) -> np.ndarray:
+    """Regular element of an irreducible module, as a read-only vector with
+    coordinate sum 1.
 
-    coordinates: np.ndarray
-
-
-def regular_element(module: ZPlusModule) -> RegularElement:
-    """Regular element of an irreducible module.
-
-    The common Perron vector of all actions, from one solve on the stack,
+    It is the common Perron vector of all actions, from one solve on the stack,
     checked against every generator at eigenvalue FP(b_i): the max-norm
     residual of each must be at most 1e-9.
     """
@@ -147,4 +122,4 @@ def regular_element(module: ZPlusModule) -> RegularElement:
             f"eigen-relation for basis element {i} fails (residual {residuals[i]:.3e})"
         )
     vec.setflags(write=False)
-    return RegularElement(vec)
+    return vec

@@ -1,13 +1,20 @@
-"""The one ring and the one module under test that the library never builds.
+"""Test fixtures and references that the library itself never builds.
 
 The library builds only Verlinde rings, their even parts and ADE modules.
-The Fibonacci ring and the regular module keep the generic FP-dimension
-and axiom code under test on data outside those families.
+The Fibonacci ring (``fib_ring``) and the regular module
+(``regular_module``) keep the generic FP-dimension and axiom code under
+test on data outside those families.  ``verify_module_axioms`` is the
+exact Z+-module axiom check, which no pipeline stage reads.
+``reflection_matrices`` are the dense simple reflections, the reference
+that the library's rank-1 walk for the Coxeter element is tested against.
 """
 
 import numpy as np
 
+from coxfusion.coxeter import CoxeterDiagram, cartan_form
 from coxfusion.fusion_ring import FusionRing
+from coxfusion.linalg import exact_dtype
+from coxfusion.report import CheckResult, exact_check, sliced_check
 from coxfusion.zplus_module import ZPlusModule
 
 
@@ -24,3 +31,32 @@ def fib_ring() -> FusionRing:
 def regular_module(ring: FusionRing) -> ZPlusModule:
     """The ring acting on itself by left multiplication: b_i acts by constants[i].T."""
     return ZPlusModule(ring, ring.constants.transpose(0, 2, 1))
+
+
+def verify_module_axioms(module: ZPlusModule) -> list[CheckResult]:
+    """Exact checks: unit action, nonnegativity, ring compatibility, the
+    last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in the dtype
+    ``exact_dtype`` picks, up to the first i with a mismatch."""
+    acts, c = module.actions, module.ring.constants
+    top = int(np.abs(acts).max(initial=0))
+    dtype = exact_dtype(max(module.rank * top, module.ring.rank * int(c.max())) * top)
+    a, x = acts.astype(dtype), c.astype(dtype)
+    bad = (a[i] @ a != np.tensordot(x[i], a, 1) for i in range(len(c)))
+    eye = np.eye(module.rank, dtype=np.int64)
+    return [
+        exact_check("unit acts as identity", acts[0] != eye),
+        exact_check("nonnegative integer entries", acts < 0),
+        sliced_check("module compatibility", bad),
+    ]
+
+
+def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:
+    """Dense matrices of the simple reflections s_i in the alpha basis:
+    the identity with form[i] subtracted from row i."""
+    form = cartan_form(d)
+    out = []
+    for i in range(d.rank):
+        mat = np.eye(d.rank)
+        mat[i, :] -= form[i, :]
+        out.append(mat)
+    return out

@@ -17,11 +17,11 @@ from coxfusion.coxeter import (
     parse_diagram,
     plane_restriction,
     project_to_plane,
-    reflection_matrices,
     root_system,
     rotation_angle,
 )
 from coxfusion.linalg import ConvergenceError, matrix_order, subspace_projector
+from helpers import reflection_matrices
 
 ALL_TYPES = (
     [diagram("A", n) for n in range(2, 9)]
@@ -187,7 +187,33 @@ class TestBipartition:
             bipartition(triangle)
 
 
+def dense_word(d):
+    """Reference for the rank-1 walk: the running product of the dense
+    reflections along the bipartite order, with the column taken at each step."""
+    parts = bipartition(d)
+    refl = reflection_matrices(d)
+    gamma = np.eye(d.rank)
+    theta = []
+    for k in parts.plus + parts.minus:
+        theta.append(gamma[:, k].copy())
+        gamma = gamma @ refl[k]
+    return np.array(theta), gamma
+
+
 class TestDistinguishedElement:
+    @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
+    def test_walk_matches_dense_product(self, d):
+        # measured: 4.4e-16 at F4, 2.2e-16 at B_n, H3 and H4, <= 2e-31 simply laced
+        _, gamma = dense_word(d)
+        assert np.max(np.abs(distinguished_coxeter_element(d) - gamma)) <= 1e-14
+
+    @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
+    def test_first_roots_are_running_product_columns(self, d):
+        # theta_j must be the column before the in-place update, not a view of it
+        theta, _ = dense_word(d)
+        roots = np.array(root_system(d))
+        assert np.max(np.abs(roots[: d.rank] - theta)) <= 1e-14
+
     def test_orders(self):
         assert matrix_order(distinguished_coxeter_element(diagram("A", 2))) == 3
         assert matrix_order(distinguished_coxeter_element(diagram("A", 1))) == 2
@@ -259,6 +285,52 @@ class TestCoxeterNumber:
         monkeypatch.setattr(coxfusion.coxeter, "matrix_order", forbidden)
         with pytest.raises(CoxeterError, match="not positive definite"):
             coxeter_number(CoxeterDiagram(matrix))
+
+
+def _e10():
+    """Hyperbolic E10 = T(2, 3, 7): a chain of nine with a leaf on vertex 7."""
+    mat = np.full((10, 10), 2)
+    np.fill_diagonal(mat, 1)
+    for i, j in [(i, i + 1) for i in range(8)] + [(6, 9)]:
+        mat[i, j] = mat[j, i] = 3
+    return mat
+
+
+def _simply_laced_and_connected(d):
+    off = d.coxeter_matrix[~np.eye(d.rank, dtype=bool)]
+    return d.is_connected() and bool(np.all((off == 2) | (off == 3)))
+
+
+GATE_INPUTS = list(
+    {
+        d.name: d
+        for d in ALL_TYPES
+        + [d for d, _ in EXPECTED_H]
+        + [
+            CoxeterDiagram(matrix, name)
+            for matrix, name in [
+                (_e10(), "E10"),
+                (AFFINE_A2, "affine A2"),
+                (_cycle(101), "affine A100"),
+                (_affine_d(101), "affine D100"),
+                (_affine_d(301), "affine D300"),
+            ]
+        ]
+        if _simply_laced_and_connected(d)
+    }.values()
+)
+
+
+@pytest.mark.parametrize("d", GATE_INPUTS, ids=lambda d: d.name)
+def test_is_ade_agrees_with_coxeter_number_gate(d):
+    # the fusion side gates on 2I - A, the plane side on the form: one rule, two matrices
+    try:
+        coxeter_number(d)
+    except CoxeterError:
+        finite = False
+    else:
+        finite = True
+    assert d.is_ade() == finite
 
 
 class TestCoxeterPlane:

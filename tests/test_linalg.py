@@ -12,6 +12,7 @@ from coxfusion.linalg import (
     exact_dtype,
     matrix_order,
     perron_eigenpair,
+    positive_definite,
     subspace_projector,
 )
 
@@ -50,6 +51,17 @@ class TestExactDtype:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             exact_dtype(2**63)
+
+
+class TestPositiveDefinite:
+    def test_relative_to_the_largest_eigenvalue(self):
+        # smallest eigenvalue 1e-12 passes beside 1 and fails beside 1e4 (cut 10 * 2 * eps * top)
+        assert positive_definite(np.diag([1e-12, 1.0]))
+        assert not positive_definite(np.diag([1e-12, 1e4]))
+
+    def test_semidefinite_and_indefinite_rejected(self):
+        assert not positive_definite(np.diag([0.0, 1.0]))
+        assert not positive_definite(np.diag([-1.0, 1.0]))
 
 
 class TestSubspaceProjector:
