@@ -303,8 +303,9 @@ def rotation_angle(p: CoxeterPlane) -> float:
     return math.atan2(g[1, 0], g[0, 0])
 
 
-def root_system(d: CoxeterDiagram, h: int | None = None) -> list[np.ndarray]:
-    """The roots of a finite irreducible type, in the alpha basis.
+def root_system(d: CoxeterDiagram, h: int | None = None) -> np.ndarray:
+    """The roots of a finite irreducible type, in the alpha basis, as the
+    rows of an (n * h, n) array.
 
     For gamma = s_{i_1} ... s_{i_n}, taken in the bipartite order of
     ``distinguished_coxeter_element``, the roots
@@ -323,7 +324,7 @@ def root_system(d: CoxeterDiagram, h: int | None = None) -> list[np.ndarray]:
     blocks = [np.array(theta)]
     for _ in range(h - 1):
         blocks.append(blocks[-1] @ gamma.T)
-    return list(np.vstack(blocks))
+    return np.vstack(blocks)
 
 
 def project_to_plane(vectors, p: CoxeterPlane) -> np.ndarray:

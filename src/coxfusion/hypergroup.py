@@ -43,11 +43,7 @@ class Hypergroup:
 def from_fusion_ring(ring: FusionRing) -> Hypergroup:
     """Hypergroup on the basis b_i / FP(b_i) of a fusion ring."""
     fp = ring.fp_dims()
-    constants = (
-        ring.constants.astype(float)
-        * fp[None, None, :]
-        / (fp[:, None, None] * fp[None, :, None])
-    )
+    constants = np.multiply(ring.constants, fp) / (fp[:, None, None] * fp[None, :, None])
     return Hypergroup(constants)
 
 
@@ -94,9 +90,10 @@ class HypergroupAction:
 
 
 def action_from_module(module: ZPlusModule) -> HypergroupAction:
-    """Action of the ring's hypergroup induced by a Z+-module."""
+    """Action of the ring's hypergroup induced by a Z+-module: one float
+    division of the integer stack, with no float copy before it."""
     fp = module.ring.fp_dims()
-    matrices = module.actions.astype(float) / fp[:, None, None]
+    matrices = np.divide(module.actions, fp[:, None, None])
     matrices.setflags(write=False)
     return HypergroupAction(matrices)
 

@@ -1,5 +1,5 @@
 """Small numerical kernels: Perron pairs, positive definiteness, projectors,
-components, exact matmuls."""
+components, exact matmuls, narrow integer storage."""
 
 from __future__ import annotations
 
@@ -23,6 +23,28 @@ def exact_dtype(bound: int) -> type:
     raise OverflowError(f"integer products up to {bound} overflow int64")
 
 
+def narrow_dtype(top: int) -> np.dtype:
+    """Narrowest signed integer dtype, int8 at least, that holds -top - 1 .. top."""
+    return np.min_scalar_type(-top - 1)
+
+
+def narrow_integers(values, error: type[Exception]) -> np.ndarray:
+    """C-ordered copy of ``values`` in the ``narrow_dtype`` of its entries.
+
+    Raises ``error`` unless every entry is an integer in the int64 range.
+    Products of such arrays wrap silently: widen them with ``exact_dtype``
+    or compute them in float."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    integral = kind in "biu" or (kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr))))
+    if not integral:
+        raise error("entries must be integers")
+    dtype = narrow_dtype(max(int(arr.max(initial=0)), -int(arr.min(initial=0)) - 1))
+    if dtype.kind != "i":
+        raise error("entries must be integers in the int64 range")
+    return arr.astype(dtype, order="C")
+
+
 _PERRON_RESIDUAL_TOL = 1e-12
 _PERRON_MAX_ITER = 100_000
 
@@ -41,12 +63,16 @@ def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
     closed under transposition, and the unit vector, once every matrix's
     residual also passes 1e-12; a stack with no common Perron vector
     never does, and after 100000 steps ConvergenceError is raised.
+
+    The stack is read in its own dtype and never copied to float64 whole:
+    the sum and the per-matrix images are float reductions that numpy
+    buffers, so an integer stack costs O(k n + n**2) extra memory.
     """
-    mats = np.asarray(matrix, dtype=float)
+    mats = np.asarray(matrix)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"expected a (k, n, n) stack of matrices, got shape {mats.shape}")
     n = mats.shape[1]
-    shifted = mats.sum(axis=0) + np.eye(n)
+    shifted = mats.sum(axis=0, dtype=float) + np.eye(n)
     vec = np.ones(n) / np.sqrt(n)
     rq_prev = np.inf
     for _ in range(_PERRON_MAX_ITER):
@@ -62,7 +88,7 @@ def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
             abs(rq - rq_prev) < 1e-14 * scale
             and np.max(np.abs(image - rq * vec)) < _PERRON_RESIDUAL_TOL * scale
         ):
-            images = mats @ vec
+            images = np.einsum("kij,j->ki", mats, vec)
             values = images @ vec / (vec @ vec)
             residuals = np.max(np.abs(images - values[:, None] * vec), axis=1)
             if np.all(residuals < _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))):

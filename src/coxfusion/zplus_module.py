@@ -15,7 +15,13 @@ import numpy as np
 
 from .coxeter import CoxeterDiagram, CoxeterError
 from .fusion_ring import FusionRing, even_subring, verlinde_ring
-from .linalg import EXACT_FLOAT_BOUND, connected_components, perron_eigenpair
+from .linalg import (
+    EXACT_FLOAT_BOUND,
+    connected_components,
+    narrow_dtype,
+    narrow_integers,
+    perron_eigenpair,
+)
 
 
 class ZPlusModuleError(ValueError):
@@ -27,16 +33,20 @@ class ZPlusModule:
 
     ``actions[i]`` is the matrix of the ring basis element b_i; entry
     (k, l) is the coefficient of m_k in b_i . m_l.  As in ``FusionRing``,
-    b_0 is the unit and the ring's basis is self-dual.
+    b_0 is the unit and the ring's basis is self-dual, and the actions are
+    stored read-only in the narrowest signed integer dtype that holds them
+    (int8 for every ADE module, whose entries are at most 6).  Entries that
+    are not integers raise ZPlusModuleError.
     """
 
     def __init__(self, ring: FusionRing, actions):
-        actions = np.array(actions, dtype=np.int64)
+        actions = np.asarray(actions)
         m = actions.shape[-1] if actions.ndim else 0
         if actions.shape != (ring.rank, m, m):
             raise ZPlusModuleError(
                 f"actions tensor has shape {actions.shape}, expected {(ring.rank, m, m)}"
             )
+        actions = narrow_integers(actions, ZPlusModuleError)
         actions.setflags(write=False)
         self.ring = ring
         self.actions = actions
@@ -58,20 +68,28 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     gate makes the loop end: the eigenvalues of A are then 2cos(pi m / h)
     over the exponents m, with m = 1 among them, and
     Delta_k(2cos t) = sin((k + 1) t) / sin t.  The recursion runs in
-    float64 (BLAS), exact while (rank + 1) * max|entry| < 2**53.
+    float64 (BLAS) and keeps only its last two steps as floats.  Each step
+    must be nonnegative and exact for the next, (rank + 1) * max < 2**53,
+    and is stored in the ``narrow_dtype`` of its max; ``np.stack`` widens
+    to the largest of those, so the (h - 1, rank, rank) stack is exact and
+    never exists in float64.
     """
     if not d.is_ade():
         raise CoxeterError(f"diagram {d.name} is not of ADE type")
     adjacency = d.adjacency_matrix().astype(float)
-    acts = [np.eye(d.rank), adjacency]
-    while np.any(acts[-1] != 0):
-        acts.append(adjacency @ acts[-1] - acts[-2])
-    acts = np.stack(acts[:-1])
-    if (d.rank + 1) * int(np.abs(acts).max()) >= EXACT_FLOAT_BOUND:
-        raise ZPlusModuleError(f"Chebyshev actions of {d.name} exceed exact float64 range")
-    if np.any(acts < 0):
-        raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
-    return ZPlusModule(verlinde_ring(len(acts)), acts)
+    prev, step = np.zeros((d.rank, d.rank)), np.eye(d.rank)
+    acts = []
+    while True:
+        if step.min() < 0:
+            raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
+        top = int(step.max())
+        if top == 0:
+            break
+        if (d.rank + 1) * top >= EXACT_FLOAT_BOUND:
+            raise ZPlusModuleError(f"Chebyshev actions of {d.name} exceed exact float64 range")
+        acts.append(step.astype(narrow_dtype(top)))
+        prev, step = step, adjacency @ step - prev
+    return ZPlusModule(verlinde_ring(len(acts)), np.stack(acts))
 
 
 def restrict(module: ZPlusModule) -> ZPlusModule:
@@ -102,7 +120,8 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
 
     It is the common Perron vector of all actions, from one solve on the stack,
     checked against every generator at eigenvalue FP(b_i): the max-norm
-    residual of each must be at most 1e-9.
+    residual of each must be at most 1e-9.  The images come from a buffered
+    float einsum, never from a float64 copy of the integer stack.
     """
     components = decompose(module)
     if len(components) != 1:
@@ -114,7 +133,8 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
     if np.any(vec <= 0):
         raise ZPlusModuleError("Perron vector is not strictly positive")
     fp = module.ring.fp_dims()
-    residuals = np.max(np.abs(module.actions @ vec - fp[:, None] * vec), axis=1)
+    images = np.einsum("kij,j->ki", module.actions, vec)
+    residuals = np.max(np.abs(images - fp[:, None] * vec), axis=1)
     failing = np.flatnonzero(residuals > 1e-9)
     if failing.size:
         i = int(failing[0])

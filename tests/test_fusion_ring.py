@@ -43,7 +43,7 @@ class TestVerlindeRing:
             for j in range(n):
                 reference[i, j, product_support(i, j, n)] = 1
         constants = verlinde_ring(n).constants
-        assert constants.dtype == np.int64
+        assert constants.dtype == np.int8
         assert np.array_equal(constants, reference)
 
     @pytest.mark.parametrize("n", range(1, 16))
@@ -311,3 +311,14 @@ def test_json_round_trip():
 def test_rejects_negative_constants():
     with pytest.raises(FusionRingError):
         FusionRing(("1",), [[[-1]]])
+
+
+@pytest.mark.parametrize("entry", [1.5, -0.5, float("nan"), float("inf"), 2.0**63, "x"])
+def test_rejects_non_integral_constants(entry):
+    with pytest.raises(FusionRingError, match="integers"):
+        FusionRing(("1",), [[[entry]]])
+
+
+def test_integral_floats_are_stored_as_integers():
+    ring = FusionRing(("1",), [[[1.0]]])
+    assert ring.constants.dtype == np.int8 and ring.constants.tolist() == [[[1]]]

@@ -1,6 +1,7 @@
 """The Perron kernel on stacks of commuting nonnegative matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from coxfusion.linalg import (
     ConvergenceError,
     exact_dtype,
     matrix_order,
+    narrow_integers,
     perron_eigenpair,
     positive_definite,
     subspace_projector,
@@ -33,10 +35,57 @@ class TestPerronEigenpair:
         assert np.max(np.abs(values - expected) / expected) < 1e-14
         assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-14)
 
+    def test_integer_stack_is_not_copied_to_float(self):
+        mats = verlinde_ring(97).constants.transpose(0, 2, 1)
+        assert mats.dtype == np.int8
+        tracemalloc.start()
+        try:
+            perron_eigenpair(mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an eighth of what a float64 copy of the stack alone would take
+        assert peak < mats.size
+
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
     def test_rejects_non_stack(self, shape):
         with pytest.raises(ValueError):
             perron_eigenpair(np.ones(shape))
+
+
+class TestNarrowIntegers:
+    @pytest.mark.parametrize(
+        "values,dtype",
+        [
+            ([], np.int8),
+            ([True, False], np.int8),
+            ([0, 127], np.int8),
+            ([-128, 5], np.int8),
+            ([128], np.int16),
+            ([-129], np.int16),
+            ([2.0, 40000.0], np.int32),
+            ([2**40], np.int64),
+            ([2**63 - 1], np.int64),
+        ],
+    )
+    def test_narrowest_signed_dtype(self, values, dtype):
+        out = narrow_integers(np.array(values), ValueError)
+        assert out.dtype == dtype
+        assert out.tolist() == [int(v) for v in values]
+
+    def test_c_ordered_copy(self):
+        src = np.arange(6).reshape(2, 3)
+        out = narrow_integers(src.T, ValueError)
+        assert out.flags.c_contiguous and not np.shares_memory(out, src)
+        assert np.array_equal(out, src.T)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.5], [np.nan], [np.inf], [2.0**63], np.array([2**63], dtype=np.uint64), ["1"], [1j]],
+    )
+    def test_rejects_non_integers(self, values):
+        with pytest.raises(ArithmeticError):
+            narrow_integers(values, ArithmeticError)
 
 
 class TestExactDtype:

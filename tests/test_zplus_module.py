@@ -9,6 +9,7 @@ import pytest
 from coxfusion.coxeter import CoxeterError, bipartition, diagram, parse_diagram
 from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.report import all_passed
+from coxfusion.verify import default_roster
 from coxfusion.zplus_module import (
     ZPlusModule,
     ZPlusModuleError,
@@ -54,8 +55,24 @@ class TestAdeModule:
         while np.any(acts[-1] != 0):
             acts.append(adjacency @ acts[-1] - acts[-2])
         actions = ade_module(parse_diagram(tag)).actions
-        assert actions.dtype == np.int64
+        assert actions.dtype == np.int8
         assert np.array_equal(actions, np.stack(acts[:-1]))
+
+    @pytest.mark.parametrize("d", default_roster(), ids=lambda d: d.name)
+    def test_last_step_cannot_wrap_in_the_stored_dtype(self, d):
+        # Acceptance criterion 2 forms actions[1] @ actions[-1] - actions[-2]
+        # in the stored dtype.  Every product entry is at most the largest
+        # row sum of actions[1] times max |actions[-1]|, and the difference
+        # of two nonnegative entries in range stays in range.
+        actions = ade_module(d).actions
+        row_sum = int(actions[1].sum(axis=1, dtype=np.int64).max())
+        assert row_sum * int(np.abs(actions[-1]).max()) <= np.iinfo(actions.dtype).max
+        assert actions.min() >= 0
+
+    @pytest.mark.parametrize("entry", [0.5, float("nan"), "x"])
+    def test_rejects_non_integral_actions(self, entry):
+        with pytest.raises(ZPlusModuleError, match="integers"):
+            ZPlusModule(verlinde_ring(1), [[[entry]]])
 
     def test_rejects_non_ade(self):
         with pytest.raises(CoxeterError):
