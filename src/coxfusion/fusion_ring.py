@@ -31,9 +31,11 @@ class FusionRing:
     their even parts.  Instances are immutable; structure constants are
     stored as a read-only dense tensor in the narrowest signed integer
     dtype that holds them (``linalg.narrow_integers``: int8 for every
-    Verlinde ring, so R_597 takes 213 MB rather than 1.7 GB).  Entries
-    that are not integers raise FusionRingError.  Products of the stored
-    constants wrap in that dtype, so every consumer widens them first.
+    Verlinde ring, so R_597 takes 213 MB rather than 1.7 GB), without a
+    copy when the caller hands over a read-only tensor stored so
+    (``linalg.read_only``).  Entries that are not integers raise
+    FusionRingError.  Products of the stored constants wrap in that
+    dtype, so every consumer widens them first.
     """
 
     def __init__(self, labels, constants):
@@ -47,7 +49,6 @@ class FusionRing:
         constants = narrow_integers(constants, FusionRingError)
         if constants.min(initial=0) < 0:
             raise FusionRingError("structure constants must be nonnegative")
-        constants.setflags(write=False)
         self.labels = labels
         self.constants = constants
         self._fp_dims: np.ndarray | None = None
@@ -122,20 +123,29 @@ def associators(c: np.ndarray):
 def verlinde_ring(n: int) -> FusionRing:
     """The Verlinde fusion ring R_n with basis Delta_0 .. Delta_{n-1}.
 
-    c_{ij}^k = 1 iff |i-j| <= k <= min(i+j, 2n-i-j-2) and k = i+j mod 2
-    (``chebyshev.product_support``), built as a bool mask and stored as int8.
+    c_{ij}^k = 1 iff |j-k| <= i <= min(j+k, 2n-j-k-2) and i = j+k mod 2
+    (``chebyshev.product_support``; the rule is symmetric in i, j, k).
+    For each (j, k) the i with c_{ij}^k = 1 are one run lo, lo+2, .., hi,
+    so the int8 table is written in place: +1 at row lo and -1 at row
+    hi+2 (two spare rows take the marks past the end), then row i adds
+    row i-2 for i = 2, 3, ...  Past the table itself the build holds only
+    rank**2 index arrays, and it makes one numpy call per row.
     """
     if n < 1:
         raise FusionRingError(f"ring order must be positive, got {n}")
-    i = np.arange(n)[:, None, None]
-    j = np.arange(n)[None, :, None]
+    j = np.arange(n)[:, None]
     k = np.arange(n)
-    total = i + j
-    mask = np.abs(i - j) <= k
-    mask &= k <= np.minimum(total, 2 * n - total - 2)
-    mask &= k % 2 == total % 2
+    pair = j * n + k
+    total = j + k
+    marks = np.zeros((n + 2, n, n), dtype=np.int8)
+    flat = marks.reshape(-1)
+    flat[np.abs(j - k) * n * n + pair] = 1
+    flat[(np.minimum(total, 2 * n - total - 2) + 2) * n * n + pair] = -1
+    for i in range(2, n):
+        np.add(marks[i], marks[i - 2], out=marks[i])
+    marks.setflags(write=False)
     labels = tuple(f"Δ_{k}" for k in range(n))
-    return FusionRing(labels, mask)
+    return FusionRing(labels, marks[:n])
 
 
 @functools.lru_cache(maxsize=None)

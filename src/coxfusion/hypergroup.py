@@ -5,6 +5,8 @@ by its Frobenius-Perron dimension; a Z+-module then induces an action
 whose matrices are the integer actions divided by the same dimensions.
 A common fixed vector lies in the kernel of T = sum_i (I - Theta_i); the
 fixed space is cut out of that kernel by singular-value thresholding.
+T and the products Theta_i V are read off the integer stack and the
+dimensions directly, so no float copy of the stack is made.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion_ring import FusionRing, associators
+from .linalg import read_only
 from .report import CheckResult, exact_check
 from .zplus_module import ZPlusModule
 
@@ -22,14 +25,14 @@ class Hypergroup:
     """Real algebra with row-stochastic nonnegative structure constants.
 
     Basis element 0 is the unit and the basis is self-dual, as in the
-    fusion rings it is built from.
+    fusion rings it is built from.  Constants are stored read-only in
+    float64, taken without a copy when handed over (``linalg.read_only``).
     """
 
     def __init__(self, constants):
-        constants = np.array(constants, dtype=float)
+        constants = read_only(constants, np.float64)
         if constants.ndim != 3 or constants.shape != (len(constants),) * 3:
             raise ValueError(f"constants tensor has shape {constants.shape}, expected (n, n, n)")
-        constants.setflags(write=False)
         self.constants = constants
 
     @property
@@ -41,9 +44,12 @@ class Hypergroup:
 
 
 def from_fusion_ring(ring: FusionRing) -> Hypergroup:
-    """Hypergroup on the basis b_i / FP(b_i) of a fusion ring."""
+    """Hypergroup on the basis b_i / FP(b_i) of a fusion ring: one float
+    tensor, divided in place and handed to the hypergroup."""
     fp = ring.fp_dims()
-    constants = np.multiply(ring.constants, fp) / (fp[:, None, None] * fp[None, :, None])
+    constants = np.multiply(ring.constants, fp)
+    constants /= fp[:, None, None] * fp[None, :, None]
+    constants.setflags(write=False)
     return Hypergroup(constants)
 
 
@@ -84,18 +90,21 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class HypergroupAction:
-    """Algebra homomorphism into matrices: one matrix per basis element."""
+    """Algebra homomorphism into matrices: basis element i acts by
+    Theta_i = matrices[i] / fp_dims[i].
+
+    An action induced by a Z+-module keeps the module's integer stack and
+    the ring's FP dimensions, so Theta is never stored as a float stack.
+    """
 
     matrices: np.ndarray  # (rank, dim, dim)
+    fp_dims: np.ndarray  # (rank,)
 
 
 def action_from_module(module: ZPlusModule) -> HypergroupAction:
-    """Action of the ring's hypergroup induced by a Z+-module: one float
-    division of the integer stack, with no float copy before it."""
-    fp = module.ring.fp_dims()
-    matrices = np.divide(module.actions, fp[:, None, None])
-    matrices.setflags(write=False)
-    return HypergroupAction(matrices)
+    """Action of the ring's hypergroup induced by a Z+-module: the module's
+    read-only actions and the ring's FP dimensions, with nothing copied."""
+    return HypergroupAction(module.actions, module.ring.fp_dims())
 
 
 def fixed_space(action: HypergroupAction) -> np.ndarray:
@@ -105,11 +114,16 @@ def fixed_space(action: HypergroupAction) -> np.ndarray:
     V: right singular vectors of T = sum_i (I - Theta_i) at singular value <= sqrt(k)*1e-8;
     result V ker(S V) at the absolute cut 1e-8, S the never-built stack of Theta_i - I.
     |T v| <= sqrt(k) |S v|, so it is the stacked SVD's kernel when T's least singular value
-    sigma above the cut is far from it (ADE: I - Theta_i >= 0, dim V = 2, sigma >= 1.38)."""
-    k, dim = action.matrices.shape[:2]
-    _, svals, vt = np.linalg.svd(k * np.eye(dim) - action.matrices.sum(axis=0))
+    sigma above the cut is far from it (ADE: I - Theta_i >= 0, dim V = 2, sigma >= 1.38).
+    T and the Theta_i V are buffered float einsums over the stored matrices, weighted
+    by 1 / fp_dims and divided by fp_dims, so memory stays O(k n + n**2)."""
+    mats, fp = action.matrices, action.fp_dims
+    k, dim = mats.shape[:2]
+    total = np.einsum("kij,k->ij", mats, 1.0 / fp)
+    _, svals, vt = np.linalg.svd(k * np.eye(dim) - total)
     cand = vt[svals <= np.sqrt(k) * 1e-8]
-    moved = (action.matrices @ cand.T - cand.T).reshape(k * dim, len(cand))
+    images = np.einsum("kij,jc->kic", mats, cand.T) / fp[:, None, None]
+    moved = (images - cand.T).reshape(k * dim, len(cand))
     _, svals, vt = np.linalg.svd(moved, full_matrices=False)
     basis = vt[int(np.sum(svals >= 1e-8)) :] @ cand
     basis.setflags(write=False)

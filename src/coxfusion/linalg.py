@@ -1,5 +1,5 @@
 """Small numerical kernels: Perron pairs, positive definiteness, projectors,
-components, exact matmuls, narrow integer storage."""
+components, exact matmuls, narrow read-only storage."""
 
 from __future__ import annotations
 
@@ -28,8 +28,36 @@ def narrow_dtype(top: int) -> np.dtype:
     return np.min_scalar_type(-top - 1)
 
 
+def read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only C-ordered array of ``dtype``.
+
+    An array that already is one, and whose every base array is read-only
+    too, is returned as it is: a caller hands over an array it has just
+    built by making it read-only.  Anything else, in particular an array
+    the caller can still write or a view of one, is copied, so that no
+    later write reaches the result."""
+    arr = np.asarray(values)
+    if arr.dtype == dtype and arr.flags.c_contiguous and _frozen(arr):
+        return arr
+    arr = arr.astype(dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr`` and each array down its chain of bases are read-only."""
+    while not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        if not isinstance(arr.base, np.ndarray):
+            return False
+        arr = arr.base
+    return False
+
+
 def narrow_integers(values, error: type[Exception]) -> np.ndarray:
-    """C-ordered copy of ``values`` in the ``narrow_dtype`` of its entries.
+    """``values`` in the ``narrow_dtype`` of its entries, read-only and
+    C-ordered; copied unless ``read_only`` may take it as it is.
 
     Raises ``error`` unless every entry is an integer in the int64 range.
     Products of such arrays wrap silently: widen them with ``exact_dtype``
@@ -42,7 +70,7 @@ def narrow_integers(values, error: type[Exception]) -> np.ndarray:
     dtype = narrow_dtype(max(int(arr.max(initial=0)), -int(arr.min(initial=0)) - 1))
     if dtype.kind != "i":
         raise error("entries must be integers in the int64 range")
-    return arr.astype(dtype, order="C")
+    return read_only(arr, dtype)
 
 
 _PERRON_RESIDUAL_TOL = 1e-12

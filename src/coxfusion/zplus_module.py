@@ -35,8 +35,10 @@ class ZPlusModule:
     (k, l) is the coefficient of m_k in b_i . m_l.  As in ``FusionRing``,
     b_0 is the unit and the ring's basis is self-dual, and the actions are
     stored read-only in the narrowest signed integer dtype that holds them
-    (int8 for every ADE module, whose entries are at most 6).  Entries that
-    are not integers raise ZPlusModuleError.
+    (int8 for every ADE module, whose entries are at most 6), without a copy
+    when the caller hands over a read-only stack stored so
+    (``linalg.read_only``).  Entries that are not integers raise
+    ZPlusModuleError.
     """
 
     def __init__(self, ring: FusionRing, actions):
@@ -47,7 +49,6 @@ class ZPlusModule:
                 f"actions tensor has shape {actions.shape}, expected {(ring.rank, m, m)}"
             )
         actions = narrow_integers(actions, ZPlusModuleError)
-        actions.setflags(write=False)
         self.ring = ring
         self.actions = actions
 
@@ -72,7 +73,8 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     must be nonnegative and exact for the next, (rank + 1) * max < 2**53,
     and is stored in the ``narrow_dtype`` of its max; ``np.stack`` widens
     to the largest of those, so the (h - 1, rank, rank) stack is exact and
-    never exists in float64.
+    never exists in float64.  The steps are dropped once stacked, before
+    the ring is built, and the module takes the stack without a copy.
     """
     if not d.is_ade():
         raise CoxeterError(f"diagram {d.name} is not of ADE type")
@@ -89,17 +91,23 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
             raise ZPlusModuleError(f"Chebyshev actions of {d.name} exceed exact float64 range")
         acts.append(step.astype(narrow_dtype(top)))
         prev, step = step, adjacency @ step - prev
-    return ZPlusModule(verlinde_ring(len(acts)), np.stack(acts))
+    actions = np.stack(acts)
+    del acts
+    actions.setflags(write=False)
+    return ZPlusModule(verlinde_ring(len(actions)), actions)
 
 
 def restrict(module: ZPlusModule) -> ZPlusModule:
     """The module viewed over the even subring of its ring.
 
     The subring and its embedding come from ``even_subring`` (cached per
-    ring); the actions of the even basis elements are kept as they are.
+    ring); the actions of the even basis elements are kept as they are, in
+    one copy that the restricted module takes over.
     """
     even, embedding = even_subring(module.ring)
-    return ZPlusModule(even, module.actions[list(embedding)])
+    actions = module.actions[list(embedding)]
+    actions.setflags(write=False)
+    return ZPlusModule(even, actions)
 
 
 def decompose(module: ZPlusModule) -> list[list[int]]:
@@ -108,9 +116,10 @@ def decompose(module: ZPlusModule) -> list[list[int]]:
     An edge joins basis indices l and k whenever some action matrix is
     nonzero at (k, l) or (l, k); each connected component spans a
     submodule, whose actions are ``module.actions[:, comp][:, :, comp]``.
-    Components are sorted and ordered by smallest basis index.
+    Components are sorted and ordered by smallest basis index.  The support
+    is one buffered reduction over the stack, with no mask of its size.
     """
-    support = np.any(module.actions != 0, axis=0)
+    support = module.actions.any(axis=0)
     return connected_components(support | support.T)
 
 

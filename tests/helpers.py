@@ -7,7 +7,11 @@ test on data outside those families.  ``verify_module_axioms`` is the
 exact Z+-module axiom check, which no pipeline stage reads.
 ``reflection_matrices`` are the dense simple reflections, the reference
 that the library's rank-1 walk for the Coxeter element is tested against.
+``traced_peak`` is the tracemalloc peak of one call, for the memory pins;
+``caller_writable`` gives the arrays a constructor must copy.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -60,3 +64,24 @@ def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:
         mat[i, :] -= form[i, :]
         out.append(mat)
     return out
+
+
+def traced_peak(call, *args):
+    """Peak bytes that tracemalloc sees above its start during ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WRITABLE_SOURCES = ("array", "view", "read-only view")
+
+
+def caller_writable(arr: np.ndarray) -> dict[str, np.ndarray]:
+    """Arrays through which a caller can still write ``arr``: itself, a
+    C-ordered view of it and a read-only view of it, by ``WRITABLE_SOURCES``."""
+    frozen_view = arr.view()
+    frozen_view.setflags(write=False)
+    return dict(zip(WRITABLE_SOURCES, (arr, arr[:], frozen_view)))

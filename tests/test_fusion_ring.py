@@ -8,7 +8,7 @@ import pytest
 from coxfusion.chebyshev import delta, evaluate, product_support
 from coxfusion.fusion_ring import FusionRing, FusionRingError, even_subring, verlinde_ring
 from coxfusion.report import all_passed
-from helpers import fib_ring
+from helpers import WRITABLE_SOURCES, caller_writable, fib_ring, traced_peak
 
 
 def product(ring, x, y):
@@ -45,6 +45,11 @@ class TestVerlindeRing:
         constants = verlinde_ring(n).constants
         assert constants.dtype == np.int8
         assert np.array_equal(constants, reference)
+
+    def test_table_written_in_place(self):
+        # R_197 (D100's ring): the int8 table plus rank**2 index arrays, no rank**3 temporary
+        table_bytes = 197**3
+        assert traced_peak(verlinde_ring.__wrapped__, 197) <= 1.25 * table_bytes
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_constants_multiplicity_free(self, n):
@@ -322,3 +327,18 @@ def test_rejects_non_integral_constants(entry):
 def test_integral_floats_are_stored_as_integers():
     ring = FusionRing(("1",), [[[1.0]]])
     assert ring.constants.dtype == np.int8 and ring.constants.tolist() == [[[1]]]
+
+
+@pytest.mark.parametrize("which", WRITABLE_SOURCES)
+def test_caller_cannot_change_the_ring(which):
+    table = np.array(verlinde_ring(3).constants)
+    ring = FusionRing(("a", "b", "c"), caller_writable(table)[which])
+    table[1, 1, 1] = 5
+    assert ring.constants[1, 1, 1] == 0
+    assert not ring.constants.flags.writeable
+
+
+def test_handed_over_table_is_not_copied():
+    table = np.array(verlinde_ring(3).constants)
+    table.setflags(write=False)
+    assert FusionRing(("a", "b", "c"), table).constants is table

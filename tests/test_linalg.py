@@ -15,8 +15,10 @@ from coxfusion.linalg import (
     narrow_integers,
     perron_eigenpair,
     positive_definite,
+    read_only,
     subspace_projector,
 )
+from helpers import WRITABLE_SOURCES, caller_writable
 
 
 class TestPerronEigenpair:
@@ -86,6 +88,35 @@ class TestNarrowIntegers:
     def test_rejects_non_integers(self, values):
         with pytest.raises(ArithmeticError):
             narrow_integers(values, ArithmeticError)
+
+
+class TestReadOnly:
+    def test_takes_a_handed_over_array(self):
+        arr = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int8)
+        arr.setflags(write=False)
+        assert read_only(arr, np.int8) is arr
+        view = arr[:1]
+        assert read_only(view, np.int8) is view
+
+    @pytest.mark.parametrize("which", WRITABLE_SOURCES)
+    def test_copies_what_the_caller_can_write(self, which):
+        arr = np.arange(6, dtype=np.int8).reshape(2, 3)
+        out = read_only(caller_writable(arr)[which], np.int8)
+        assert not np.shares_memory(out, arr) and not out.flags.writeable
+        assert out.flags.c_contiguous and np.array_equal(out, arr)
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        arr = np.arange(6, dtype=np.int8).reshape(2, 3)  # a view of the writable arange
+        arr.setflags(write=False)
+        assert not np.shares_memory(read_only(arr, np.int8), arr)
+
+    def test_converts_dtype_and_order(self):
+        arr = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int8)
+        arr.setflags(write=False)
+        for src, dtype in ((arr, np.int16), (arr.T, np.int8)):
+            out = read_only(src, dtype)
+            assert out.dtype == dtype and out.flags.c_contiguous and not out.flags.writeable
+            assert np.array_equal(out, src)
 
 
 class TestExactDtype:

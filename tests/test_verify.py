@@ -31,6 +31,7 @@ from coxfusion.verify import (
     run_suite,
 )
 from coxfusion.zplus_module import ZPlusModule, ade_module, regular_element, restrict
+from helpers import traced_peak
 
 
 def even_restriction(d):
@@ -264,3 +265,19 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
         "perron_eigenpair": 3,
         "ZPlusModule": 2,
     }
+
+
+def test_cold_main_theorem_holds_each_table_once():
+    # D100: R_197, its even part, the ADE module and its restriction, 11.6 MB in int8
+    d = parse_diagram("D100")
+    verlinde_ring.cache_clear()
+    even_subring.cache_clear()
+    peak = traced_peak(check_main_theorem, d)
+    module = ade_module(d)
+    tables = (
+        module.ring.constants,
+        module.actions,
+        even_subring(module.ring)[0].constants,
+        restrict(module).actions,
+    )
+    assert peak < 1.3 * sum(t.nbytes for t in tables)

@@ -18,7 +18,14 @@ from coxfusion.zplus_module import (
     regular_element,
     restrict,
 )
-from helpers import fib_ring, regular_module, verify_module_axioms
+from helpers import (
+    WRITABLE_SOURCES,
+    caller_writable,
+    fib_ring,
+    regular_module,
+    traced_peak,
+    verify_module_axioms,
+)
 
 ADE_ROSTER = (
     [diagram("A", n) for n in range(1, 13)]
@@ -191,7 +198,32 @@ class TestRestrict:
         assert np.array_equal(restricted.actions, module.actions[::2])
 
 
+class TestOwnership:
+    @pytest.mark.parametrize("which", WRITABLE_SOURCES)
+    def test_caller_cannot_change_the_module(self, which):
+        actions = np.array(ade_module(diagram("A", 3)).actions)
+        module = ZPlusModule(verlinde_ring(3), caller_writable(actions)[which])
+        actions[1, 0, 0] = 5
+        assert module.actions[1, 0, 0] == 0
+        assert not module.actions.flags.writeable
+
+    def test_handed_over_actions_are_not_copied(self):
+        actions = np.array(ade_module(diagram("A", 3)).actions)
+        actions.setflags(write=False)
+        assert ZPlusModule(verlinde_ring(3), actions).actions is actions
+
+    @pytest.mark.parametrize("tag", ["A3", "D5", "E8"])
+    def test_stages_hand_over_their_stacks(self, tag):
+        module = ade_module(parse_diagram(tag))
+        for actions in (module.actions, restrict(module).actions):
+            assert actions.base is None and not actions.flags.writeable
+
+
 class TestDecompose:
+    def test_no_mask_of_the_stack(self):
+        module = ade_module(parse_diagram("D100"))
+        assert traced_peak(decompose, module) < module.actions.nbytes / 4
+
     def test_full_module_connected(self):
         components = decompose(ade_module(diagram("A", 3)))
         assert components == [[0, 1, 2]]
