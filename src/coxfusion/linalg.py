@@ -23,11 +23,6 @@ def exact_dtype(bound: int) -> type:
     raise OverflowError(f"integer products up to {bound} overflow int64")
 
 
-def narrow_dtype(top: int) -> np.dtype:
-    """Narrowest signed integer dtype, int8 at least, that holds -top - 1 .. top."""
-    return np.min_scalar_type(-top - 1)
-
-
 def read_only(values, dtype) -> np.ndarray:
     """``values`` as a read-only C-ordered array of ``dtype``.
 
@@ -56,18 +51,21 @@ def _frozen(arr: np.ndarray) -> bool:
 
 
 def narrow_integers(values, error: type[Exception]) -> np.ndarray:
-    """``values`` in the ``narrow_dtype`` of its entries, read-only and
-    C-ordered; copied unless ``read_only`` may take it as it is.
+    """``values`` in the narrowest signed dtype, int8 at least, that holds its
+    entries, read-only and C-ordered; copied unless ``read_only`` may take it
+    as it is.  An int8 array is taken without a scan: no dtype is narrower.
 
     Raises ``error`` unless every entry is an integer in the int64 range.
     Products of such arrays wrap silently: widen them with ``exact_dtype``
     or compute them in float."""
     arr = np.asarray(values)
+    if arr.dtype == np.int8:
+        return read_only(arr, np.int8)
     kind = arr.dtype.kind
     integral = kind in "biu" or (kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr))))
     if not integral:
         raise error("entries must be integers")
-    dtype = narrow_dtype(max(int(arr.max(initial=0)), -int(arr.min(initial=0)) - 1))
+    dtype = np.min_scalar_type(min(int(arr.min(initial=0)), -int(arr.max(initial=0)) - 1))
     if dtype.kind != "i":
         raise error("entries must be integers in the int64 range")
     return read_only(arr, dtype)

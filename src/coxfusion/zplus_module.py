@@ -3,10 +3,11 @@
 The ADE module of a diagram with Coxeter number h lives over the
 Verlinde ring R_{h-1}; its generator Delta_1 acts by the diagram's
 adjacency matrix and the remaining actions are generated by the
-Chebyshev recursion.  h is read off that recursion (Delta_{h-1} is the
-first action to vanish), so the module is built from the adjacency
-matrix alone and never consults the Coxeter element.  ``restrict``
-views a module over the even part of its ring, the only subring used.
+Chebyshev recursion, in exact int8 on the tree.  h is read off that
+recursion (Delta_{h-1} is the first action to vanish), so the module is
+built from the adjacency matrix alone and never consults the Coxeter
+element.  ``restrict`` views a module over the even part of its ring,
+the only subring used.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import numpy as np
 
 from .coxeter import CoxeterDiagram, CoxeterError
 from .fusion_ring import FusionRing, even_subring, verlinde_ring
-from .linalg import (
-    EXACT_FLOAT_BOUND,
-    connected_components,
-    narrow_dtype,
-    narrow_integers,
-    perron_eigenpair,
-)
+from .linalg import connected_components, narrow_integers, perron_eigenpair
 
 
 class ZPlusModuleError(ValueError):
@@ -69,17 +64,23 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     gate makes the loop end: the eigenvalues of A are then 2cos(pi m / h)
     over the exponents m, with m = 1 among them, and
     Delta_k(2cos t) = sin((k + 1) t) / sin t.  The recursion runs in
-    float64 (BLAS) and keeps only its last two steps as floats.  Each step
-    must be nonnegative and exact for the next, (rank + 1) * max < 2**53,
-    and is stored in the ``narrow_dtype`` of its max; ``np.stack`` widens
-    to the largest of those, so the (h - 1, rank, rank) stack is exact and
-    never exists in float64.  The steps are dropped once stacked, before
+    exact int8 on the tree: row v of A Delta_k sums the rows of Delta_k at
+    v's neighbours, padded to the largest degree with a zero row appended
+    to a copy of Delta_k, so a step is O(rank**2) with no matmul.  Each
+    step must be nonnegative with max * (largest degree + 1) <= 127, so
+    that the next cannot wrap.  The steps are dropped once stacked, before
     the ring is built, and the module takes the stack without a copy.
     """
     if not d.is_ade():
         raise CoxeterError(f"diagram {d.name} is not of ADE type")
-    adjacency = d.adjacency_matrix().astype(float)
-    prev, step = np.zeros((d.rank, d.rank)), np.eye(d.rank)
+    adjacency = d.adjacency_matrix()
+    n = d.rank
+    degree = adjacency.sum(axis=0)
+    width = int(degree.max(initial=0))
+    order = np.argsort(adjacency == 0, axis=0)[:width]
+    neighbours = np.where(np.arange(width)[:, None] < degree, order, n)
+    padded = np.zeros((n + 1, n), dtype=np.int8)
+    prev, step = np.zeros((n, n), dtype=np.int8), np.eye(n, dtype=np.int8)
     acts = []
     while True:
         if step.min() < 0:
@@ -87,12 +88,13 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
         top = int(step.max())
         if top == 0:
             break
-        if (d.rank + 1) * top >= EXACT_FLOAT_BOUND:
-            raise ZPlusModuleError(f"Chebyshev actions of {d.name} exceed exact float64 range")
-        acts.append(step.astype(narrow_dtype(top)))
-        prev, step = step, adjacency @ step - prev
+        if top * (width + 1) > 127:
+            raise ZPlusModuleError(f"Chebyshev actions of {d.name} leave the int8 range")
+        acts.append(step)
+        padded[:n] = step
+        prev, step = step, padded[neighbours].sum(axis=0, dtype=np.int8) - prev
     actions = np.stack(acts)
-    del acts
+    del acts, prev, step
     actions.setflags(write=False)
     return ZPlusModule(verlinde_ring(len(actions)), actions)
 

@@ -8,7 +8,9 @@ exact Z+-module axiom check, which no pipeline stage reads.
 ``reflection_matrices`` are the dense simple reflections, the reference
 that the library's rank-1 walk for the Coxeter element is tested against.
 ``traced_peak`` is the tracemalloc peak of one call, for the memory pins;
-``caller_writable`` gives the arrays a constructor must copy.
+``caller_writable`` gives the arrays a constructor must copy.  ``cycle``,
+``affine_d`` and ``e10`` are Coxeter matrices of simply laced diagrams of
+infinite type, for the finite-type gates and what lies behind them.
 """
 
 import tracemalloc
@@ -64,6 +66,34 @@ def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:
         mat[i, :] -= form[i, :]
         out.append(mat)
     return out
+
+
+def cycle(n):
+    """Affine A_{n-1}: a cycle of n simple bonds."""
+    mat = np.full((n, n), 2)
+    np.fill_diagonal(mat, 1)
+    for i in range(n):
+        mat[i, (i + 1) % n] = mat[(i + 1) % n, i] = 3
+    return mat
+
+
+def affine_d(n):
+    """Affine D_{n-1}: a path on n - 2 vertices with one more leaf at each end."""
+    mat = np.full((n, n), 2)
+    np.fill_diagonal(mat, 1)
+    bonds = [(i, i + 1) for i in range(n - 3)] + [(n - 2, 1), (n - 1, n - 4)]
+    for i, j in bonds:
+        mat[i, j] = mat[j, i] = 3
+    return mat
+
+
+def e10():
+    """Hyperbolic E10 = T(2, 3, 7): a chain of nine with a leaf on vertex 7."""
+    mat = np.full((10, 10), 2)
+    np.fill_diagonal(mat, 1)
+    for i, j in [(i, i + 1) for i in range(8)] + [(6, 9)]:
+        mat[i, j] = mat[j, i] = 3
+    return mat
 
 
 def traced_peak(call, *args):

@@ -21,7 +21,7 @@ from coxfusion.coxeter import (
     rotation_angle,
 )
 from coxfusion.linalg import ConvergenceError, matrix_order, subspace_projector
-from helpers import reflection_matrices
+from helpers import affine_d, cycle, e10, reflection_matrices
 
 ALL_TYPES = (
     [diagram("A", n) for n in range(2, 9)]
@@ -34,25 +34,6 @@ ALL_TYPES = (
 
 HYPERBOLIC_TREE = [[1, 7, 2, 3], [7, 1, 3, 2], [2, 3, 1, 2], [3, 2, 2, 1]]
 AFFINE_A2 = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
-
-
-def _cycle(n):
-    """Affine A_{n-1}: a cycle of n simple bonds."""
-    mat = np.full((n, n), 2)
-    np.fill_diagonal(mat, 1)
-    for i in range(n):
-        mat[i, (i + 1) % n] = mat[(i + 1) % n, i] = 3
-    return mat
-
-
-def _affine_d(n):
-    """Affine D_{n-1}: a path on n - 2 vertices with one more leaf at each end."""
-    mat = np.full((n, n), 2)
-    np.fill_diagonal(mat, 1)
-    bonds = [(i, i + 1) for i in range(n - 3)] + [(n - 2, 1), (n - 1, n - 4)]
-    for i, j in bonds:
-        mat[i, j] = mat[j, i] = 3
-    return mat
 
 
 class TestDiagram:
@@ -272,7 +253,7 @@ class TestCoxeterNumber:
 
     @pytest.mark.parametrize(
         "matrix",
-        [HYPERBOLIC_TREE, [[1, 0], [0, 1]], AFFINE_A2, _cycle(101), _affine_d(101), _affine_d(301)],
+        [HYPERBOLIC_TREE, [[1, 0], [0, 1]], AFFINE_A2, cycle(101), affine_d(101), affine_d(301)],
         ids=["hyperbolic tree", "infinite bond", "affine A2", "affine A100", "affine D100",
              "affine D300"],
     )
@@ -285,15 +266,6 @@ class TestCoxeterNumber:
         monkeypatch.setattr(coxfusion.coxeter, "matrix_order", forbidden)
         with pytest.raises(CoxeterError, match="not positive definite"):
             coxeter_number(CoxeterDiagram(matrix))
-
-
-def _e10():
-    """Hyperbolic E10 = T(2, 3, 7): a chain of nine with a leaf on vertex 7."""
-    mat = np.full((10, 10), 2)
-    np.fill_diagonal(mat, 1)
-    for i, j in [(i, i + 1) for i in range(8)] + [(6, 9)]:
-        mat[i, j] = mat[j, i] = 3
-    return mat
 
 
 def _simply_laced_and_connected(d):
@@ -309,11 +281,11 @@ GATE_INPUTS = list(
         + [
             CoxeterDiagram(matrix, name)
             for matrix, name in [
-                (_e10(), "E10"),
+                (e10(), "E10"),
                 (AFFINE_A2, "affine A2"),
-                (_cycle(101), "affine A100"),
-                (_affine_d(101), "affine D100"),
-                (_affine_d(301), "affine D300"),
+                (cycle(101), "affine A100"),
+                (affine_d(101), "affine D100"),
+                (affine_d(301), "affine D300"),
             ]
         ]
         if _simply_laced_and_connected(d)

@@ -68,6 +68,7 @@ class TestNarrowIntegers:
             ([2.0, 40000.0], np.int32),
             ([2**40], np.int64),
             ([2**63 - 1], np.int64),
+            (np.array([-128, 127], dtype=np.int8), np.int8),
         ],
     )
     def test_narrowest_signed_dtype(self, values, dtype):

@@ -6,7 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from coxfusion.coxeter import CoxeterError, bipartition, diagram, parse_diagram
+from coxfusion.coxeter import (
+    CoxeterDiagram,
+    CoxeterError,
+    bipartition,
+    diagram,
+    parse_diagram,
+)
 from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.report import all_passed
 from coxfusion.verify import default_roster
@@ -20,7 +26,10 @@ from coxfusion.zplus_module import (
 )
 from helpers import (
     WRITABLE_SOURCES,
+    affine_d,
     caller_writable,
+    cycle,
+    e10,
     fib_ring,
     regular_module,
     traced_peak,
@@ -84,6 +93,35 @@ class TestAdeModule:
     def test_rejects_non_ade(self):
         with pytest.raises(CoxeterError):
             ade_module(diagram("B", 3))
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            CoxeterDiagram(affine_d(8), "affine D7"),
+            CoxeterDiagram(cycle(6), "affine A5"),
+            CoxeterDiagram(e10(), "E10"),
+        ],
+        ids=lambda d: d.name,
+    )
+    def test_int8_range_stops_a_diagram_past_the_gate(self, monkeypatch, d):
+        # the actions of these diagrams never vanish and grow without bound
+        # (linearly on the affine ones), so only the range check ends the loop
+        monkeypatch.setattr(CoxeterDiagram, "is_ade", lambda self: True)
+        with pytest.raises(ZPlusModuleError, match="int8 range"):
+            ade_module(d)
+
+    @pytest.mark.parametrize(
+        "tag,perm", [("D5", [3, 0, 4, 2, 1]), ("E6", [4, 0, 3, 5, 1, 2])], ids=["D5", "E6"]
+    )
+    def test_relabelled_diagram(self, tag, perm):
+        # vertex i of the relabelled diagram is vertex perm[i]: the branch
+        # vertex moves to the last index, which no classification order gives it
+        d = parse_diagram(tag)
+        matrix = d.coxeter_matrix[np.ix_(perm, perm)].tolist()  # as verify --matrix reads it
+        actions = ade_module(d).actions
+        relabelled = ade_module(CoxeterDiagram(matrix)).actions
+        assert relabelled.dtype == np.int8
+        assert np.array_equal(relabelled, actions[:, perm][:, :, perm])
 
     @pytest.mark.parametrize("d", ADE_ROSTER, ids=lambda d: d.name)
     def test_generated_actions_nonnegative_and_terminating(self, d):
