@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import connected_components, matrix_order, positive_definite
+from .linalg import ConvergenceError, connected_components, eigvalsh_slack, positive_definite
 
 #: Sentinel for an infinite bond order inside integer Coxeter matrices.
 INFINITE = 0
@@ -214,25 +214,25 @@ def distinguished_coxeter_element(d: CoxeterDiagram) -> np.ndarray:
 
 
 def coxeter_number(d: CoxeterDiagram) -> int:
-    """Order h of the distinguished Coxeter element; the plane side's one gate.
+    """Coxeter number h of a finite irreducible type; the plane side's one gate.
 
-    A Coxeter group is finite exactly when its bilinear form is positive
-    definite (Humphreys, Reflection Groups and Coxeter Groups, 6.4).  The
-    diagram must be connected and its form must pass ``positive_definite``
-    (smallest eigenvalue above 10 * rank * eps times the largest): in that
-    unit affine forms read -0.35 to 0, finite types 1e8 (D300) to 3e12
-    (H4), and I2(m) about 5.6e15 / m**2.  Then ``matrix_order`` finds h below
-    the cap max(2 * rank, 30, largest bond order), which bounds h for
-    every finite irreducible type; a ConvergenceError is numerical.
+    The diagram must be connected and one ``eigvalsh_slack`` of its form must put
+    the smallest eigenvalue above the error bar s: a positive definite form means
+    a finite group (Humphreys, Reflection Groups and Coxeter Groups, 6.4).  That
+    eigenvalue is 4 sin(pi / 2h)**2 (Coxeter 1951; Humphreys 3.16-3.19), so h is the
+    one integer between pi / (2 asin(sqrt(lambda_min +- s) / 2)), else ConvergenceError.
     """
     if not d.is_connected():
         raise CoxeterError("Coxeter number requires an irreducible (connected) diagram")
-    if not positive_definite(cartan_form(d)):
+    evals, slack = eigvalsh_slack(cartan_form(d))
+    if not evals[0] > slack:
         raise CoxeterError(
             f"diagram {d.name} is not of finite type: its bilinear form is not positive definite"
         )
-    cap = max(2 * d.rank, 30, int(d.coxeter_matrix.max()))
-    return matrix_order(distinguished_coxeter_element(d), cap=cap)
+    lo, hi = (math.pi / (2 * math.asin(math.sqrt(evals[0] + e) / 2)) for e in (slack, -slack))
+    if math.floor(hi) != math.ceil(lo):
+        raise ConvergenceError(f"Coxeter number of {d.name} is past float64 resolution")
+    return math.ceil(lo)
 
 
 @dataclass(frozen=True)

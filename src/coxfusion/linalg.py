@@ -123,11 +123,16 @@ def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
     raise ConvergenceError(f"power iteration did not converge in {_PERRON_MAX_ITER} steps")
 
 
-def positive_definite(sym) -> bool:
-    """Whether a symmetric matrix is positive definite at working precision:
-    its smallest eigenvalue exceeds 10 * n * eps times its largest."""
+def eigvalsh_slack(sym) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of a symmetric matrix and their error bar, 10 * n * eps * largest."""
     evals = np.linalg.eigvalsh(sym)
-    return bool(evals[0] > 10 * len(evals) * np.finfo(float).eps * evals[-1])
+    return evals, 10 * len(evals) * np.finfo(float).eps * evals[-1]
+
+
+def positive_definite(sym) -> bool:
+    """Whether a symmetric matrix's smallest eigenvalue exceeds its ``eigvalsh_slack``."""
+    evals, slack = eigvalsh_slack(sym)
+    return bool(evals[0] > slack)
 
 
 def subspace_projector(vectors) -> np.ndarray:

@@ -261,9 +261,18 @@ class TestProject:
         assert len(out.splitlines()) == 30
 
     def test_large_dihedral(self, capsys):
-        code, out, _ = run(capsys, "project", "I2(1001)")
-        assert code == 0
-        assert len(out.splitlines()) == 2002
+        # past m = 82570 the h interval is wider than 1 but still holds only m
+        for tag, rows in [("I2(1001)", 2002), ("I2(90000)", 180000)]:
+            code, out, _ = run(capsys, "project", tag)
+            assert code == 0
+            assert len(out.splitlines()) == rows
+
+    def test_dihedral_past_float_resolution(self, capsys):
+        code, out, err = run(capsys, "project", "I2(1000000)")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "float64 resolution" in lines[0]
 
 
 class TestRoster:

@@ -240,32 +240,50 @@ class TestCoxeterNumber:
         with pytest.raises(CoxeterError):
             coxeter_number(CoxeterDiagram([[1, 0], [0, 1]]))
 
-    @pytest.mark.parametrize("m", [805, 999, 1001, 2000])
+    @pytest.mark.parametrize("m", [805, 999, 1001, 2000, 82571, 100000])
     def test_large_dihedral(self, m):
-        # the h-th power of gamma rounds to about 1e-8 from I here
+        # past m = 82570 the eigenvalue's error bar spans more than one unit of h,
+        # but the interval stays centred on m and holds no other integer
         assert coxeter_number(diagram("I2", m=m)) == m
 
     def test_order_past_float_resolution_raises(self):
-        # the float64 powers of gamma drift by more than 1 from I here;
-        # the search once returned 999997
+        # the smallest form eigenvalue places h within about 1800 integers here
         with pytest.raises(ConvergenceError, match="float64 resolution"):
             coxeter_number(diagram("I2", m=10**6))
 
+    @pytest.mark.parametrize("tag", ["A100", "D100", "B10", "H4", "E8", "I2(805)"])
+    def test_matches_gamma_order(self, tag):
+        # the spectral h against gamma's order, found by the independent power walk
+        d = parse_diagram(tag)
+        assert coxeter_number(d) == matrix_order(distinguished_coxeter_element(d))
+
     @pytest.mark.parametrize(
-        "matrix",
-        [HYPERBOLIC_TREE, [[1, 0], [0, 1]], AFFINE_A2, cycle(101), affine_d(101), affine_d(301)],
+        "d,h",
+        [
+            (CoxeterDiagram(matrix), None)
+            for matrix in (
+                HYPERBOLIC_TREE, [[1, 0], [0, 1]], AFFINE_A2, cycle(101), affine_d(101),
+                affine_d(301),
+            )
+        ]
+        + [(diagram("E", 8), 30), (diagram("H", 4), 30), (diagram("I2", m=7), 7)],
         ids=["hyperbolic tree", "infinite bond", "affine A2", "affine A100", "affine D100",
-             "affine D300"],
+             "affine D300", "E8", "H4", "I2(7)"],
     )
-    def test_form_gate_rejects_before_any_power(self, monkeypatch, matrix):
+    def test_form_gate_rejects_before_any_power(self, monkeypatch, d, h):
+        # the gate and h both come from the form's eigenvalues: no bipartition, no gamma
         import coxfusion.coxeter
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("matrix_order called on a non-finite type")
+            raise AssertionError("coxeter_number built the bipartition or gamma")
 
-        monkeypatch.setattr(coxfusion.coxeter, "matrix_order", forbidden)
-        with pytest.raises(CoxeterError, match="not positive definite"):
-            coxeter_number(CoxeterDiagram(matrix))
+        for name in ("distinguished_coxeter_element", "bipartition"):
+            monkeypatch.setattr(coxfusion.coxeter, name, forbidden)
+        if h is None:
+            with pytest.raises(CoxeterError, match="not positive definite"):
+                coxeter_number(d)
+        else:
+            assert coxeter_number(d) == h
 
 
 def _simply_laced_and_connected(d):

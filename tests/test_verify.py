@@ -244,7 +244,15 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
 
         return make
 
-    for name in ("ade_module", "restrict", "even_subring", "coxeter_number", "perron_eigenpair"):
+    for name in (
+        "ade_module",
+        "restrict",
+        "even_subring",
+        "coxeter_number",
+        "distinguished_coxeter_element",
+        "bipartition",
+        "perron_eigenpair",
+    ):
         rebind(monkeypatch, name, counting(name))
     monkeypatch.setattr(CoxeterDiagram, "is_ade", counting("is_ade")(CoxeterDiagram.is_ade))
     monkeypatch.setattr(
@@ -256,11 +264,15 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
     assert check_main_theorem(diagram("E", 8)).passed
     # One Perron solve each for the full ring, the even ring and the module;
     # the only modules built are the ADE module and its even restriction.
+    # gamma is built once, by the plane, and the bipartition twice: for gamma's word
+    # and for the lemmas; h reads neither.
     assert calls == {
         "ade_module": 1,
         "restrict": 1,
         "even_subring": 1,
         "coxeter_number": 1,
+        "distinguished_coxeter_element": 1,
+        "bipartition": 2,
         "is_ade": 1,
         "perron_eigenpair": 3,
         "ZPlusModule": 2,
