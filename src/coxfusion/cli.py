@@ -151,7 +151,7 @@ def _points_to_svg(points, with_labels: bool) -> str:
 def cmd_project(args) -> int:
     d = _resolve_diagram(args)
     plane = coxeter_plane(d)
-    roots = root_system(d, plane.h)
+    roots = root_system(plane)
     points = project_to_plane(roots, plane)
     if args.out and args.out.endswith(".svg"):
         text = _points_to_svg(points, args.labels)

@@ -66,18 +66,16 @@ class CoxeterDiagram:
     def is_connected(self) -> bool:
         return len(connected_components(self.adjacency_matrix())) == 1
 
-    def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges()) == self.rank - 1
-
     def is_ade(self) -> bool:
         """Simply laced, connected and of finite type: 2I - A positive definite,
         so the adjacency spectral radius is below 2."""
         off = self.coxeter_matrix[~np.eye(self.rank, dtype=bool)]
         if np.any((off != 2) & (off != 3)):
             return False
-        if not self.is_connected():
+        adj = self.adjacency_matrix()
+        if len(connected_components(adj)) != 1:
             return False
-        return positive_definite(2.0 * np.eye(self.rank) - self.adjacency_matrix())
+        return positive_definite(2.0 * np.eye(self.rank) - adj)
 
     def __repr__(self) -> str:
         return f"CoxeterDiagram({self.name}, rank={self.rank})"
@@ -182,35 +180,39 @@ class Bipartition:
 
 
 def bipartition(d: CoxeterDiagram) -> Bipartition:
-    if not d.is_tree():
+    """The parity classes of the depths of one breadth-first walk from vertex 0.
+    A tree's rank - 1 edges reach every vertex; any other diagram raises CoxeterError."""
+    adj = d.adjacency_matrix() != 0
+    depth = np.full(d.rank, -1)
+    frontier, level = [0], 0
+    while len(frontier):
+        depth[frontier] = level
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (depth < 0))
+        level += 1
+    if np.any(depth < 0) or np.count_nonzero(adj) != 2 * (d.rank - 1):
         raise CoxeterError("bipartition requires a tree-shaped diagram")
-    # even distance from vertex 0 = joined to it by two-step walks, the graph of A**2
-    adj = d.adjacency_matrix()
-    plus = connected_components(adj @ adj > 0)[0]
-    minus = [v for v in range(d.rank) if v not in plus]
-    return Bipartition(tuple(plus), tuple(minus))
+    even = depth % 2 == 0
+    return Bipartition(tuple(np.flatnonzero(even).tolist()), tuple(np.flatnonzero(~even).tolist()))
 
 
-def _bipartite_word(d: CoxeterDiagram) -> tuple[list[np.ndarray], np.ndarray]:
-    """The running product along i_1 ... i_n, the even class then the odd class:
-    the roots theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j} and gamma = s_{i_1} ... s_{i_n}.
+def _bipartite_word(parts: Bipartition, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running product along i_1 ... i_n, even class then odd: the roots
+    theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j}, one per row, and gamma = s_{i_1} ... s_{i_n}.
 
     s_k = I - e_k form[k] changes only row k, so multiplying by it on the
     right is the rank-1 update gamma -= gamma[:, k] form[k], done in place;
     theta_j is copied out before its column is updated."""
-    parts = bipartition(d)
-    form = cartan_form(d)
-    gamma = np.eye(d.rank)
-    theta = []
-    for k in parts.plus + parts.minus:
-        theta.append(gamma[:, k].copy())
+    gamma = np.eye(len(form))
+    theta = np.empty_like(gamma)
+    for j, k in enumerate(parts.plus + parts.minus):
+        theta[j] = gamma[:, k]
         gamma -= np.outer(gamma[:, k], form[k])
     return theta, gamma
 
 
 def distinguished_coxeter_element(d: CoxeterDiagram) -> np.ndarray:
     """gamma = s_{i_1} ... s_{i_n}: the even-class reflections, then the odd class."""
-    return _bipartite_word(d)[1]
+    return _bipartite_word(bipartition(d), cartan_form(d))[1]
 
 
 def coxeter_number(d: CoxeterDiagram) -> int:
@@ -237,7 +239,8 @@ def coxeter_number(d: CoxeterDiagram) -> int:
 
 @dataclass(frozen=True)
 class CoxeterPlane:
-    """Coxeter number, plane-spanning eigenvectors and the element gamma.
+    """The plane side of one diagram: Coxeter number, plane-spanning eigenvectors,
+    gamma, the form, the ``parts`` that order gamma's word and its roots ``theta``.
 
     ``u_plus`` and ``u_minus`` are normalised to unit length in the
     bilinear-form norm, so that projection coordinates taken against
@@ -251,28 +254,29 @@ class CoxeterPlane:
     u_minus: np.ndarray
     gamma: np.ndarray
     form: np.ndarray
+    parts: Bipartition
+    theta: np.ndarray
 
 
 def coxeter_plane(d: CoxeterDiagram) -> CoxeterPlane:
+    """The plane side's one build: h from ``coxeter_number`` (the gate), one form,
+    one ``eigh`` of 2I - form, one bipartition and one walk of gamma's word.  The
+    exponents run from 1 to h - 1, so +-2cos(pi/h) must be the two ends of the
+    ascending spectrum, each simple; anything else raises CoxeterError."""
     if d.rank < 2:
         raise CoxeterError("Coxeter plane requires rank >= 2")
     h = coxeter_number(d)
     form = cartan_form(d)
-    sym = 2.0 * np.eye(d.rank) - form
-    evals, evecs = np.linalg.eigh(sym)
+    evals, evecs = np.linalg.eigh(2.0 * np.eye(d.rank) - form)
     target = 2.0 * math.cos(math.pi / h)
-    vectors = []
-    for sign in (1.0, -1.0):
-        idx = int(np.argmin(np.abs(evals - sign * target)))
-        if abs(evals[idx] - sign * target) > 1e-9:
+    for sign, end, inner in ((1.0, -1, -2), (-1.0, 0, 1)):
+        if abs(evals[end] - sign * target) > 1e-9:
             raise CoxeterError(
-                f"no eigenvalue of 2I-A near {sign * target:.12g} (closest: {evals[idx]:.12g})"
+                f"no eigenvalue of 2I-A near {sign * target:.12g} (spectrum end: {evals[end]:.12g})"
             )
-        others = np.delete(evals, idx)
-        if np.min(np.abs(others - evals[idx])) <= 1e-6:
+        if abs(evals[inner] - evals[end]) <= 1e-6:
             raise CoxeterError(f"eigenvalue {sign * target:.12g} is not simple")
-        vectors.append(evecs[:, idx].copy())
-    u_plus, u_minus = vectors
+    u_plus, u_minus = evecs[:, -1].copy(), evecs[:, 0].copy()
     # past the gate the form is positive definite: <u|u> = 2 -+ 2cos(pi/h) > 0
     for vec in (u_plus, u_minus):
         vec /= math.sqrt(float(vec @ form @ vec))
@@ -282,10 +286,11 @@ def coxeter_plane(d: CoxeterDiagram) -> CoxeterPlane:
         raise CoxeterError("plus eigenvector is not entrywise positive")
     if u_minus[0] < 0:
         u_minus = -u_minus
-    gamma = distinguished_coxeter_element(d)
-    for arr in (u_plus, u_minus, gamma, form):
+    parts = bipartition(d)
+    theta, gamma = _bipartite_word(parts, form)
+    for arr in (u_plus, u_minus, gamma, form, theta):
         arr.setflags(write=False)
-    return CoxeterPlane(h=h, u_plus=u_plus, u_minus=u_minus, gamma=gamma, form=form)
+    return CoxeterPlane(h, u_plus, u_minus, gamma, form, parts, theta)
 
 
 def plane_restriction(p: CoxeterPlane) -> np.ndarray:
@@ -303,9 +308,9 @@ def rotation_angle(p: CoxeterPlane) -> float:
     return math.atan2(g[1, 0], g[0, 0])
 
 
-def root_system(d: CoxeterDiagram, h: int | None = None) -> np.ndarray:
-    """The roots of a finite irreducible type, in the alpha basis, as the
-    rows of an (n * h, n) array.
+def root_system(p: CoxeterPlane) -> np.ndarray:
+    """The roots of the plane's diagram, in the alpha basis, as the rows of
+    an (n * h, n) array; read from the plane, with nothing rebuilt.
 
     For gamma = s_{i_1} ... s_{i_n}, taken in the bipartite order of
     ``distinguished_coxeter_element``, the roots
@@ -314,16 +319,11 @@ def root_system(d: CoxeterDiagram, h: int | None = None) -> np.ndarray:
     (Steinberg, Trans. AMS 1959; Bourbaki, Lie groups and Lie algebras,
     Ch. V-VI).  Rows come as h blocks of n, theta, gamma theta, ...,
     gamma^(h-1) theta, so row r + n is gamma applied to row r, and each
-    root appears exactly once.  The diagram must be of finite irreducible
-    type; ``coxeter_number`` raises CoxeterError otherwise, unless the
-    caller passes the h it already has from ``coxeter_plane``.
+    root appears exactly once.
     """
-    if h is None:
-        h = coxeter_number(d)
-    theta, gamma = _bipartite_word(d)
-    blocks = [np.array(theta)]
-    for _ in range(h - 1):
-        blocks.append(blocks[-1] @ gamma.T)
+    blocks = [p.theta]
+    for _ in range(p.h - 1):
+        blocks.append(blocks[-1] @ p.gamma.T)
     return np.vstack(blocks)
 
 

@@ -20,7 +20,6 @@ from .coxeter import (
     Bipartition,
     CoxeterDiagram,
     CoxeterError,
-    bipartition,
     coxeter_plane,
     diagram,
     rotation_angle,
@@ -114,7 +113,9 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     Each stage runs once.  The fixed-space path reads only the module
     built from the adjacency matrix and the plane path only the bilinear
     form; each finds h on its own, and ``passed`` requires the two
-    values to agree.
+    values to agree.  The lemmas hold the fusion side against the
+    bipartition the plane built for gamma's word (``plane.parts``), which
+    comes from the adjacency matrix alone.
     """
     if d.rank < 2:
         raise CoxeterError(f"diagram {d.name} has rank < 2")
@@ -128,11 +129,10 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     proj_plane = subspace_projector([plane.u_plus, plane.u_minus])
     distance = float(np.linalg.norm(proj_fixed - proj_plane))
 
-    parts = bipartition(d)
     lemmas = (
-        check_bifurcation_lemma(module.actions[1], parts),
-        check_decomposition_lemma(restricted, parts),
-        check_regular_split(module, parts),
+        check_bifurcation_lemma(module.actions[1], plane.parts),
+        check_decomposition_lemma(restricted, plane.parts),
+        check_regular_split(module, plane.parts),
     )
     passed = len(basis) == 2 and distance < tol and module.ring.rank + 1 == plane.h
     return TheoremReport(

@@ -255,6 +255,22 @@ class TestProject:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("tag", ["E8", "H4", "I2(9)"])
+    def test_project_builds_the_plane_once(self, capsys, monkeypatch, tag):
+        # one bipartition and one walk of gamma's word feed the plane and the roots;
+        # the form is built by the gate and once more by the plane
+        calls = []
+        for name in ("bipartition", "_bipartite_word", "cartan_form"):
+
+            def counted(*args, name=name, original=getattr(coxfusion.coxeter, name), **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(coxfusion.coxeter, name, counted)
+        code, _, _ = run(capsys, "project", tag)
+        assert code == 0
+        assert sorted(calls) == ["_bipartite_word", "bipartition", "cartan_form", "cartan_form"]
+
     def test_non_crystallographic(self, capsys):
         code, out, _ = run(capsys, "project", "H3")
         assert code == 0

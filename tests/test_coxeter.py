@@ -167,6 +167,42 @@ class TestBipartition:
         with pytest.raises(CoxeterError):
             bipartition(triangle)
 
+    @pytest.mark.parametrize(
+        "tag,perm,degree",
+        [
+            ("D5", [1, 4, 0, 2, 3], 3),
+            ("D5", [3, 0, 1, 2, 4], 2),
+            ("E6", [2, 0, 1, 3, 4, 5], 3),
+            ("E6", [3, 5, 4, 2, 1, 0], 2),
+        ],
+        ids=["D5 branch", "D5 inner", "E6 branch", "E6 inner"],
+    )
+    def test_classes_are_distance_parity_from_vertex_0(self, tag, perm, degree):
+        d = CoxeterDiagram(parse_diagram(tag).coxeter_matrix[np.ix_(perm, perm)])
+        adj = d.adjacency_matrix()
+        assert adj[0].sum() == degree
+        # reference: the distance to v is the first k with (A + I)**k [0, v] > 0
+        dist = np.full(d.rank, -1)
+        reach = np.eye(d.rank, dtype=np.int64)[0]
+        for k in range(d.rank):
+            dist[(reach > 0) & (dist < 0)] = k
+            reach = np.minimum(reach @ (adj + np.eye(d.rank, dtype=np.int64)), 1)
+        assert np.all(dist >= 0)
+        parts = bipartition(d)
+        assert parts.plus == tuple(np.flatnonzero(dist % 2 == 0).tolist())
+        assert parts.minus == tuple(np.flatnonzero(dist % 2 == 1).tolist())
+
+    @pytest.mark.parametrize("isolated", [0, 3])
+    def test_forest_with_rank_minus_one_edges_rejected(self, isolated):
+        # a triangle and an isolated vertex: rank - 1 edges, yet the walk misses a vertex
+        matrix = np.full((4, 4), 3)
+        matrix[isolated, :] = matrix[:, isolated] = 2
+        np.fill_diagonal(matrix, 1)
+        d = CoxeterDiagram(matrix)
+        assert len(d.edges()) == d.rank - 1
+        with pytest.raises(CoxeterError, match="tree-shaped"):
+            bipartition(d)
+
 
 def dense_word(d):
     """Reference for the rank-1 walk: the running product of the dense
@@ -192,7 +228,7 @@ class TestDistinguishedElement:
     def test_first_roots_are_running_product_columns(self, d):
         # theta_j must be the column before the in-place update, not a view of it
         theta, _ = dense_word(d)
-        roots = np.array(root_system(d))
+        roots = np.array(root_system(coxeter_plane(d)))
         assert np.max(np.abs(roots[: d.rank] - theta)) <= 1e-14
 
     def test_orders(self):
@@ -361,6 +397,20 @@ class TestCoxeterPlane:
         with pytest.raises(CoxeterError, match="no eigenvalue of 2I-A near"):
             coxeter_plane(d)
 
+    @pytest.mark.parametrize("tag", ["E8", "H4", "B3"])
+    def test_h_minus_one_has_no_plane(self, monkeypatch, tag):
+        # 2cos(pi/(h-1)) lies inside the spectrum of 2I - A, below its top end
+        # 2cos(pi/h): reading the two ends still refuses it
+        import coxfusion.coxeter
+
+        d = parse_diagram(tag)
+        h = coxeter_number(d)
+        evals = np.linalg.eigvalsh(2.0 * np.eye(d.rank) - cartan_form(d))
+        assert evals[0] < 2.0 * math.cos(math.pi / (h - 1)) < evals[-1]
+        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _: h - 1)
+        with pytest.raises(CoxeterError, match="no eigenvalue of 2I-A near"):
+            coxeter_plane(d)
+
     @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
     def test_eigenvector_relations(self, d):
         plane = coxeter_plane(d)
@@ -392,7 +442,7 @@ class TestCoxeterPlane:
 
 
 ROOT_COUNTS = {
-    "A1": 2, "A2": 6, "A3": 12, "D4": 24, "B3": 18, "H3": 30, "E6": 72, "E8": 240,
+    "A2": 6, "A3": 12, "D4": 24, "B3": 18, "H3": 30, "E6": 72, "E8": 240,
     "F4": 48, "H4": 120, "B10": 200, "D30": 1740, "I2(40)": 80,
 }
 
@@ -400,18 +450,14 @@ ROOT_COUNTS = {
 class TestRootSystem:
     @pytest.mark.parametrize("tag,count", sorted(ROOT_COUNTS.items()))
     def test_counts(self, tag, count):
-        assert len(root_system(parse_diagram(tag))) == count
-
-    def test_a1_roots(self):
-        roots = root_system(diagram("A", 1))
-        assert sorted(r[0] for r in roots) == [-1.0, 1.0]
+        assert len(root_system(coxeter_plane(parse_diagram(tag)))) == count
 
     @pytest.mark.parametrize("tag", ["D4", "F4", "H3", "H4", "E8", "I2(7)"])
     def test_closed_under_reflections(self, tag):
         # distinct, containing the simple roots and closed under the
         # simple reflections: with the count n*h that is exactly Phi
         d = parse_diagram(tag)
-        roots = np.array(root_system(d))
+        roots = np.array(root_system(coxeter_plane(d)))
         gaps = np.max(np.abs(roots[:, None, :] - roots[None, :, :]), axis=2)
         np.fill_diagonal(gaps, np.inf)
         assert np.min(gaps) > 1e-6
@@ -436,27 +482,29 @@ class TestRootSystem:
         # affine D4 is a tree with finite bonds: its form is only
         # positive semidefinite, which tells it apart from a finite type
         with pytest.raises(CoxeterError):
-            root_system(CoxeterDiagram(matrix))
+            root_system(coxeter_plane(CoxeterDiagram(matrix)))
 
     @pytest.mark.parametrize("tag", ["E8", "H4", "I2(7)"])
-    def test_given_h_skips_coxeter_number(self, monkeypatch, tag):
+    def test_reads_the_plane_only(self, monkeypatch, tag):
+        # theta, gamma and h come from the plane: no second gate, bipartition or form
         import coxfusion.coxeter
 
-        d = parse_diagram(tag)
-        expected = np.array(root_system(d))
-        h = coxeter_number(d)
+        plane = coxeter_plane(parse_diagram(tag))
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("root_system recomputed h")
+            raise AssertionError("root_system rebuilt the plane side")
 
-        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", forbidden)
-        assert np.array_equal(np.array(root_system(d, h)), expected)
+        for name in ("coxeter_number", "bipartition", "cartan_form", "_bipartite_word"):
+            monkeypatch.setattr(coxfusion.coxeter, name, forbidden)
+        roots = root_system(plane)
+        assert roots.shape == (plane.h * len(plane.theta), len(plane.theta))
+        assert np.array_equal(roots[: len(plane.theta)], plane.theta)
 
     @pytest.mark.parametrize("tag", ["E8", "H4"])
     def test_rows_are_gamma_orbits(self, tag):
         d = parse_diagram(tag)
         gamma = distinguished_coxeter_element(d)
-        roots = np.array(root_system(d))
+        roots = np.array(root_system(coxeter_plane(d)))
         assert np.max(np.abs(roots[d.rank :] - roots[: -d.rank] @ gamma.T)) < 1e-9
 
 
@@ -469,7 +517,7 @@ class TestProjection:
     def test_a2_hexagon(self):
         d = diagram("A", 2)
         plane = coxeter_plane(d)
-        points = project_to_plane(root_system(d), plane)
+        points = project_to_plane(root_system(plane), plane)
         angles = sorted(math.atan2(y, x) % (2.0 * math.pi) for x, y in points)
         gaps = np.diff(angles)
         assert np.max(np.abs(gaps - math.pi / 3.0)) < 1e-6
@@ -480,7 +528,7 @@ class TestProjection:
     def test_rotation_invariance(self, tag):
         d = parse_diagram(tag)
         plane = coxeter_plane(d)
-        points = project_to_plane(root_system(d), plane)
+        points = project_to_plane(root_system(plane), plane)
         theta = rotation_angle(plane)
         rot = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
@@ -492,7 +540,7 @@ class TestProjection:
     def test_gamma_image_matches_rotated_projection(self):
         d = diagram("E", 6)
         plane = coxeter_plane(d)
-        roots = np.array(root_system(d))
+        roots = np.array(root_system(plane))
         projected_images = project_to_plane(roots @ plane.gamma.T, plane)
         theta = rotation_angle(plane)
         rot = np.array(

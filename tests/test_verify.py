@@ -249,7 +249,8 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
         "restrict",
         "even_subring",
         "coxeter_number",
-        "distinguished_coxeter_element",
+        "cartan_form",
+        "_bipartite_word",
         "bipartition",
         "perron_eigenpair",
     ):
@@ -264,15 +265,16 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
     assert check_main_theorem(diagram("E", 8)).passed
     # One Perron solve each for the full ring, the even ring and the module;
     # the only modules built are the ADE module and its even restriction.
-    # gamma is built once, by the plane, and the bipartition twice: for gamma's word
-    # and for the lemmas; h reads neither.
+    # The plane builds the bipartition and walks gamma's word once, and the lemmas
+    # read its classes; the form is built twice, for the gate and for the plane.
     assert calls == {
         "ade_module": 1,
         "restrict": 1,
         "even_subring": 1,
         "coxeter_number": 1,
-        "distinguished_coxeter_element": 1,
-        "bipartition": 2,
+        "cartan_form": 2,
+        "_bipartite_word": 1,
+        "bipartition": 1,
         "is_ade": 1,
         "perron_eigenpair": 3,
         "ZPlusModule": 2,
