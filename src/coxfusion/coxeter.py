@@ -55,10 +55,6 @@ class CoxeterDiagram:
     def rank(self) -> int:
         return self.coxeter_matrix.shape[0]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Pairs i < j joined by a bond of order >= 3 or infinite, in row order."""
-        return [tuple(e) for e in np.argwhere(np.triu(self.adjacency_matrix())).tolist()]
-
     def adjacency_matrix(self) -> np.ndarray:
         """0/1 adjacency of the underlying graph, exact integers."""
         return ((self.coxeter_matrix >= 3) | (self.coxeter_matrix == INFINITE)).astype(np.int64)

@@ -1,11 +1,13 @@
 """Fusion rings with exact integer structure constants.
 
-Covers the generic based-ring machinery plus the one concrete family
-used downstream: the Verlinde ring R_n = Z[x]/(Delta_n) with basis
-Delta_0..Delta_{n-1}, and its even part.  Frobenius-Perron
-dimensions come from one Perron solve on the stack of left
-multiplication matrices: the regular element sum_i FP(b_i) b_i is their
-common Perron vector, and each dimension is a Rayleigh quotient on it.
+The one family used downstream is the Verlinde ring R_n = Z[x]/(Delta_n)
+with basis Delta_0..Delta_{n-1}, and its even part.  Both are stored as
+runs: for each (j, k), the i with c_{ij}^k = 1 are lo, lo + step, .., hi.
+Frobenius-Perron dimensions come from one Perron solve on the left
+multiplication matrices, read off the runs in O(rank**2): the regular
+element sum_i FP(b_i) b_i is their common Perron vector, and each
+dimension is a Rayleigh quotient on it.  The rank**3 table of structure
+constants is built only when it is read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .linalg import exact_dtype, narrow_integers, perron_eigenpair
+from .linalg import exact_dtype, perron_eigenpair
 from .report import CheckResult, exact_check, sliced_check
 
 
@@ -23,45 +25,81 @@ class FusionRingError(ValueError):
 
 
 class FusionRing:
-    """Finite-rank unital based ring with nonnegative integer constants.
+    """Verlinde ring R_n or its even part: a unital based ring stored as runs.
 
-    ``constants[i, j, k]`` is the coefficient of basis element k in the
-    product b_i * b_j.  Basis element 0 is the unit and the basis is
-    self-dual (every b_i is its own dual), as in the Verlinde rings and
-    their even parts.  Instances are immutable; structure constants are
-    stored as a read-only dense tensor in the narrowest signed integer
-    dtype that holds them (``linalg.narrow_integers``: int8 for every
-    Verlinde ring, so R_597 takes 213 MB rather than 1.7 GB), without a
-    copy when the caller hands over a read-only tensor stored so
-    (``linalg.read_only``).  Entries that are not integers raise
-    FusionRingError.  Products of the stored constants wrap in that
-    dtype, so every consumer widens them first.
+    Basis element 0 is the unit and the basis is self-dual.  c_{ij}^k = 1
+    iff |j-k| <= i <= min(j+k, fold-j-k) and i = j+k mod step, else 0; the
+    rule is symmetric in i, j, k.  R_n has fold 2n-2 and step 2
+    (``chebyshev.product_support``); its even part, in its own indices, has
+    fold n-1 and step 1.  ``fp_dims`` reads the runs in O(rank**2) memory.
+    ``constants[i, j, k]``, the coefficient of b_k in b_i * b_j, is the
+    read-only int8 table of the rule, rank**3 bytes (213 MB for R_597):
+    it is built on first read and kept.  Only the table commands, the
+    axiom checks and ``hypergroup.from_fusion_ring`` read it.  Products of
+    its entries wrap in int8, so every consumer widens them first.
+    Instances are immutable.
     """
 
-    def __init__(self, labels, constants):
-        labels = tuple(str(lab) for lab in labels)
-        rank = len(labels)
-        constants = np.asarray(constants)
-        if constants.shape != (rank, rank, rank):
-            raise FusionRingError(
-                f"constants tensor has shape {constants.shape}, expected {(rank,) * 3}"
-            )
-        constants = narrow_integers(constants, FusionRingError)
-        if constants.min(initial=0) < 0:
-            raise FusionRingError("structure constants must be nonnegative")
-        self.labels = labels
-        self.constants = constants
+    def __init__(self, labels, fold: int, step: int):
+        self.labels = tuple(labels)
+        self.fold = fold
+        self.step = step
         self._fp_dims: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) as (rank, rank) arrays over (j, k): the first and the
+        last i with c_{ij}^k = 1."""
+        j = np.arange(self.rank)[:, None]
+        k = np.arange(self.rank)
+        return np.abs(j - k), np.minimum(j + k, self.fold - j - k)
+
+    @functools.cached_property
+    def constants(self) -> np.ndarray:
+        """The table, written in place: +1 at row lo and -1 at row hi + step
+        (step spare rows take the marks past the end), then row i adds row
+        i - step for i = step, step + 1, ...  Past the table the build holds
+        only rank**2 index arrays, and it makes one numpy call per row."""
+        n, step = self.rank, self.step
+        lo, hi = self._runs()
+        pair = np.arange(n * n).reshape(n, n)
+        marks = np.zeros((n + step, n, n), dtype=np.int8)
+        flat = marks.reshape(-1)
+        flat[lo * n * n + pair] = 1
+        flat[(hi + step) * n * n + pair] = -1
+        for i in range(step, n):
+            np.add(marks[i], marks[i - step], out=marks[i])
+        marks.setflags(write=False)
+        return marks[:n]
+
+    def _perron_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """``perron_eigenpair`` of the left multiplication matrices
+        L_i[k, j] = c_{ij}^k, read off the runs.
+
+        Their sum at (k, j) is the length of the run of (j, k),
+        (hi - lo) / step + 1.  By the symmetry of the rule, (L_i v)_k sums
+        v over the run of (i, k), which is S[hi + step] - S[lo] for the
+        prefix sums S[m] = sum of v_t over t < m with t = m mod step.
+        """
+        lo, hi = self._runs()
+        step = self.step
+
+        def images(vec):
+            sums = np.zeros(self.rank + step)
+            for start in range(step):
+                np.cumsum(vec[start::step], out=sums[start + step :: step])
+            return sums[hi + step] - sums[lo]
+
+        return perron_eigenpair((hi - lo) / step + 1.0, images)
+
     def fp_dims(self) -> np.ndarray:
         """Frobenius-Perron dimensions of all basis elements (cached)."""
         if self._fp_dims is None:
             try:
-                dims, _ = perron_eigenpair(self.constants.transpose(0, 2, 1))
+                dims, _ = self._perron_pair()
             except ArithmeticError as exc:
                 raise FusionRingError("FP dimensions did not converge") from exc
             dims.setflags(write=False)
@@ -121,31 +159,11 @@ def associators(c: np.ndarray):
 
 @functools.lru_cache(maxsize=None)
 def verlinde_ring(n: int) -> FusionRing:
-    """The Verlinde fusion ring R_n with basis Delta_0 .. Delta_{n-1}.
-
-    c_{ij}^k = 1 iff |j-k| <= i <= min(j+k, 2n-j-k-2) and i = j+k mod 2
-    (``chebyshev.product_support``; the rule is symmetric in i, j, k).
-    For each (j, k) the i with c_{ij}^k = 1 are one run lo, lo+2, .., hi,
-    so the int8 table is written in place: +1 at row lo and -1 at row
-    hi+2 (two spare rows take the marks past the end), then row i adds
-    row i-2 for i = 2, 3, ...  Past the table itself the build holds only
-    rank**2 index arrays, and it makes one numpy call per row.
-    """
+    """The Verlinde fusion ring R_n with basis Delta_0 .. Delta_{n-1}:
+    the runs of fold 2n - 2 and step 2."""
     if n < 1:
         raise FusionRingError(f"ring order must be positive, got {n}")
-    j = np.arange(n)[:, None]
-    k = np.arange(n)
-    pair = j * n + k
-    total = j + k
-    marks = np.zeros((n + 2, n, n), dtype=np.int8)
-    flat = marks.reshape(-1)
-    flat[np.abs(j - k) * n * n + pair] = 1
-    flat[(np.minimum(total, 2 * n - total - 2) + 2) * n * n + pair] = -1
-    for i in range(2, n):
-        np.add(marks[i], marks[i - 2], out=marks[i])
-    marks.setflags(write=False)
-    labels = tuple(f"Δ_{k}" for k in range(n))
-    return FusionRing(labels, marks[:n])
+    return FusionRing((f"Δ_{k}" for k in range(n)), 2 * n - 2, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,12 +171,13 @@ def even_subring(ring: FusionRing) -> tuple[FusionRing, tuple[int, ...]]:
     """Even-indexed fusion subring of a Verlinde ring.
 
     The one place that fixes the even part as basis indices 0, 2, 4, ...:
-    constants and labels are the strided slices ``[::2]``, and new index
-    k corresponds to old index ``embedding[k]`` = 2k.  Raises if the
-    even-indexed constants are not closed (impossible for Verlinde
-    rings, kept as a guard for malformed input).
+    new index k corresponds to old index ``embedding[k]`` = 2k, so a
+    module's even actions are its ``actions[::2]``.  Halving i, j and k
+    in the rule of R_n gives the runs of fold n - 1 and step 1.  Any other
+    ring raises FusionRingError: in an even part of rank 4 or more, for one,
+    the even-indexed elements are not closed.
     """
-    c = ring.constants
-    if np.any(c[::2, ::2, 1::2]):
-        raise FusionRingError("even-indexed basis elements are not multiplicatively closed")
-    return FusionRing(ring.labels[::2], c[::2, ::2, ::2]), tuple(range(0, ring.rank, 2))
+    if ring.step != 2:
+        raise FusionRingError(f"the even part is taken of Verlinde rings only, not {ring!r}")
+    even = FusionRing(ring.labels[::2], ring.fold // 2, 1)
+    return even, tuple(range(0, ring.rank, 2))

@@ -24,15 +24,17 @@ def exact_dtype(bound: int) -> type:
 
 
 def read_only(values, dtype) -> np.ndarray:
-    """``values`` as a read-only C-ordered array of ``dtype``.
+    """``values`` as a read-only array of ``dtype`` whose entries ``[i]`` are
+    C-ordered: only its first axis may be strided.
 
     An array that already is one, and whose every base array is read-only
     too, is returned as it is: a caller hands over an array it has just
-    built by making it read-only.  Anything else, in particular an array
-    the caller can still write or a view of one, is copied, so that no
-    later write reaches the result."""
+    built, or a strided view of one, by making it read-only.  Anything
+    else, in particular an array the caller can still write or a view of
+    one, is copied in C order, so that no later write reaches the result."""
     arr = np.asarray(values)
-    if arr.dtype == dtype and arr.flags.c_contiguous and _frozen(arr):
+    rows_c_ordered = arr.flags.c_contiguous or (arr.ndim > 1 and arr[:1].flags.c_contiguous)
+    if arr.dtype == dtype and rows_c_ordered and _frozen(arr):
         return arr
     arr = arr.astype(dtype, order="C")
     arr.setflags(write=False)
@@ -75,30 +77,34 @@ _PERRON_RESIDUAL_TOL = 1e-12
 _PERRON_MAX_ITER = 100_000
 
 
-def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Common Perron eigenvector of a (k, n, n) stack of commuting nonnegative matrices.
+def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
+    """Common Perron eigenvector of commuting nonnegative matrices M_0 .. M_{k-1},
+    given their (n, n) sum ``total`` and ``images(v)``, the (k, n) array of
+    the M_i v.
 
-    Power iteration from the all-ones vector on ``sum + I``: a positive
+    Power iteration from the all-ones vector on ``total + I``: a positive
     combination keeps the common Perron eigenspace, and the unit shift
     breaks the +/- eigenvalue tie of bipartite supports.  The sum has
     converged when successive Rayleigh quotients differ by less than
     1e-14 and the residual is below 1e-12, both scaled by
     max(1, |quotient|) (an absolute 1e-14 falls below the float spacing
     of quotients above about 64).  Returns each matrix's Rayleigh
-    quotient, whose error is quadratic in the vector's when the stack is
+    quotient, whose error is quadratic in the vector's when the set is
     closed under transposition, and the unit vector, once every matrix's
-    residual also passes 1e-12; a stack with no common Perron vector
-    never does, and after 100000 steps ConvergenceError is raised.
+    residual also passes 1e-12; matrices with no common Perron vector
+    never do, and after 100000 steps ConvergenceError is raised.
 
-    The stack is read in its own dtype and never copied to float64 whole:
-    the sum and the per-matrix images are float reductions that numpy
-    buffers, so an integer stack costs O(k n + n**2) extra memory.
+    Only the sum and the images are read, so the matrices need not be
+    held as floats, or at all: ``regular_element`` passes its integer
+    stack's ``sum(axis=0, dtype=float)`` and a buffered einsum, which never
+    copy the stack to float64, and a ``FusionRing`` its run lengths and
+    prefix sums.
     """
-    mats = np.asarray(matrix)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError(f"expected a (k, n, n) stack of matrices, got shape {mats.shape}")
-    n = mats.shape[1]
-    shifted = mats.sum(axis=0, dtype=float) + np.eye(n)
+    total = np.asarray(total, dtype=float)
+    if total.ndim != 2 or total.shape[0] != total.shape[1]:
+        raise ValueError(f"expected the (n, n) sum of the matrices, got shape {total.shape}")
+    n = len(total)
+    shifted = total + np.eye(n)
     vec = np.ones(n) / np.sqrt(n)
     rq_prev = np.inf
     for _ in range(_PERRON_MAX_ITER):
@@ -114,9 +120,9 @@ def perron_eigenpair(matrix) -> tuple[np.ndarray, np.ndarray]:
             abs(rq - rq_prev) < 1e-14 * scale
             and np.max(np.abs(image - rq * vec)) < _PERRON_RESIDUAL_TOL * scale
         ):
-            images = np.einsum("kij,j->ki", mats, vec)
-            values = images @ vec / (vec @ vec)
-            residuals = np.max(np.abs(images - values[:, None] * vec), axis=1)
+            moved = images(vec)
+            values = moved @ vec / (vec @ vec)
+            residuals = np.max(np.abs(moved - values[:, None] * vec), axis=1)
             if np.all(residuals < _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))):
                 return values, vec
         rq_prev = rq
@@ -170,9 +176,18 @@ def matrix_order(matrix, cap: int = 1000) -> int:
 
 def connected_components(support) -> list[list[int]]:
     """Sorted vertex lists of the components of a symmetric boolean adjacency,
-    by smallest vertex; log2(n) + 1 squarings of reachability cover every path."""
-    n = len(support)
-    reach = (np.asarray(support, dtype=bool) | np.eye(n, dtype=bool)).astype(float)
-    for _ in range(n.bit_length()):
-        reach = np.minimum(reach @ reach, 1.0)
-    return [np.flatnonzero(row).tolist() for v, row in enumerate(reach) if row.argmax() == v]
+    by smallest vertex: a breadth-first walk from each vertex not yet
+    reached, which reads each vertex's row once, so O(n**2) in all."""
+    adj = np.asarray(support, dtype=bool)
+    unseen = np.ones(len(adj), dtype=bool)
+    components = []
+    for root in range(len(adj)):
+        if unseen[root]:
+            unseen[root] = False
+            component = [root]
+            for v in component:  # the walk's queue: reached vertices are appended
+                reached = (adj[v] & unseen).nonzero()[0]
+                unseen[reached] = False
+                component += reached.tolist()
+            components.append(sorted(component))
+    return components

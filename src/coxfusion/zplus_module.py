@@ -64,12 +64,22 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     gate makes the loop end: the eigenvalues of A are then 2cos(pi m / h)
     over the exponents m, with m = 1 among them, and
     Delta_k(2cos t) = sin((k + 1) t) / sin t.  The recursion runs in
-    exact int8 on the tree: row v of A Delta_k sums the rows of Delta_k at
-    v's neighbours, padded to the largest degree with a zero row appended
-    to a copy of Delta_k, so a step is O(rank**2) with no matmul.  Each
-    step must be nonnegative with max * (largest degree + 1) <= 127, so
-    that the next cannot wrap.  The steps are dropped once stacked, before
-    the ring is built, and the module takes the stack without a copy.
+    exact int8 on the tree: row v of A X sums the rows of X at v's
+    neighbours, padded to the largest degree with a zero row appended to
+    a copy of X, so a step is O(rank**2) with no matmul.  Each step must
+    be nonnegative with max * (largest degree + 1) <= 127, so that the
+    next cannot wrap.
+
+    h - 1 is read first off the row sums Delta_k(A) 1, in int64 and
+    O(rank) per step, so that the stack is allocated once and filled in
+    place.  They first vanish at k = h - 1 as well: the all-ones vector
+    has a positive component along the Perron eigenvector of A, on which
+    Delta_k(A) acts by sin((k + 1) pi / h) / sin(pi / h) > 0 for k < h - 1.
+    Their loop stops at the first k where no row sum is positive or one
+    exceeds 127 * rank / (largest degree + 1).  Unless Delta_k(A) is then
+    zero, one of its entries fails the check above, so a diagram past the
+    gate that is not ADE raises.  On such a diagram the loop still ends:
+    with spectral radius 2 or more, the Perron component grows.
     """
     if not d.is_ade():
         raise CoxeterError(f"diagram {d.name} is not of ADE type")
@@ -79,37 +89,43 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     width = int(degree.max(initial=0))
     order = np.argsort(adjacency == 0, axis=0)[:width]
     neighbours = np.where(np.arange(width)[:, None] < degree, order, n)
-    padded = np.zeros((n + 1, n), dtype=np.int8)
-    prev, step = np.zeros((n, n), dtype=np.int8), np.eye(n, dtype=np.int8)
-    acts = []
-    while True:
+
+    def times_adjacency(x, padded):
+        padded[:n] = x
+        return padded[neighbours].sum(axis=0, dtype=x.dtype)
+
+    def check(step):
         if step.min() < 0:
             raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
-        top = int(step.max())
-        if top == 0:
-            break
-        if top * (width + 1) > 127:
+        if int(step.max()) * (width + 1) > 127:
             raise ZPlusModuleError(f"Chebyshev actions of {d.name} leave the int8 range")
-        acts.append(step)
-        padded[:n] = step
-        prev, step = step, padded[neighbours].sum(axis=0, dtype=np.int8) - prev
-    actions = np.stack(acts)
-    del acts, prev, step
+
+    padded = np.zeros(n + 1, dtype=np.int64)
+    count, prev, sums = 0, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    while 0 < int(sums.max()) * (width + 1) <= 127 * n:
+        count += 1
+        prev, sums = sums, times_adjacency(sums, padded) - prev
+    actions = np.empty((count, n, n), dtype=np.int8)
+    padded = np.zeros((n + 1, n), dtype=np.int8)
+    prev, step = np.zeros((n, n), dtype=np.int8), np.eye(n, dtype=np.int8)
+    for k in range(count):
+        check(step)
+        actions[k] = step
+        prev, step = step, times_adjacency(step, padded) - prev
+    check(step)  # zero, unless the row sums stopped where a check fails
     actions.setflags(write=False)
-    return ZPlusModule(verlinde_ring(len(actions)), actions)
+    return ZPlusModule(verlinde_ring(count), actions)
 
 
 def restrict(module: ZPlusModule) -> ZPlusModule:
     """The module viewed over the even subring of its ring.
 
-    The subring and its embedding come from ``even_subring`` (cached per
-    ring); the actions of the even basis elements are kept as they are, in
-    one copy that the restricted module takes over.
+    The subring comes from ``even_subring`` (cached per ring); the actions
+    of the even basis elements are ``module.actions[::2]``, a read-only
+    strided view that the restricted module takes without a copy.
     """
-    even, embedding = even_subring(module.ring)
-    actions = module.actions[list(embedding)]
-    actions.setflags(write=False)
-    return ZPlusModule(even, actions)
+    even, _ = even_subring(module.ring)
+    return ZPlusModule(even, module.actions[::2])
 
 
 def decompose(module: ZPlusModule) -> list[list[int]]:
@@ -131,21 +147,26 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
 
     It is the common Perron vector of all actions, from one solve on the stack,
     checked against every generator at eigenvalue FP(b_i): the max-norm
-    residual of each must be at most 1e-9.  The images come from a buffered
-    float einsum, never from a float64 copy of the integer stack.
+    residual of each must be at most 1e-9.  The sum and the images come
+    from buffered float reductions, never from a float64 copy of the
+    integer stack.
     """
     components = decompose(module)
     if len(components) != 1:
         raise ZPlusModuleError(
             f"module is reducible ({len(components)} components); regular element undefined"
         )
-    _, vec = perron_eigenpair(module.actions)
+    mats = module.actions
+
+    def images(vec):
+        return np.einsum("kij,j->ki", mats, vec)
+
+    _, vec = perron_eigenpair(mats.sum(axis=0, dtype=float), images)
     vec = vec / vec.sum()
     if np.any(vec <= 0):
         raise ZPlusModuleError("Perron vector is not strictly positive")
     fp = module.ring.fp_dims()
-    images = np.einsum("kij,j->ki", module.actions, vec)
-    residuals = np.max(np.abs(images - fp[:, None] * vec), axis=1)
+    residuals = np.max(np.abs(images(vec) - fp[:, None] * vec), axis=1)
     failing = np.flatnonzero(residuals > 1e-9)
     if failing.size:
         i = int(failing[0])

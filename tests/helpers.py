@@ -1,12 +1,17 @@
 """Test fixtures and references that the library itself never builds.
 
 The library builds only Verlinde rings, their even parts and ADE modules.
-The Fibonacci ring (``fib_ring``) and the regular module
-(``regular_module``) keep the generic FP-dimension and axiom code under
-test on data outside those families.  ``verify_module_axioms`` is the
+``TableRing`` is a fusion ring handed over as a dense table, with FP
+dimensions from the Perron solve on its stack (``stack_perron``): the
+reference for the library's runs, and the carrier of injected defects.  The Fibonacci ring
+(``fib_ring``) and the regular module (``regular_module``) keep the
+generic FP-dimension and axiom code under test on data outside those
+families.  ``verify_module_axioms`` is the
 exact Z+-module axiom check, which no pipeline stage reads.
 ``reflection_matrices`` are the dense simple reflections, the reference
 that the library's rank-1 walk for the Coxeter element is tested against.
+``edges`` lists a diagram's bonds and ``squaring_components`` is the
+reachability-squaring reference for ``linalg.connected_components``.
 ``traced_peak`` is the tracemalloc peak of one call, for the memory pins;
 ``caller_writable`` gives the arrays a constructor must copy.  ``cycle``,
 ``affine_d`` and ``e10`` are Coxeter matrices of simply laced diagrams of
@@ -18,10 +23,44 @@ import tracemalloc
 import numpy as np
 
 from coxfusion.coxeter import CoxeterDiagram, cartan_form
-from coxfusion.fusion_ring import FusionRing
-from coxfusion.linalg import exact_dtype
+from coxfusion.fusion_ring import FusionRing, FusionRingError
+from coxfusion.linalg import exact_dtype, narrow_integers, perron_eigenpair
 from coxfusion.report import CheckResult, exact_check, sliced_check
 from coxfusion.zplus_module import ZPlusModule
+
+
+class TableRing(FusionRing):
+    """A fusion ring handed over as a dense table: ``constants[i, j, k]`` is
+    the coefficient of b_k in b_i * b_j, stored as ``narrow_integers``
+    stores it (read-only, taken without a copy when handed over so).  It
+    has no runs: FP dimensions come from the Perron solve on the stack of
+    left multiplication matrices ``constants[i].T``, and ``even_subring``
+    refuses it."""
+
+    def __init__(self, labels, constants):
+        super().__init__((str(lab) for lab in labels), fold=None, step=None)
+        constants = np.asarray(constants)
+        if constants.shape != (self.rank,) * 3:
+            raise FusionRingError(
+                f"constants tensor has shape {constants.shape}, expected {(self.rank,) * 3}"
+            )
+        constants = narrow_integers(constants, FusionRingError)
+        if constants.min(initial=0) < 0:
+            raise FusionRingError("structure constants must be nonnegative")
+        self.constants = constants
+
+    def _perron_pair(self):
+        return stack_perron(self.constants.transpose(0, 2, 1))
+
+
+def stack_perron(mats):
+    """``perron_eigenpair`` of a (k, n, n) stack of matrices, read as
+    ``regular_element`` reads the module's: the float sum of the stack and
+    buffered einsum images, with no float64 copy of an integer stack."""
+    mats = np.asarray(mats)
+    return perron_eigenpair(
+        mats.sum(axis=0, dtype=float), lambda vec: np.einsum("kij,j->ki", mats, vec)
+    )
 
 
 def fib_ring() -> FusionRing:
@@ -31,7 +70,7 @@ def fib_ring() -> FusionRing:
     constants[1, 0, 1] = 1
     constants[1, 1, 0] = 1
     constants[1, 1, 1] = 1
-    return FusionRing(("1", "x"), constants)
+    return TableRing(("1", "x"), constants)
 
 
 def regular_module(ring: FusionRing) -> ZPlusModule:
@@ -66,6 +105,21 @@ def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:
         mat[i, :] -= form[i, :]
         out.append(mat)
     return out
+
+
+def edges(d: CoxeterDiagram) -> list[tuple[int, int]]:
+    """Pairs i < j joined by a bond of order >= 3 or infinite, in row order."""
+    return [tuple(e) for e in np.argwhere(np.triu(d.adjacency_matrix())).tolist()]
+
+
+def squaring_components(support) -> list[list[int]]:
+    """Components as ``linalg.connected_components`` gives them, from
+    log2(n) + 1 squarings of the dense reachability matrix, O(n**3 log n)."""
+    n = len(support)
+    reach = (np.asarray(support, dtype=bool) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return [np.flatnonzero(row).tolist() for v, row in enumerate(reach) if row.argmax() == v]
 
 
 def cycle(n):

@@ -180,7 +180,7 @@ class TestVerify:
         assert code == 1 and "diagram" in err
 
     def test_non_convergence_is_exit_one(self, capsys, monkeypatch):
-        def diverge(matrix):
+        def diverge(total, images):
             raise ConvergenceError("power iteration did not converge in 1 steps")
 
         monkeypatch.setattr(coxfusion.zplus_module, "perron_eigenpair", diverge)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from coxfusion.chebyshev import delta, evaluate, product_support
-from coxfusion.fusion_ring import FusionRing, FusionRingError, even_subring, verlinde_ring
+from coxfusion.fusion_ring import FusionRingError, even_subring, verlinde_ring
 from coxfusion.report import all_passed
-from helpers import WRITABLE_SOURCES, caller_writable, fib_ring, traced_peak
+from helpers import WRITABLE_SOURCES, TableRing, caller_writable, fib_ring, traced_peak
 
 
 def product(ring, x, y):
@@ -36,20 +36,44 @@ class TestVerlindeRing:
     def test_axioms_exact(self, n):
         assert all_passed(verlinde_ring(n).verify_axioms())
 
-    @pytest.mark.parametrize("n", [*range(1, 41), 97, 197])
+    @pytest.mark.parametrize("n", [*range(1, 65), 97, 197])
     def test_mask_matches_product_support(self, n):
         reference = np.zeros((n, n, n), dtype=np.int64)
         for i in range(n):
             for j in range(n):
                 reference[i, j, product_support(i, j, n)] = 1
-        constants = verlinde_ring(n).constants
-        assert constants.dtype == np.int8
-        assert np.array_equal(constants, reference)
+        ring = verlinde_ring(n)
+        for constants, expected in (
+            (ring.constants, reference),
+            (even_subring(ring)[0].constants, reference[::2, ::2, ::2]),
+        ):
+            assert constants.dtype == np.int8 and not constants.flags.writeable
+            assert np.array_equal(constants, expected)
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 197, 597])
+    def test_fp_dims_match_dense_solve_and_closed_form(self, n):
+        # Fresh rings, so that no rank**3 table stays cached past the test.
+        ring = verlinde_ring.__wrapped__(n)
+        even, embedding = even_subring.__wrapped__(ring)
+        y = math.pi / (n + 1)
+        k = np.arange(n)
+        closed = np.sin(np.minimum(k + 1, n - k) * y) / np.sin(y)
+        for runs, expected in ((ring, closed), (even, closed[list(embedding)])):
+            dense = TableRing(runs.labels, runs.constants).fp_dims()
+            for reference in (dense, expected):
+                assert np.max(np.abs(runs.fp_dims() - reference) / reference) <= 1e-13
 
     def test_table_written_in_place(self):
-        # R_197 (D100's ring): the int8 table plus rank**2 index arrays, no rank**3 temporary
-        table_bytes = 197**3
-        assert traced_peak(verlinde_ring.__wrapped__, 197) <= 1.25 * table_bytes
+        # R_197 (D100's ring) holds no table until it is read; then the int8
+        # table is built beside at most six int64 rank**2 index arrays, no
+        # rank**3 temporary (at most 1.244 times the table, as the build at
+        # ring construction was pinned).  The same holds for its even part.
+        assert traced_peak(verlinde_ring.__wrapped__, 197) < 197**2
+        ring = verlinde_ring.__wrapped__(197)
+        even, _ = even_subring.__wrapped__(ring)
+        for runs in (ring, even):
+            bound = runs.rank**3 + 6 * 8 * runs.rank**2
+            assert traced_peak(getattr, runs, "constants") <= bound
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_constants_multiplicity_free(self, n):
@@ -100,12 +124,15 @@ class TestEvenSubring:
         assert sub.constants[1, 1].tolist() == [1, 1, 1]
 
     def test_not_closed_raises(self):
-        # The only guard on the even part: here Delta_2 * Delta_2 reaches Delta_1.
+        # The even part is taken of Verlinde rings only.  In the even part of
+        # R_7 the even-indexed Delta_2 * Delta_2 reaches Delta_1, and a table
+        # ring has no runs to halve.
+        sub, _ = even_subring(verlinde_ring(7))
+        assert sub.constants[2, 2, 1] == 1
         ring = verlinde_ring(3)
-        bad = np.array(ring.constants)
-        bad[2, 2, 1] = 1
-        with pytest.raises(FusionRingError, match="not multiplicatively closed"):
-            even_subring(FusionRing(ring.labels, bad))
+        for other in (sub, TableRing(ring.labels, ring.constants)):
+            with pytest.raises(FusionRingError, match="Verlinde rings only"):
+                even_subring(other)
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_axioms_exact(self, n):
@@ -195,7 +222,7 @@ class TestFPDim:
         for n in range(2, 60):
             for ring in (verlinde_ring(n), even_subring(verlinde_ring(n))[0]):
                 c = np.array(ring.constants)
-                dims = [FusionRing(ring.labels, x).fp_dims() for x in (c, np.asfortranarray(c))]
+                dims = [TableRing(ring.labels, x).fp_dims() for x in (c, np.asfortranarray(c))]
                 assert np.array_equal(dims[0], dims[1]), ring
 
     def test_non_associative_ring_has_no_common_perron_vector(self):
@@ -205,7 +232,7 @@ class TestFPDim:
         bad = np.array(ring.constants)
         bad[2, 2, 2] = 1
         with pytest.raises(FusionRingError, match="did not converge"):
-            FusionRing(ring.labels, bad).fp_dims()
+            TableRing(ring.labels, bad).fp_dims()
 
 
 class TestVerifyAxiomsReporting:
@@ -213,7 +240,7 @@ class TestVerifyAxiomsReporting:
         ring = verlinde_ring(3)
         bad = np.array(ring.constants)
         bad[1, 1, 0] = 2
-        report = FusionRing(ring.labels, bad).verify_axioms()
+        report = TableRing(ring.labels, bad).verify_axioms()
         names = [check.name for check in report if not check.passed]
         assert "based condition" in names
 
@@ -221,7 +248,7 @@ class TestVerifyAxiomsReporting:
         ring = verlinde_ring(3)
         bad = np.array(ring.constants)
         bad[1, 0, 1] = 2  # b_1 * 1 = 2 b_1: only the right unit law fails
-        report = {check.name: check for check in FusionRing(ring.labels, bad).verify_axioms()}
+        report = {check.name: check for check in TableRing(ring.labels, bad).verify_axioms()}
         assert report["unit law"].witness == (1, 1)
 
     # Witnesses of the rank**4 einsum check these replaced, pinned from it.
@@ -240,7 +267,7 @@ class TestVerifyAxiomsReporting:
             ring, _ = even_subring(ring)
         bad = np.array(ring.constants)
         bad[defect] += 1
-        report = {c.name: c for c in FusionRing(ring.labels, bad).verify_axioms()}
+        report = {c.name: c for c in TableRing(ring.labels, bad).verify_axioms()}
         assert report["associativity"].witness == witness
 
     @pytest.mark.parametrize("seed", range(20))
@@ -254,7 +281,7 @@ class TestVerifyAxiomsReporting:
         right = np.einsum("jkm,iml->ijkl", bad, bad)
         hits = np.argwhere(left != right)
         expected = tuple(int(x) for x in hits[0]) if len(hits) else None
-        report = {c.name: c for c in FusionRing(ring.labels, bad).verify_axioms()}
+        report = {c.name: c for c in TableRing(ring.labels, bad).verify_axioms()}
         assert report["associativity"].witness == expected
 
     def test_associativity_past_float_range(self):
@@ -265,7 +292,7 @@ class TestVerifyAxiomsReporting:
         c = np.zeros((3, 3, 3), dtype=np.int64)
         c[0] = c[:, 0] = np.eye(3, dtype=np.int64)
         c[1, 1, 1], c[1, 1, 2], c[1, 2, 1] = big, 1, 1
-        report = {check.name: check for check in FusionRing("1xy", c).verify_axioms()}
+        report = {check.name: check for check in TableRing("1xy", c).verify_axioms()}
         assert report["associativity"].witness == (1, 1, 1, 1)
 
     def test_associativity_past_int64_range_raises(self):
@@ -273,13 +300,13 @@ class TestVerifyAxiomsReporting:
         c[0] = c[:, 0] = np.eye(2, dtype=np.int64)
         c[1, 1, 1] = 2**32
         with pytest.raises(OverflowError):
-            FusionRing("1x", c).verify_axioms()
+            TableRing("1x", c).verify_axioms()
 
     def test_witness_on_failure(self):
         ring = verlinde_ring(3)
         bad = np.array(ring.constants)
         bad[2, 2, 2] = 1  # breaks associativity and the anti-automorphism symmetry
-        report = FusionRing(ring.labels, bad).verify_axioms()
+        report = TableRing(ring.labels, bad).verify_axioms()
         bad_checks = [check for check in report if not check.passed]
         assert bad_checks and all(check.witness is not None for check in bad_checks)
 
@@ -306,7 +333,7 @@ def test_even_part_generated_by_first_nontrivial_element():
 def test_json_round_trip():
     ring = verlinde_ring(4)
     data = ring.to_dict()
-    clone = FusionRing(data["labels"], data["constants"])
+    clone = TableRing(data["labels"], data["constants"])
     assert clone.labels == ring.labels
     assert np.array_equal(clone.constants, ring.constants)
     assert data["unit"] == 0
@@ -315,24 +342,24 @@ def test_json_round_trip():
 
 def test_rejects_negative_constants():
     with pytest.raises(FusionRingError):
-        FusionRing(("1",), [[[-1]]])
+        TableRing(("1",), [[[-1]]])
 
 
 @pytest.mark.parametrize("entry", [1.5, -0.5, float("nan"), float("inf"), 2.0**63, "x"])
 def test_rejects_non_integral_constants(entry):
     with pytest.raises(FusionRingError, match="integers"):
-        FusionRing(("1",), [[[entry]]])
+        TableRing(("1",), [[[entry]]])
 
 
 def test_integral_floats_are_stored_as_integers():
-    ring = FusionRing(("1",), [[[1.0]]])
+    ring = TableRing(("1",), [[[1.0]]])
     assert ring.constants.dtype == np.int8 and ring.constants.tolist() == [[[1]]]
 
 
 @pytest.mark.parametrize("which", WRITABLE_SOURCES)
 def test_caller_cannot_change_the_ring(which):
     table = np.array(verlinde_ring(3).constants)
-    ring = FusionRing(("a", "b", "c"), caller_writable(table)[which])
+    ring = TableRing(("a", "b", "c"), caller_writable(table)[which])
     table[1, 1, 1] = 5
     assert ring.constants[1, 1, 1] == 0
     assert not ring.constants.flags.writeable
@@ -341,4 +368,4 @@ def test_caller_cannot_change_the_ring(which):
 def test_handed_over_table_is_not_copied():
     table = np.array(verlinde_ring(3).constants)
     table.setflags(write=False)
-    assert FusionRing(("a", "b", "c"), table).constants is table
+    assert TableRing(("a", "b", "c"), table).constants is table

@@ -10,29 +10,29 @@ from coxfusion.coxeter import diagram
 from coxfusion.fusion_ring import verlinde_ring
 from coxfusion.linalg import (
     ConvergenceError,
+    connected_components,
     exact_dtype,
     matrix_order,
     narrow_integers,
-    perron_eigenpair,
     positive_definite,
     read_only,
     subspace_projector,
 )
-from helpers import WRITABLE_SOURCES, caller_writable
+from helpers import WRITABLE_SOURCES, caller_writable, cycle, squaring_components, stack_perron
 
 
 class TestPerronEigenpair:
     def test_stack_of_one_bipartite(self):
         # A3 is bipartite: its spectrum is symmetric about 0, and unshifted
         # power iteration would stall between the +-sqrt(2) eigenvectors.
-        values, vec = perron_eigenpair([diagram("A", 3).adjacency_matrix()])
+        values, vec = stack_perron([diagram("A", 3).adjacency_matrix()])
         assert values.shape == (1,)
         assert values[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert np.all(vec > 0)
 
     def test_left_multiplication_stack_of_r5(self):
         ring = verlinde_ring(5)
-        values, vec = perron_eigenpair(ring.constants.transpose(0, 2, 1))
+        values, vec = stack_perron(ring.constants.transpose(0, 2, 1))
         expected = [math.sin((k + 1) * math.pi / 6) / math.sin(math.pi / 6) for k in range(5)]
         assert np.max(np.abs(values - expected) / expected) < 1e-14
         assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-14)
@@ -42,7 +42,7 @@ class TestPerronEigenpair:
         assert mats.dtype == np.int8
         tracemalloc.start()
         try:
-            perron_eigenpair(mats)
+            stack_perron(mats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -52,7 +52,7 @@ class TestPerronEigenpair:
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
     def test_rejects_non_stack(self, shape):
         with pytest.raises(ValueError):
-            perron_eigenpair(np.ones(shape))
+            stack_perron(np.ones(shape))
 
 
 class TestNarrowIntegers:
@@ -106,6 +106,21 @@ class TestReadOnly:
         assert not np.shares_memory(out, arr) and not out.flags.writeable
         assert out.flags.c_contiguous and np.array_equal(out, arr)
 
+    def test_takes_a_strided_view_of_a_frozen_array(self):
+        # restrict keeps the even actions of a module as actions[::2]
+        arr = np.zeros((5, 2, 3), dtype=np.int8)
+        arr.setflags(write=False)
+        view = arr[::2]
+        assert not view.flags.c_contiguous
+        assert read_only(view, np.int8) is view
+
+    @pytest.mark.parametrize("which", WRITABLE_SOURCES)
+    def test_copies_a_strided_view_the_caller_can_write(self, which):
+        arr = np.arange(30, dtype=np.int8).reshape(5, 2, 3)
+        out = read_only(caller_writable(arr)[which][::2], np.int8)
+        assert not np.shares_memory(out, arr) and not out.flags.writeable
+        assert out.flags.c_contiguous and np.array_equal(out, arr[::2])
+
     def test_read_only_view_of_a_writable_base_is_copied(self):
         arr = np.arange(6, dtype=np.int8).reshape(2, 3)  # a view of the writable arange
         arr.setflags(write=False)
@@ -118,6 +133,45 @@ class TestReadOnly:
             out = read_only(src, dtype)
             assert out.dtype == dtype and out.flags.c_contiguous and not out.flags.writeable
             assert np.array_equal(out, src)
+
+
+def _random_forest(rng, n):
+    adj = np.zeros((n, n), dtype=bool)
+    for v in range(1, n):
+        if rng.random() < 0.8:
+            u = int(rng.integers(v))
+            adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def _random_graph(rng, n):
+    upper = np.triu(rng.random((n, n)) < 2.0 / n, 1)
+    return upper | upper.T
+
+
+class TestConnectedComponents:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_squaring_on_forests_and_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        for make in (_random_forest, _random_graph):
+            adj = make(rng, int(rng.integers(1, 60)))
+            perm = rng.permutation(len(adj))
+            for support in (adj, adj[np.ix_(perm, perm)]):
+                assert connected_components(support) == squaring_components(support)
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_cycles_and_their_disjoint_union(self, n):
+        ring = cycle(n) == 3
+        union = np.zeros((2 * n + 1, 2 * n + 1), dtype=bool)
+        union[1::2, 1::2] = ring  # odd vertices form the cycle, even ones are isolated
+        union[:n, :n] |= ring  # a second cycle on 0..n-1, joined to the first
+        for support in (ring, union):
+            assert connected_components(support) == squaring_components(support)
+        assert connected_components(ring) == [list(range(n))]
+
+    def test_empty_and_edgeless(self):
+        assert connected_components(np.zeros((0, 0), dtype=bool)) == []
+        assert connected_components(np.eye(3, dtype=bool)) == [[0], [1], [2]]
 
 
 class TestExactDtype:

@@ -252,9 +252,11 @@ class TestOwnership:
 
     @pytest.mark.parametrize("tag", ["A3", "D5", "E8"])
     def test_stages_hand_over_their_stacks(self, tag):
+        # ade_module hands over its stack, and restrict a strided view of it
         module = ade_module(parse_diagram(tag))
-        for actions in (module.actions, restrict(module).actions):
-            assert actions.base is None and not actions.flags.writeable
+        restricted = restrict(module).actions
+        assert module.actions.base is None and not module.actions.flags.writeable
+        assert restricted.base is module.actions and not restricted.flags.writeable
 
 
 class TestDecompose:
