@@ -81,7 +81,7 @@ def cmd_ring(args) -> int:
         raise UsageError(f"ring order must be >= 1, got {args.n}")
     ring = verlinde_ring(args.n)
     if args.even:
-        ring, _ = even_subring(ring)
+        ring = even_subring(ring)
     if args.verify:
         report = ring.verify_axioms()
         _emit(_report_json(report), args.out)
@@ -102,6 +102,17 @@ def cmd_ring(args) -> int:
     return 0
 
 
+def _check_json(check) -> dict:
+    """``check.to_dict()`` with the float values of a witness dict, the
+    regular-split residuals, at 12 significant digits."""
+    out = check.to_dict()
+    if isinstance(check.witness, dict):
+        out["witness"] = {
+            key: _sig(v) if isinstance(v, float) else v for key, v in check.witness.items()
+        }
+    return out
+
+
 def cmd_verify(args) -> int:
     d = _resolve_diagram(args)
     report = verify_mod.check_main_theorem(d, tol=_tolerance(args))
@@ -110,7 +121,7 @@ def cmd_verify(args) -> int:
     # both sections unless one of them is named
     if not args.theorem:
         for check in report.lemmas:
-            results[check.name] = check.to_dict()
+            results[check.name] = _check_json(check)
             ok = ok and check.passed
     if not args.lemmas:
         results["main theorem"] = report.to_dict()

@@ -1,5 +1,5 @@
 """Small numerical kernels: Perron pairs, positive definiteness, projectors,
-components, exact matmuls, narrow read-only storage."""
+components, read-only int8 storage."""
 
 from __future__ import annotations
 
@@ -8,19 +8,6 @@ import numpy as np
 
 class ConvergenceError(ArithmeticError):
     """Raised when an iterative eigenvalue computation fails to settle."""
-
-
-EXACT_FLOAT_BOUND = 2**53
-
-
-def exact_dtype(bound: int) -> type:
-    """Dtype of exact integer matmuls whose partial sums stay below ``bound``:
-    float64 (BLAS) below 2**53, int64 (no BLAS) below 2**63, else OverflowError."""
-    if bound < EXACT_FLOAT_BOUND:
-        return np.float64
-    if bound < 2**63:
-        return np.int64
-    raise OverflowError(f"integer products up to {bound} overflow int64")
 
 
 def read_only(values, dtype) -> np.ndarray:
@@ -53,13 +40,13 @@ def _frozen(arr: np.ndarray) -> bool:
 
 
 def narrow_integers(values, error: type[Exception]) -> np.ndarray:
-    """``values`` in the narrowest signed dtype, int8 at least, that holds its
-    entries, read-only and C-ordered; copied unless ``read_only`` may take it
-    as it is.  An int8 array is taken without a scan: no dtype is narrower.
+    """``values`` as a read-only, C-ordered int8 array, the one width in
+    which the library stores integer tables; copied unless ``read_only``
+    may take it as it is.  An int8 array is taken without a scan.
 
-    Raises ``error`` unless every entry is an integer in the int64 range.
-    Products of such arrays wrap silently: widen them with ``exact_dtype``
-    or compute them in float."""
+    Raises ``error`` unless every entry is an integer in [-128, 127].
+    Products of int8 arrays wrap silently: take them in float64, which is
+    exact while every partial sum stays below 2**53."""
     arr = np.asarray(values)
     if arr.dtype == np.int8:
         return read_only(arr, np.int8)
@@ -67,10 +54,9 @@ def narrow_integers(values, error: type[Exception]) -> np.ndarray:
     integral = kind in "biu" or (kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr))))
     if not integral:
         raise error("entries must be integers")
-    dtype = np.min_scalar_type(min(int(arr.min(initial=0)), -int(arr.max(initial=0)) - 1))
-    if dtype.kind != "i":
-        raise error("entries must be integers in the int64 range")
-    return read_only(arr, dtype)
+    if not -128 <= int(arr.min(initial=0)) <= int(arr.max(initial=0)) <= 127:
+        raise error("entries must be integers in the int8 range")
+    return read_only(arr, np.int8)
 
 
 _PERRON_RESIDUAL_TOL = 1e-12

@@ -29,11 +29,10 @@ class ZPlusModule:
     ``actions[i]`` is the matrix of the ring basis element b_i; entry
     (k, l) is the coefficient of m_k in b_i . m_l.  As in ``FusionRing``,
     b_0 is the unit and the ring's basis is self-dual, and the actions are
-    stored read-only in the narrowest signed integer dtype that holds them
-    (int8 for every ADE module, whose entries are at most 6), without a copy
-    when the caller hands over a read-only stack stored so
-    (``linalg.read_only``).  Entries that are not integers raise
-    ZPlusModuleError.
+    stored read-only in int8 (an ADE module's entries are at most 6),
+    without a copy when the caller hands over a read-only int8 stack
+    (``linalg.read_only``).  Entries that are not integers in the int8
+    range raise ZPlusModuleError.
     """
 
     def __init__(self, ring: FusionRing, actions):
@@ -124,8 +123,7 @@ def restrict(module: ZPlusModule) -> ZPlusModule:
     of the even basis elements are ``module.actions[::2]``, a read-only
     strided view that the restricted module takes without a copy.
     """
-    even, _ = even_subring(module.ring)
-    return ZPlusModule(even, module.actions[::2])
+    return ZPlusModule(even_subring(module.ring), module.actions[::2])
 
 
 def decompose(module: ZPlusModule) -> list[list[int]]:

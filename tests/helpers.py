@@ -24,15 +24,16 @@ import numpy as np
 
 from coxfusion.coxeter import CoxeterDiagram, cartan_form
 from coxfusion.fusion_ring import FusionRing, FusionRingError
-from coxfusion.linalg import exact_dtype, narrow_integers, perron_eigenpair
+from coxfusion.linalg import narrow_integers, perron_eigenpair
 from coxfusion.report import CheckResult, exact_check, sliced_check
 from coxfusion.zplus_module import ZPlusModule
 
 
 class TableRing(FusionRing):
     """A fusion ring handed over as a dense table: ``constants[i, j, k]`` is
-    the coefficient of b_k in b_i * b_j, stored as ``narrow_integers``
-    stores it (read-only, taken without a copy when handed over so).  It
+    the coefficient of b_k in b_i * b_j, stored in int8 by
+    ``narrow_integers`` (read-only, taken without a copy when handed over
+    so; entries outside [-128, 127] raise FusionRingError).  It
     has no runs: FP dimensions come from the Perron solve on the stack of
     left multiplication matrices ``constants[i].T``, and ``even_subring``
     refuses it."""
@@ -80,12 +81,13 @@ def regular_module(ring: FusionRing) -> ZPlusModule:
 
 def verify_module_axioms(module: ZPlusModule) -> list[CheckResult]:
     """Exact checks: unit action, nonnegativity, ring compatibility, the
-    last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) in the dtype
-    ``exact_dtype`` picks, up to the first i with a mismatch."""
+    last one i at a time (b_i . (b_j . m) against (b_i b_j) . m) up to the
+    first i with a mismatch.  The products are taken in float64, which is
+    exact here: each entry sums at most max(module rank, ring rank)
+    products of int8 entries, so it stays below 128**2 times that rank in
+    magnitude, less than 2**53 for any rank below about 5.5e11."""
     acts, c = module.actions, module.ring.constants
-    top = int(np.abs(acts).max(initial=0))
-    dtype = exact_dtype(max(module.rank * top, module.ring.rank * int(c.max())) * top)
-    a, x = acts.astype(dtype), c.astype(dtype)
+    a, x = acts.astype(float), c.astype(float)
     bad = (a[i] @ a != np.tensordot(x[i], a, 1) for i in range(len(c)))
     eye = np.eye(module.rank, dtype=np.int64)
     return [

@@ -19,9 +19,9 @@ import coxfusion.cli
 import coxfusion.coxeter
 import coxfusion.zplus_module
 from coxfusion.cli import main, parse_roster
-from coxfusion.coxeter import CoxeterDiagram
+from coxfusion.coxeter import CoxeterDiagram, diagram
 from coxfusion.linalg import ConvergenceError
-from coxfusion.verify import default_roster
+from coxfusion.verify import check_main_theorem, default_roster
 from coxfusion.zplus_module import ZPlusModuleError
 
 
@@ -106,6 +106,16 @@ class TestVerify:
         assert results["bifurcation lemma"]["passed"]
         assert results["decomposition lemma"]["passed"]
         assert results["regular split"]["passed"]
+
+    def test_lemma_witnesses_at_twelve_digits(self, capsys):
+        # the CLI rounds the regular-split residuals like every float it
+        # prints; the library's CheckResult keeps them at full precision
+        code, out, _ = run(capsys, "verify", "E8", "--lemmas")
+        assert code == 0
+        witness = json.loads(out)["regular split"]["witness"]
+        full = check_main_theorem(diagram("E", 8)).lemmas[2].witness
+        assert witness == {key: float(f"{v:.12g}") for key, v in full.items()}
+        assert witness != full
 
     def test_default_is_all(self, capsys):
         code, out, _ = run(capsys, "verify", "D4")

@@ -50,11 +50,9 @@ class TestFromFusionRing:
     def test_even_subring_hypergroup_is_restriction(self):
         for n in (5, 8, 13):
             ring = verlinde_ring(n)
-            sub, embedding = even_subring(ring)
             full = from_fusion_ring(ring)
-            small = from_fusion_ring(sub)
-            idx = list(embedding)
-            restricted = full.constants[np.ix_(idx, idx, idx)]
+            small = from_fusion_ring(even_subring(ring))
+            restricted = full.constants[::2, ::2, ::2]
             assert np.max(np.abs(small.constants - restricted)) < 1e-12
 
 
@@ -82,7 +80,7 @@ class TestVerifyAxioms:
         assert all_passed(verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(30))))
 
     def test_large_even_part(self):
-        sub, _ = even_subring(verlinde_ring(29))
+        sub = even_subring(verlinde_ring(29))
         assert all_passed(verify_hypergroup_axioms(from_fusion_ring(sub)))
 
     def test_associativity_residual_of_r30(self):
@@ -105,7 +103,7 @@ class TestVerifyAxioms:
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_row_sums_and_involution_condition(self, n):
-        for ring in (verlinde_ring(n), even_subring(verlinde_ring(n))[0]):
+        for ring in (verlinde_ring(n), even_subring(verlinde_ring(n))):
             hg = from_fusion_ring(ring)
             assert np.max(np.abs(hg.constants.sum(axis=2) - 1.0)) < 1e-10
             col0 = hg.constants[:, :, 0]

@@ -90,6 +90,11 @@ class TestAdeModule:
         with pytest.raises(ZPlusModuleError, match="integers"):
             ZPlusModule(verlinde_ring(1), [[[entry]]])
 
+    @pytest.mark.parametrize("entry", [128, -129, 2**40])
+    def test_rejects_actions_past_the_int8_range(self, entry):
+        with pytest.raises(ZPlusModuleError, match="int8 range"):
+            ZPlusModule(verlinde_ring(1), [[[entry]]])
+
     def test_rejects_non_ade(self):
         with pytest.raises(CoxeterError):
             ade_module(diagram("B", 3))
@@ -232,7 +237,7 @@ class TestRestrict:
     def test_over_the_cached_even_subring(self, tag):
         module = ade_module(parse_diagram(tag))
         restricted = restrict(module)
-        assert restricted.ring is even_subring(module.ring)[0]
+        assert restricted.ring is even_subring(module.ring)
         assert np.array_equal(restricted.actions, module.actions[::2])
 
 
