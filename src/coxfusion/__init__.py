@@ -1,6 +1,5 @@
 """Coxeter planes as fixed points of Verlinde-ring hypergroup actions."""
 
-from .chebyshev import IntPolynomial, delta, evaluate, product_support
 from .coxeter import (
     INFINITE,
     Bipartition,
@@ -12,7 +11,6 @@ from .coxeter import (
     coxeter_number,
     coxeter_plane,
     diagram,
-    distinguished_coxeter_element,
     parse_diagram,
     project_to_plane,
     root_system,

@@ -159,11 +159,18 @@ def parse_diagram(spec: str) -> CoxeterDiagram:
     return diagram(match.group(1), int(match.group(2)))
 
 
+#: Orders whose form entry -2cos(pi/m) is a float64 integer, written exactly:
+#: cos(pi/2) and cos(pi/3) round to 6.1e-17 and 0.5000000000000001.
+_EXACT_ENTRIES = {1: 2.0, 2: 0.0, 3: -1.0, INFINITE: -2.0}
+
+
 def cartan_form(d: CoxeterDiagram) -> np.ndarray:
-    """Symmetric bilinear form matrix with entries -2cos(pi/m(i, j)), one math.cos per order."""
+    """Symmetric bilinear form matrix with entries -2cos(pi/m(i, j)), one math.cos per order:
+    exactly 2, 0, -1 and -2 at m = 1, 2, 3 and infinity."""
     form = np.empty((d.rank, d.rank))
     for m in set(d.coxeter_matrix.ravel().tolist()):
-        form[d.coxeter_matrix == m] = -2.0 if m == INFINITE else -2.0 * math.cos(math.pi / m)
+        value = _EXACT_ENTRIES[m] if m in _EXACT_ENTRIES else -2.0 * math.cos(math.pi / m)
+        form[d.coxeter_matrix == m] = value
     return form
 
 
@@ -192,23 +199,22 @@ def bipartition(d: CoxeterDiagram) -> Bipartition:
 
 
 def _bipartite_word(parts: Bipartition, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The running product along i_1 ... i_n, even class then odd: the roots
-    theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j}, one per row, and gamma = s_{i_1} ... s_{i_n}.
+    """gamma = s_{i_1} ... s_{i_n}, even class then odd, and its roots
+    theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j}, one per row, in closed form.
 
-    s_k = I - e_k form[k] changes only row k, so multiplying by it on the
-    right is the rank-1 update gamma -= gamma[:, k] form[k], done in place;
-    theta_j is copied out before its column is updated."""
-    gamma = np.eye(len(form))
-    theta = np.empty_like(gamma)
-    for j, k in enumerate(parts.plus + parts.minus):
-        theta[j] = gamma[:, k]
-        gamma -= np.outer(gamma[:, k], form[k])
-    return theta, gamma
-
-
-def distinguished_coxeter_element(d: CoxeterDiagram) -> np.ndarray:
-    """gamma = s_{i_1} ... s_{i_n}: the even-class reflections, then the odd class."""
-    return _bipartite_word(bipartition(d), cartan_form(d))[1]
+    This rests on the form being exactly 0 inside each class, as ``cartan_form``
+    writes it at m = 2: the reflections of one class then commute, and their
+    product is the involution I - P form, with P the diagonal projector onto the
+    class, which keeps the class's rows of the form (Steinberg, Trans. AMS 1959;
+    Humphreys 3.17).  So gamma = s_plus s_minus; theta_j = alpha_j on the even
+    class, and theta_j = s_plus alpha_j, column j of s_plus, on the odd class."""
+    plus, minus = list(parts.plus), list(parts.minus)
+    eye = np.eye(len(form))
+    s_plus, s_minus = eye.copy(), eye.copy()
+    s_plus[plus] -= form[plus]
+    s_minus[minus] -= form[minus]
+    theta = np.vstack([eye[plus], s_plus.T[minus]])
+    return theta, s_plus @ s_minus
 
 
 def coxeter_number(d: CoxeterDiagram) -> int:
@@ -256,7 +262,7 @@ class CoxeterPlane:
 
 def coxeter_plane(d: CoxeterDiagram) -> CoxeterPlane:
     """The plane side's one build: h from ``coxeter_number`` (the gate), one form,
-    one ``eigh`` of 2I - form, one bipartition and one walk of gamma's word.  The
+    one ``eigh`` of 2I - form, one bipartition and gamma = s_plus s_minus.  The
     exponents run from 1 to h - 1, so +-2cos(pi/h) must be the two ends of the
     ascending spectrum, each simple; anything else raises CoxeterError."""
     if d.rank < 2:
@@ -309,7 +315,7 @@ def root_system(p: CoxeterPlane) -> np.ndarray:
     an (n * h, n) array; read from the plane, with nothing rebuilt.
 
     For gamma = s_{i_1} ... s_{i_n}, taken in the bipartite order of
-    ``distinguished_coxeter_element``, the roots
+    ``CoxeterPlane.parts``, the roots
     theta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j} lie in n distinct
     gamma-orbits of size h, and these orbits make up the root system
     (Steinberg, Trans. AMS 1959; Bourbaki, Lie groups and Lie algebras,

@@ -29,9 +29,10 @@ class FusionRing:
 
     Basis element 0 is the unit and the basis is self-dual.  c_{ij}^k = 1
     iff |j-k| <= i <= min(j+k, fold-j-k) and i = j+k mod step, else 0; the
-    rule is symmetric in i, j, k.  R_n has fold 2n-2 and step 2
-    (``chebyshev.product_support``); its even part, in its own indices, has
-    fold n-1 and step 1.  ``fp_dims`` reads the runs in O(rank**2) memory.
+    rule is symmetric in i, j, k.  R_n has fold 2n-2 and step 2, the
+    product rule of the Chebyshev polynomials Delta_k modulo Delta_n; its
+    even part, in its own indices, has fold n-1 and step 1.  ``fp_dims``
+    reads the runs in O(rank**2) memory.
     ``constants[i, j, k]``, the coefficient of b_k in b_i * b_j, is the
     read-only int8 table of the rule, rank**3 bytes (213 MB for R_597):
     it is built on first read and kept.  Only the table commands, the

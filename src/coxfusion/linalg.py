@@ -137,29 +137,6 @@ def subspace_projector(vectors) -> np.ndarray:
     return q @ q.T
 
 
-def matrix_order(matrix, cap: int = 1000) -> int:
-    """Smallest k >= 1 with matrix**k == I, up to ``cap``.
-
-    The k-th power passes within 4 k**3 eps of I in max norm.  For a
-    Coxeter element in the simple-root basis the rounding of its h-th
-    power measured 0.03 to 0.31 h**3 eps (I2(5) to I2(100000), E8, H4,
-    B10, A300, D300), and every other power was 2 away from I.  Past
-    the k where the tolerance reaches 0.5 (about 82000) a wrong power
-    could pass, so the search stops there with a ConvergenceError.
-    """
-    mat = np.asarray(matrix, dtype=float)
-    eye = np.eye(mat.shape[0])
-    power = eye
-    for k in range(1, cap + 1):
-        tol = 4 * k**3 * 2.0**-52  # float64 eps = 2**-52
-        if tol > 0.5:
-            raise ConvergenceError(f"matrix order exceeds {k - 1}, past float64 resolution")
-        power = power @ mat
-        if np.max(np.abs(power - eye)) < tol:
-            return k
-    raise ConvergenceError(f"matrix order exceeds cap {cap}; input may not be of finite order")
-
-
 def connected_components(support) -> list[list[int]]:
     """Sorted vertex lists of the components of a symmetric boolean adjacency,
     by smallest vertex: a breadth-first walk from each vertex not yet

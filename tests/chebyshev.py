@@ -1,4 +1,5 @@
-"""Exact integer Chebyshev-type polynomials and their product rules.
+"""Exact integer Chebyshev-type polynomials and their product rules: the
+tests' reference for the Verlinde rings' supports and FP dimensions.
 
 The family Delta_k is defined by Delta_0 = 1, Delta_1 = x and the
 recursion Delta_k = x * Delta_{k-1} - Delta_{k-2}.  These are the

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from coxfusion.chebyshev import delta
+from chebyshev import delta
 from coxfusion.cli import main
 from coxfusion.coxeter import (
     bipartition,
@@ -23,10 +23,10 @@ from coxfusion.coxeter import (
 )
 from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.hypergroup import from_fusion_ring
-from coxfusion.linalg import matrix_order
 from coxfusion.report import all_passed
 from coxfusion.verify import check_main_theorem, default_roster
 from coxfusion.zplus_module import ade_module
+from helpers import matrix_order
 
 ADE_ROSTER = default_roster()
 

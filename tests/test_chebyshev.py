@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from coxfusion.chebyshev import (
+from chebyshev import (
     ONE,
     X,
     IntPolynomial,

@@ -222,6 +222,12 @@ class TestProject:
         radii = [math.hypot(x, y) for x, y in points]
         assert max(radii) - min(radii) < 1e-6
 
+    def test_a2_and_i2_3_print_exact_zeros(self, capsys):
+        # the same group: with the exact form both print 0, not rounding noise
+        outputs = [run(capsys, "project", tag)[1] for tag in ("A2", "I2(3)")]
+        assert outputs[0] == outputs[1]
+        assert "e-1" not in outputs[0]
+
     def test_rank_one_rejected(self, capsys):
         code, _, err = run(capsys, "project", "A1")
         assert code == 1 and "rank" in err
@@ -267,7 +273,7 @@ class TestProject:
 
     @pytest.mark.parametrize("tag", ["E8", "H4", "I2(9)"])
     def test_project_builds_the_plane_once(self, capsys, monkeypatch, tag):
-        # one bipartition and one walk of gamma's word feed the plane and the roots;
+        # one bipartition and one gamma = s_plus s_minus feed the plane and the roots;
         # the form is built by the gate and once more by the plane
         calls = []
         for name in ("bipartition", "_bipartite_word", "cartan_form"):

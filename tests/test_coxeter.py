@@ -8,20 +8,21 @@ import pytest
 from coxfusion.coxeter import (
     CoxeterDiagram,
     CoxeterError,
+    _bipartite_word,
     bipartition,
     cartan_form,
     coxeter_number,
     coxeter_plane,
     diagram,
-    distinguished_coxeter_element,
     parse_diagram,
     plane_restriction,
     project_to_plane,
     root_system,
     rotation_angle,
 )
-from coxfusion.linalg import ConvergenceError, matrix_order, subspace_projector
-from helpers import affine_d, cycle, e10, edges, reflection_matrices
+from coxfusion.linalg import ConvergenceError, subspace_projector
+from coxfusion.verify import default_roster
+from helpers import affine_d, cycle, e10, edges, matrix_order, reflection_matrices
 
 ALL_TYPES = (
     [diagram("A", n) for n in range(2, 9)]
@@ -109,6 +110,12 @@ class TestCartanForm:
     def test_diagonal_always_two(self):
         for d in ALL_TYPES:
             assert np.allclose(np.diag(cartan_form(d)), 2.0, atol=1e-14)
+
+    @pytest.mark.parametrize("m,entry", [(2, 0.0), (3, -1.0)])
+    def test_exact_entries(self, m, entry):
+        # -2cos(pi/2) and -2cos(pi/3) round to -1.2e-16 and -1.0000000000000002
+        form = cartan_form(CoxeterDiagram([[1, m], [m, 1]]))
+        assert np.array_equal(form, [[2.0, entry], [entry, 2.0]])
 
     def test_infinite_bond_convention(self):
         d = CoxeterDiagram([[1, 0], [0, 1]])  # INFINITE sentinel is 0
@@ -205,7 +212,7 @@ class TestBipartition:
 
 
 def dense_word(d):
-    """Reference for the rank-1 walk: the running product of the dense
+    """Reference for the closed form: the running product of the dense
     reflections along the bipartite order, with the column taken at each step."""
     parts = bipartition(d)
     refl = reflection_matrices(d)
@@ -220,21 +227,22 @@ def dense_word(d):
 class TestDistinguishedElement:
     @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
     def test_walk_matches_dense_product(self, d):
-        # measured: 4.4e-16 at F4, 2.2e-16 at B_n, H3 and H4, <= 2e-31 simply laced
+        # measured: 0 on every type here, since the form is exactly 0 inside each class
         _, gamma = dense_word(d)
-        assert np.max(np.abs(distinguished_coxeter_element(d) - gamma)) <= 1e-14
+        closed = _bipartite_word(bipartition(d), cartan_form(d))[1]
+        assert np.max(np.abs(closed - gamma)) <= 1e-14
 
     @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
     def test_first_roots_are_running_product_columns(self, d):
-        # theta_j must be the column before the in-place update, not a view of it
+        # theta_j is alpha_j on the even class and column j of s_plus on the odd class
         theta, _ = dense_word(d)
         roots = np.array(root_system(coxeter_plane(d)))
         assert np.max(np.abs(roots[: d.rank] - theta)) <= 1e-14
 
     def test_orders(self):
-        assert matrix_order(distinguished_coxeter_element(diagram("A", 2))) == 3
-        assert matrix_order(distinguished_coxeter_element(diagram("A", 1))) == 2
-        assert matrix_order(distinguished_coxeter_element(diagram("E", 8))) == 30
+        assert matrix_order(dense_word(diagram("A", 2))[1]) == 3
+        assert matrix_order(dense_word(diagram("A", 1))[1]) == 2
+        assert matrix_order(dense_word(diagram("E", 8))[1]) == 30
 
     @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
     def test_half_products_are_involutions(self, d):
@@ -291,7 +299,7 @@ class TestCoxeterNumber:
     def test_matches_gamma_order(self, tag):
         # the spectral h against gamma's order, found by the independent power walk
         d = parse_diagram(tag)
-        assert coxeter_number(d) == matrix_order(distinguished_coxeter_element(d))
+        assert coxeter_number(d) == matrix_order(dense_word(d)[1])
 
     @pytest.mark.parametrize(
         "d,h",
@@ -313,7 +321,7 @@ class TestCoxeterNumber:
         def forbidden(*args, **kwargs):
             raise AssertionError("coxeter_number built the bipartition or gamma")
 
-        for name in ("distinguished_coxeter_element", "bipartition"):
+        for name in ("_bipartite_word", "bipartition"):
             monkeypatch.setattr(coxfusion.coxeter, name, forbidden)
         if h is None:
             with pytest.raises(CoxeterError, match="not positive definite"):
@@ -436,6 +444,12 @@ class TestCoxeterPlane:
         plane = coxeter_plane(d)
         assert matrix_order(plane.gamma) == plane.h
 
+    @pytest.mark.parametrize("tag", ["E8", "D100"])
+    def test_rotation_angle_is_2pi_over_h(self, tag):
+        # measured 2.6e-15 at D100
+        plane = coxeter_plane(parse_diagram(tag))
+        assert abs(abs(rotation_angle(plane)) - 2.0 * math.pi / plane.h) < 1e-13
+
     def test_u_plus_positive(self):
         for d in ALL_TYPES:
             assert np.all(coxeter_plane(d).u_plus > 0)
@@ -451,6 +465,13 @@ class TestRootSystem:
     @pytest.mark.parametrize("tag,count", sorted(ROOT_COUNTS.items()))
     def test_counts(self, tag, count):
         assert len(root_system(coxeter_plane(parse_diagram(tag)))) == count
+
+    @pytest.mark.parametrize("tag", [d.name for d in default_roster()] + ["A100", "D30"])
+    def test_simply_laced_gamma_and_roots_are_integers(self, tag):
+        # the exact form makes every product integral: no rounding enters
+        plane = coxeter_plane(parse_diagram(tag))
+        for x in (plane.gamma, root_system(plane)):
+            assert np.array_equal(x, np.round(x))
 
     @pytest.mark.parametrize("tag", ["D4", "F4", "H3", "H4", "E8", "I2(7)"])
     def test_closed_under_reflections(self, tag):
@@ -503,7 +524,7 @@ class TestRootSystem:
     @pytest.mark.parametrize("tag", ["E8", "H4"])
     def test_rows_are_gamma_orbits(self, tag):
         d = parse_diagram(tag)
-        gamma = distinguished_coxeter_element(d)
+        gamma = dense_word(d)[1]
         roots = np.array(root_system(coxeter_plane(d)))
         assert np.max(np.abs(roots[d.rank :] - roots[: -d.rank] @ gamma.T)) < 1e-9
 

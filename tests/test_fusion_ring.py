@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import helpers
+from chebyshev import delta, evaluate, product_support
 from coxfusion import linalg
-from coxfusion.chebyshev import delta, evaluate, product_support
 from coxfusion.fusion_ring import FusionRingError, even_subring, verlinde_ring
 from coxfusion.report import all_passed
 from helpers import WRITABLE_SOURCES, TableRing, caller_writable, fib_ring, traced_peak

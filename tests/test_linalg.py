@@ -11,13 +11,19 @@ from coxfusion.fusion_ring import verlinde_ring
 from coxfusion.linalg import (
     ConvergenceError,
     connected_components,
-    matrix_order,
     narrow_integers,
     positive_definite,
     read_only,
     subspace_projector,
 )
-from helpers import WRITABLE_SOURCES, caller_writable, cycle, squaring_components, stack_perron
+from helpers import (
+    WRITABLE_SOURCES,
+    caller_writable,
+    cycle,
+    matrix_order,
+    squaring_components,
+    stack_perron,
+)
 
 
 class TestPerronEigenpair:

@@ -138,6 +138,10 @@ class TestMainTheorem:
         assert report.h == 30
         assert abs(abs(report.rotation_angle) - 2.0 * math.pi / 30.0) < 1e-10
 
+    def test_d300_projector_distance(self):
+        # measured 1.5e-12; the dense rounding of the plane side once gave 6.4e-11
+        assert check_main_theorem(parse_diagram("D300")).projector_distance < 5e-12
+
     def test_empty_fixed_space_fails_at_the_plane_distance(self, monkeypatch):
         # the projector onto no vectors is zero, so the distance is |P_plane| = sqrt(2)
         import coxfusion.verify
@@ -218,7 +222,7 @@ class TestIndependence:
             monkeypatch,
             "coxeter_number",
             "cartan_form",
-            "distinguished_coxeter_element",
+            "_bipartite_word",
         )
         module = ade_module(parse_diagram(tag))
         assert module.ring.rank == h - 1
@@ -265,7 +269,7 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
     assert check_main_theorem(diagram("E", 8)).passed
     # One Perron solve each for the full ring, the even ring and the module;
     # the only modules built are the ADE module and its even restriction.
-    # The plane builds the bipartition and walks gamma's word once, and the lemmas
+    # The plane builds the bipartition and gamma = s_plus s_minus once, and the lemmas
     # read its classes; the form is built twice, for the gate and for the plane.
     assert calls == {
         "ade_module": 1,
