@@ -92,9 +92,9 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     n = len(total)
     shifted = total + np.eye(n)
     vec = np.ones(n) / np.sqrt(n)
+    image = shifted @ vec
     rq_prev = np.inf
     for _ in range(_PERRON_MAX_ITER):
-        image = shifted @ vec
         norm = float(np.linalg.norm(image))
         if norm == 0.0:
             raise ConvergenceError("power iteration collapsed to the zero vector")

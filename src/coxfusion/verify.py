@@ -57,19 +57,17 @@ def check_regular_split(module: ZPlusModule, parts: Bipartition) -> CheckResult:
     """r+ +/- r- are +/-FP(Delta_1)-eigenvectors of the Delta_1 action,
     each with a residual norm below 1e-9.
 
-    The split r = r+ + r- is taken from the regular element of the full
-    module by masking the bipartition classes, which fixes the relative
-    scaling of the two halves.
+    The split r = r+ + r- masks the regular element of the full module by
+    the bipartition classes, which fixes the relative scaling of the two
+    halves: r+ + r- is r, and r+ - r- is r with the minus class negated.
     """
     reg = regular_element(module)
-    r_plus = np.zeros(module.rank)
-    r_minus = np.zeros(module.rank)
-    r_plus[list(parts.plus)] = reg[list(parts.plus)]
-    r_minus[list(parts.minus)] = reg[list(parts.minus)]
+    mirrored = reg.copy()
+    mirrored[list(parts.minus)] *= -1.0
     delta1 = module.actions[1].astype(float)
     fp1 = module.ring.fp_dim(1)
-    residual_sum = float(np.linalg.norm(delta1 @ (r_plus + r_minus) - fp1 * (r_plus + r_minus)))
-    residual_diff = float(np.linalg.norm(delta1 @ (r_plus - r_minus) + fp1 * (r_plus - r_minus)))
+    residual_sum = float(np.linalg.norm(delta1 @ reg - fp1 * reg))
+    residual_diff = float(np.linalg.norm(delta1 @ mirrored + fp1 * mirrored))
     passed = residual_sum < _REGULAR_SPLIT_TOL and residual_diff < _REGULAR_SPLIT_TOL
     return CheckResult(
         "regular split", passed, {"sum": residual_sum, "diff": residual_diff}

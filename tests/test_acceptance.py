@@ -132,7 +132,7 @@ def test_criterion_06_coxeter_numbers():
 def test_criterion_07_plane_eigenvalue_simplicity_and_rotation_order():
     ok = True
     for d in ALL_TYPES_RANK_GE_2:
-        plane = coxeter_plane(d)  # raises unless the +/-2cos(pi/h) gaps exceed 1e-6
+        plane = coxeter_plane(d)  # raises unless the 2cos(pi/h) gap at the top exceeds 1e-6
         eigenvalues = np.linalg.eigvalsh(2.0 * np.eye(d.rank) - np.array(plane.form))
         lam = 2.0 * math.cos(math.pi / plane.h)
         for target in (lam, -lam):

@@ -367,6 +367,15 @@ def test_is_ade_agrees_with_coxeter_number_gate(d):
     assert d.is_ade() == finite
 
 
+def _double_top_eigenvalue(evals, evecs):
+    evals[-2] = evals[-1]
+
+
+def _mix_top_vector_signs(evals, evecs):
+    top = evecs[:, -1]
+    top[np.argmin(np.abs(top))] *= -1.0  # the largest entry keeps its sign
+
+
 class TestCoxeterPlane:
     def test_a3(self):
         plane = coxeter_plane(diagram("A", 3))
@@ -408,7 +417,7 @@ class TestCoxeterPlane:
     @pytest.mark.parametrize("tag", ["E8", "H4", "B3"])
     def test_h_minus_one_has_no_plane(self, monkeypatch, tag):
         # 2cos(pi/(h-1)) lies inside the spectrum of 2I - A, below its top end
-        # 2cos(pi/h): reading the two ends still refuses it
+        # 2cos(pi/h): reading the top end still refuses it
         import coxfusion.coxeter
 
         d = parse_diagram(tag)
@@ -418,6 +427,43 @@ class TestCoxeterPlane:
         monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _: h - 1)
         with pytest.raises(CoxeterError, match="no eigenvalue of 2I-A near"):
             coxeter_plane(d)
+
+    @pytest.mark.parametrize("tag", ["E8", "H4", "B3"])
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (_double_top_eigenvalue, "is not simple"),
+            (_mix_top_vector_signs, "plus eigenvector is not entrywise positive"),
+        ],
+        ids=["doubled", "sign-mixed"],
+    )
+    def test_bad_top_eigenpair_refused(self, monkeypatch, tag, corrupt, message):
+        import coxfusion.coxeter
+
+        eigh = np.linalg.eigh
+
+        def corrupted(sym):
+            evals, evecs = eigh(sym)
+            corrupt(evals, evecs)
+            return evals, evecs
+
+        monkeypatch.setattr(coxfusion.coxeter.np.linalg, "eigh", corrupted)
+        with pytest.raises(CoxeterError, match=message):
+            coxeter_plane(parse_diagram(tag))
+
+    @pytest.mark.parametrize(
+        "d",
+        [parse_diagram(tag) for tag in ("A100", "D100", "D300")] + ALL_TYPES,
+        ids=lambda d: d.name,
+    )
+    def test_u_minus_mirrors_u_plus_exactly(self, d):
+        # u_minus is u_plus with the minus class negated, up to one scale factor:
+        # measured 4.5e-16 at worst, at A100
+        plane = coxeter_plane(d)
+        sign = np.ones(d.rank)
+        sign[list(bipartition(d).minus)] = -1.0
+        ratio = plane.u_minus * sign / plane.u_plus
+        assert np.ptp(ratio) / ratio.mean() < 1e-14
 
     @pytest.mark.parametrize("d", ALL_TYPES, ids=lambda d: d.name)
     def test_eigenvector_relations(self, d):
@@ -446,7 +492,7 @@ class TestCoxeterPlane:
 
     @pytest.mark.parametrize("tag", ["E8", "D100"])
     def test_rotation_angle_is_2pi_over_h(self, tag):
-        # measured 2.6e-15 at D100
+        # measured 1.1e-14 at D100
         plane = coxeter_plane(parse_diagram(tag))
         assert abs(abs(rotation_angle(plane)) - 2.0 * math.pi / plane.h) < 1e-13
 
