@@ -51,13 +51,6 @@ class FusionRing:
     def rank(self) -> int:
         return len(self.labels)
 
-    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) as (rank, rank) arrays over (j, k): the first and the
-        last i with c_{ij}^k = 1."""
-        j = np.arange(self.rank)[:, None]
-        k = np.arange(self.rank)
-        return np.abs(j - k), np.minimum(j + k, self.fold - j - k)
-
     @functools.cached_property
     def constants(self) -> np.ndarray:
         """The table, written in place: +1 at row lo and -1 at row hi + step
@@ -65,36 +58,58 @@ class FusionRing:
         i - step for i = step, step + 1, ...  Past the table the build holds
         only rank**2 index arrays, and it makes one numpy call per row."""
         n, step = self.rank, self.step
-        lo, hi = self._runs()
+        past_hi, lo = self._run_ends(np.arange(n + step))
         pair = np.arange(n * n).reshape(n, n)
         marks = np.zeros((n + step, n, n), dtype=np.int8)
         flat = marks.reshape(-1)
         flat[lo * n * n + pair] = 1
-        flat[(hi + step) * n * n + pair] = -1
+        flat[past_hi * n * n + pair] = -1
         for i in range(step, n):
             np.add(marks[i], marks[i - step], out=marks[i])
         marks.setflags(write=False)
         return marks[:n]
+
+    def _run_ends(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values[hi + step], values[lo]) as (rank, rank) views over (j, k),
+        where lo = |j - k| and hi = min(j + k, fold - j - k) are the first
+        and the last i with c_{ij}^k = 1.
+
+        hi depends on j + k only and lo on j - k only, so each is a strided
+        view of 2 * rank - 1 values read off ``values``, Hankel and Toeplitz:
+        no rank**2 index array is built.
+        """
+        n = self.rank
+        m = np.arange(2 * n - 1)
+        upper = values[np.minimum(m, self.fold - m) + self.step]  # at m = j + k
+        lower = values[np.abs(m - (n - 1))]  # at m = n - 1 - j + k
+        size = upper.itemsize
+        return (
+            np.ndarray((n, n), upper.dtype, upper, 0, (size, size)),
+            np.ndarray((n, n), lower.dtype, lower, (n - 1) * size, (-size, size)),
+        )
 
     def _perron_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """``perron_eigenpair`` of the left multiplication matrices
         L_i[k, j] = c_{ij}^k, read off the runs.
 
         Their sum at (k, j) is the length of the run of (j, k),
-        (hi - lo) / step + 1.  By the symmetry of the rule, (L_i v)_k sums
+        (hi - lo) / step + 1 = (hi + step) // step - lo // step (hi = lo mod
+        step), an int32 array.  By the symmetry of the rule, (L_i v)_k sums
         v over the run of (i, k), which is S[hi + step] - S[lo] for the
-        prefix sums S[m] = sum of v_t over t < m with t = m mod step.
+        prefix sums S[m] = sum of v_t over t < m with t = m mod step.  Both
+        are differences of the two ``_run_ends`` windows, so past the Perron
+        loop's own float copy of the sum this holds one int32 rank**2 array.
         """
-        lo, hi = self._runs()
-        step = self.step
+        n, step = self.rank, self.step
 
         def images(vec):
-            sums = np.zeros(self.rank + step)
+            sums = np.zeros(n + step)
             for start in range(step):
                 np.cumsum(vec[start::step], out=sums[start + step :: step])
-            return sums[hi + step] - sums[lo]
+            return np.subtract(*self._run_ends(sums))
 
-        return perron_eigenpair((hi - lo) / step + 1.0, images)
+        lengths = np.arange(n + step, dtype=np.int32) // step
+        return perron_eigenpair(np.subtract(*self._run_ends(lengths)), images)
 
     def fp_dims(self) -> np.ndarray:
         """Frobenius-Perron dimensions of all basis elements (cached)."""
@@ -119,10 +134,11 @@ class FusionRing:
         c_{ij}^0 = [i == j] and the involution anti-automorphism is
         commutativity.  Associativity compares (b_i b_j) b_k with
         b_i (b_j b_k) one i at a time in rank**3 memory, and stops at the
-        first i with a mismatch.  It multiplies in float64, which is exact
-        here: each associator entry sums at most rank products of int8
-        entries, so it stays below 127**2 * rank, less than 2**53 for any
-        rank below about 5.6e11.
+        first i with a mismatch; on this table, symmetric in all three
+        indices, ``associators`` takes one product per i, over k >= i.  It
+        multiplies in float64, which is exact here: each associator entry
+        sums at most rank products of int8 entries, so it stays below
+        127**2 * rank, less than 2**53 for any rank below about 5.6e11.
         """
         c = self.constants
         eye = np.eye(self.rank, dtype=np.int64)
@@ -149,15 +165,38 @@ class FusionRing:
 def associators(c: np.ndarray):
     """Yield (b_i b_j) b_k - b_i (b_j b_k) as a [j, k, l] array for i = 0, 1, ...
 
-    Two matmuls per i into two rank**3 buffers that each step overwrites.
+    With C_i = c[i] and B_k = c[:, k], both indexed [m, l], the (j, l) block
+    at k is the commutator C_i B_k - B_k C_i; each step writes these blocks
+    by k into two rank**3 buffers, and yields a transposed view.
+    - A commutative table has B_k = C_k, so block k of step i is minus
+      block i of step k, and step i computes only k >= i: its blocks
+      k < i read 0.  The first nonzero entry stays where it was (were it
+      at some k < i, step k would hold one first), so a scan up to it
+      reads the same witness.  The largest |entry| is the same in exact
+      arithmetic; on a float table, products taken in blocks may round
+      apart from one wide product in the last bit.  Two products per
+      step, over k >= i.
+    - If every C_k is also symmetric (a self-dual table reciprocal in all
+      three indices, as the Verlinde table), C_k C_i = (C_i C_k)^T: one
+      product per step, and its blocks minus their transposes.
+    - Any other table takes both products over every k.
     """
     n = len(c)
-    by_i, by_l = c.reshape(n, n * n), c.reshape(n * n, n)
-    left, right = np.empty((n, n * n), c.dtype), np.empty((n * n, n), c.dtype)
+    commutative = np.array_equal(c, c.transpose(1, 0, 2))
+    reciprocal = commutative and np.array_equal(c, c.transpose(0, 2, 1))
+    by_k = c if commutative else c.transpose(1, 0, 2)
+    blocks, products = np.empty((n, n, n), c.dtype), np.empty((n, n, n), c.dtype)
     for i in range(n):
-        np.matmul(c[i], by_i, out=left)
-        np.matmul(by_l, c[i], out=right)
-        yield np.subtract(left, right.reshape(n, n * n), out=left).reshape(n, n, n)
+        start = i if commutative else 0
+        if start:
+            blocks[start - 1] = 0  # the blocks below it are still 0 from earlier steps
+        left = np.matmul(c[i], by_k[start:], out=products[start:])
+        if reciprocal:
+            np.subtract(left, left.transpose(0, 2, 1), out=blocks[start:])
+        else:
+            right = np.matmul(by_k[start:], c[i], out=blocks[start:])
+            np.subtract(left, right, out=right)
+        yield blocks.transpose(1, 0, 2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -68,12 +68,13 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     given their (n, n) sum ``total`` and ``images(v)``, the (k, n) array of
     the M_i v.
 
-    Power iteration from the all-ones vector on ``total + I``: a positive
-    combination keeps the common Perron eigenspace, and the unit shift
-    breaks the +/- eigenvalue tie of bipartite supports.  The sum has
-    converged when successive Rayleigh quotients differ by less than
-    1e-14 and the residual is below 1e-12, both scaled by
-    max(1, |quotient|) (an absolute 1e-14 falls below the float spacing
+    Power iteration from the all-ones vector on ``total + I``, built in a
+    float64 copy, so that ``total`` may be an integer array and is never
+    written: a positive combination keeps the common Perron eigenspace,
+    and the unit shift breaks the +/- eigenvalue tie of bipartite
+    supports.  The sum has converged when successive Rayleigh quotients
+    differ by less than 1e-14 and the residual is below 1e-12, both scaled
+    by max(1, |quotient|) (an absolute 1e-14 falls below the float spacing
     of quotients above about 64).  Returns each matrix's Rayleigh
     quotient, whose error is quadratic in the vector's when the set is
     closed under transposition, and the unit vector, once every matrix's
@@ -83,14 +84,15 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     Only the sum and the images are read, so the matrices need not be
     held as floats, or at all: ``regular_element`` passes its integer
     stack's ``sum(axis=0, dtype=float)`` and a buffered einsum, which never
-    copy the stack to float64, and a ``FusionRing`` its run lengths and
-    prefix sums.
+    copy the stack to float64, and a ``FusionRing`` its int32 run lengths
+    and prefix sums.
     """
-    total = np.asarray(total, dtype=float)
+    total = np.asarray(total)
     if total.ndim != 2 or total.shape[0] != total.shape[1]:
         raise ValueError(f"expected the (n, n) sum of the matrices, got shape {total.shape}")
     n = len(total)
-    shifted = total + np.eye(n)
+    shifted = total.astype(float)  # the loop's own copy: the caller's sum is never written
+    shifted.flat[:: n + 1] += 1.0
     vec = np.ones(n) / np.sqrt(n)
     image = shifted @ vec
     rq_prev = np.inf
@@ -108,7 +110,8 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
         ):
             moved = images(vec)
             values = moved @ vec / (vec @ vec)
-            residuals = np.max(np.abs(moved - values[:, None] * vec), axis=1)
+            off = values[:, None] * vec  # then |moved - off|, in place
+            residuals = np.max(np.abs(np.subtract(moved, off, out=off), out=off), axis=1)
             if np.all(residuals < _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))):
                 return values, vec
         rq_prev = rq

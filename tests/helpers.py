@@ -7,7 +7,9 @@ reference for the library's runs, and the carrier of injected defects.  The Fibo
 (``fib_ring``) and the regular module (``regular_module``) keep the
 generic FP-dimension and axiom code under test on data outside those
 families.  ``verify_module_axioms`` is the
-exact Z+-module axiom check, which no pipeline stage reads.
+exact Z+-module axiom check, which no pipeline stage reads, and
+``dense_associators`` the full two-product associator slices that
+``fusion_ring.associators`` halves on commutative tables.
 ``reflection_matrices`` are the dense simple reflections, the reference
 that the library's closed form for the Coxeter element is tested against,
 and ``matrix_order`` is the power walk that checks its order against h.
@@ -96,6 +98,19 @@ def verify_module_axioms(module: ZPlusModule) -> list[CheckResult]:
         exact_check("nonnegative integer entries", acts < 0),
         sliced_check("module compatibility", bad),
     ]
+
+
+def dense_associators(c: np.ndarray):
+    """Yield (b_i b_j) b_k - b_i (b_j b_k) as a [j, k, l] array for i = 0, 1, ...:
+    two matmuls per i over every k, into two rank**3 buffers that each step
+    overwrites, whatever the symmetry of the table."""
+    n = len(c)
+    by_i, by_l = c.reshape(n, n * n), c.reshape(n * n, n)
+    left, right = np.empty((n, n * n), c.dtype), np.empty((n * n, n), c.dtype)
+    for i in range(n):
+        np.matmul(c[i], by_i, out=left)
+        np.matmul(by_l, c[i], out=right)
+        yield np.subtract(left, right.reshape(n, n * n), out=left).reshape(n, n, n)
 
 
 def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:

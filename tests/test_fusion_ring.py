@@ -1,5 +1,6 @@
 """Fusion ring construction, exact axioms and FP dimensions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import helpers
 from chebyshev import delta, evaluate, product_support
 from coxfusion import linalg
-from coxfusion.fusion_ring import FusionRingError, even_subring, verlinde_ring
+from coxfusion.fusion_ring import FusionRingError, associators, even_subring, verlinde_ring
+from coxfusion.hypergroup import from_fusion_ring, verify_hypergroup_axioms
 from coxfusion.report import all_passed
 from helpers import WRITABLE_SOURCES, TableRing, caller_writable, fib_ring, traced_peak
 
@@ -76,6 +78,12 @@ class TestVerlindeRing:
         for runs in (ring, even):
             bound = runs.rank**3 + 6 * 8 * runs.rank**2
             assert traced_peak(getattr, runs, "constants") <= bound
+
+    def test_fp_dims_hold_no_rank2_index_array(self):
+        # A float64 rank**2 array of R_597 takes 2.72 MiB.  The solve holds
+        # the int32 run-length sum, the Perron loop's float copy of it, the
+        # images and one residual buffer: about 3.5 of them.
+        assert traced_peak(verlinde_ring.__wrapped__(597).fp_dims) <= 10 * 2**20
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_constants_multiplicity_free(self, n):
@@ -253,6 +261,13 @@ class TestFPDim:
         assert checked
 
 
+DEFECT_ORBITS = {
+    "generic": lambda i, j, k: {(i, j, k)},
+    "commutative": lambda i, j, k: {(i, j, k), (j, i, k)},
+    "symmetric": lambda i, j, k: set(itertools.permutations((i, j, k))),
+}
+
+
 class TestVerifyAxiomsReporting:
     def test_injected_based_defect(self):
         ring = verlinde_ring(3)
@@ -288,13 +303,26 @@ class TestVerifyAxiomsReporting:
         report = {c.name: c for c in TableRing(ring.labels, bad).verify_axioms()}
         assert report["associativity"].witness == witness
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_associativity_witness_matches_full_tensor(self, seed):
+    @pytest.mark.parametrize(
+        "symmetry,seed",
+        [
+            pytest.param(symmetry, seed, id=f"{symmetry}-{seed}".removeprefix("generic-"))
+            for symmetry in DEFECT_ORBITS
+            for seed in range(20)
+        ],
+    )
+    def test_associativity_witness_matches_full_tensor(self, symmetry, seed):
+        # Defects added on their orbit keep the table commutative, or
+        # symmetric in all three indices, so that the witness of the k >= i
+        # and the one-product paths of ``associators`` is checked too.
         rng = np.random.default_rng(seed)
         ring = verlinde_ring(int(rng.integers(2, 12)))
         bad = np.array(ring.constants)
         for _ in range(int(rng.integers(1, 4))):
-            bad[tuple(rng.integers(0, ring.rank, 3))] += int(rng.integers(1, 3))
+            index = tuple(int(x) for x in rng.integers(0, ring.rank, 3))
+            step = int(rng.integers(1, 3))
+            for entry in DEFECT_ORBITS[symmetry](*index):
+                bad[entry] += step
         left = np.einsum("ijm,mkl->ijkl", bad, bad)
         right = np.einsum("jkm,iml->ijkl", bad, bad)
         hits = np.argwhere(left != right)
@@ -326,6 +354,41 @@ class TestVerifyAxiomsReporting:
         report = TableRing(ring.labels, bad).verify_axioms()
         bad_checks = [check for check in report if not check.passed]
         assert bad_checks and all(check.witness is not None for check in bad_checks)
+
+
+class TestAssociatorProducts:
+    """How many blocks each matmul of ``associators`` takes, one entry per
+    call: a fallback to the full two-product path fails here."""
+
+    @staticmethod
+    def blocks_per_matmul(monkeypatch, check, *args):
+        counts, matmul = [], np.matmul
+
+        def counted(a, b, out):
+            counts.append(len(out))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        check(*args)
+        return counts
+
+    def test_verlinde_table_takes_one_product_per_step(self, monkeypatch):
+        ring = verlinde_ring(12)
+        counts = self.blocks_per_matmul(monkeypatch, ring.verify_axioms)
+        assert counts == [12 - i for i in range(12)]
+
+    def test_its_hypergroup_takes_two_over_k_from_i(self, monkeypatch):
+        hg = from_fusion_ring(verlinde_ring(12))
+        counts = self.blocks_per_matmul(monkeypatch, verify_hypergroup_axioms, hg)
+        assert counts == [12 - i for i in range(12) for _ in range(2)]
+
+    def test_non_commutative_table_takes_two_over_every_k(self, monkeypatch):
+        ring = verlinde_ring(12)
+        bad = np.array(ring.constants)
+        bad[3, 5, 4] += 1
+        c = TableRing(ring.labels, bad).constants.astype(float)
+        counts = self.blocks_per_matmul(monkeypatch, lambda: list(associators(c)))
+        assert counts == [12] * 24
 
 
 def test_even_part_generated_by_first_nontrivial_element():

@@ -19,7 +19,14 @@ from coxfusion.linalg import subspace_projector
 from coxfusion.report import all_passed
 from coxfusion.verify import default_roster
 from coxfusion.zplus_module import ZPlusModule, ade_module, decompose, regular_element, restrict
-from helpers import WRITABLE_SOURCES, TableRing, caller_writable, fib_ring, traced_peak
+from helpers import (
+    WRITABLE_SOURCES,
+    TableRing,
+    caller_writable,
+    dense_associators,
+    fib_ring,
+    traced_peak,
+)
 
 
 def z2_group_ring():
@@ -92,6 +99,25 @@ class TestVerifyAxioms:
         report = verify_hypergroup_axioms(hg)
         assert report[-1].name == "associativity"
         assert report[-1].witness == float(np.max(np.abs(left - right)))
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_associativity_residual_matches_dense_slices_in_r60(self, even):
+        # the k >= i half reads the same largest |entry| as both products over every k
+        ring = verlinde_ring(60)
+        hg = from_fusion_ring(even_subring(ring) if even else ring)
+        dense = max(float(max(a.max(), -a.min())) for a in dense_associators(hg.constants))
+        assert verify_hypergroup_axioms(hg)[-1].witness == dense
+
+    def test_asymmetric_pair_fails_involution_conditions(self):
+        # In R_4, b_1 b_2 has the terms b_1 and b_3.  Moving weight between
+        # them keeps every row sum and unit coefficient, but b_1 b_2 is no
+        # longer b_2 b_1, so the involution is no anti-automorphism.
+        constants = np.array(from_fusion_ring(verlinde_ring(4)).constants)
+        constants[1, 2, 1] -= 1e-3
+        constants[1, 2, 3] += 1e-3
+        report = {check.name: check for check in verify_hypergroup_axioms(Hypergroup(constants))}
+        assert report["row sums equal 1"].passed and report["unit law"].passed
+        assert not report["involution conditions"].passed
 
     def test_perturbed_row_sum_fails(self):
         hg = from_fusion_ring(verlinde_ring(4))

@@ -12,6 +12,7 @@ from coxfusion.linalg import (
     ConvergenceError,
     connected_components,
     narrow_integers,
+    perron_eigenpair,
     positive_definite,
     read_only,
     subspace_projector,
@@ -53,6 +54,16 @@ class TestPerronEigenpair:
             tracemalloc.stop()
         # an eighth of what a float64 copy of the stack alone would take
         assert peak < mats.size
+
+    def test_integer_sum_is_read_not_written(self):
+        # The loop shifts its own float copy: a read-only integer sum gives
+        # the same pair as its float64 cast.
+        mats = verlinde_ring(9).constants.transpose(0, 2, 1)
+        total = mats.sum(axis=0)
+        total.setflags(write=False)
+        values, vec = perron_eigenpair(total, lambda v: np.einsum("kij,j->ki", mats, v))
+        expected_values, expected_vec = stack_perron(mats)
+        assert np.array_equal(values, expected_values) and np.array_equal(vec, expected_vec)
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
     def test_rejects_non_stack(self, shape):
