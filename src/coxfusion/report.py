@@ -29,9 +29,8 @@ def exact_check(name: str, *bad: np.ndarray) -> CheckResult:
     The witness is the first set index of the first array that has one.
     """
     for mask in bad:
-        hits = np.argwhere(mask)
-        if len(hits):
-            return CheckResult(name, False, tuple(int(x) for x in hits[0]))
+        if mask.any():
+            return CheckResult(name, False, tuple(int(x) for x in np.argwhere(mask)[0]))
     return CheckResult(name, True)
 
 

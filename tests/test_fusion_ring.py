@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from chebyshev import delta, evaluate, product_support
-from coxfusion import linalg
+from coxfusion import fusion_ring, linalg
 from coxfusion.fusion_ring import FusionRingError, associators, even_subring, verlinde_ring
 from coxfusion.hypergroup import from_fusion_ring, verify_hypergroup_axioms
 from coxfusion.report import all_passed
@@ -356,6 +356,74 @@ class TestVerifyAxiomsReporting:
         assert bad_checks and all(check.witness is not None for check in bad_checks)
 
 
+def einsum_witness(table):
+    """First index of the rank**4 einsum associator that is nonzero, or None."""
+    left = np.einsum("ijm,mkl->ijkl", table, table)
+    right = np.einsum("jkm,iml->ijkl", table, table)
+    hits = np.argwhere(left != right)
+    return tuple(int(x) for x in hits[0]) if len(hits) else None
+
+
+def unit_table(rank):
+    """An int64 table whose b_0 is a two-sided unit and all else is 0."""
+    c = np.zeros((rank,) * 3, dtype=np.int64)
+    c[0] = c[:, 0] = np.eye(rank, dtype=np.int64)
+    return c
+
+
+class TestNucleusCertificate:
+    """``verify_axioms`` certifies associativity when b_1 lies in the middle
+    nucleus and generates the ring, and scans every associator otherwise."""
+
+    @staticmethod
+    def no_full_scan(monkeypatch):
+        def refuse(c):
+            raise AssertionError("the full associator scan ran")
+
+        monkeypatch.setattr(fusion_ring, "associators", refuse)
+
+    def test_verlinde_rings_and_even_parts_take_the_certificate(self, monkeypatch):
+        self.no_full_scan(monkeypatch)
+        for n in range(1, 61):
+            for ring in (verlinde_ring(n), even_subring(verlinde_ring(n))):
+                assert all_passed(ring.verify_axioms()), ring
+
+    def test_nucleus_element_that_does_not_generate(self):
+        # b_1**2 = b_1 and b_1 b_k = b_k b_1 = 0 for k >= 2 put b_1 in the
+        # middle nucleus, but it generates only {b_0, b_1}; b_2**2 = b_3 and
+        # b_3 b_2 = b_2 make (b_2 b_2) b_2 = b_2 and b_2 (b_2 b_2) = 0.
+        c = unit_table(4)
+        c[1, 1, 1] = c[2, 2, 3] = c[3, 2, 2] = 1
+        assert not fusion_ring.nucleus_certificate(c.astype(float))
+        report = {check.name: check for check in TableRing("1xyz", c).verify_axioms()}
+        assert report["associativity"].witness == einsum_witness(c) == (2, 2, 2, 2)
+
+    def test_klein_four_group_ring_passes_the_full_scan(self):
+        # b_i b_j = b_{i xor j}: associative, and b_1 generates only {b_0, b_1}.
+        c = np.zeros((4, 4, 4), dtype=np.int64)
+        for i, j in itertools.product(range(4), repeat=2):
+            c[i, j, i ^ j] = 1
+        assert not fusion_ring.nucleus_certificate(c.astype(float))
+        assert all_passed(TableRing("1abc", c).verify_axioms())
+
+    @pytest.mark.parametrize("defect", [(1, 0, 1), (0, 2, 2), (1, 0, 2)])
+    def test_unit_law_defect_takes_the_full_scan(self, defect):
+        ring = verlinde_ring(5)
+        bad = np.array(ring.constants)
+        bad[defect] += 1
+        report = {check.name: check for check in TableRing(ring.labels, bad).verify_axioms()}
+        assert not report["unit law"].passed
+        assert report["associativity"].witness == einsum_witness(bad) is not None
+
+    def test_r120_holds_no_second_float_table(self):
+        # Past the float64 copy of the table (13.2 MiB) the certificate holds
+        # rank**2 buffers per row; the full scan holds two more rank**3
+        # buffers (43.0 MiB in all).
+        ring = verlinde_ring.__wrapped__(120)
+        ring.constants
+        assert traced_peak(ring.verify_axioms) <= 20 * 2**20
+
+
 class TestAssociatorProducts:
     """How many blocks each matmul of ``associators`` takes, one entry per
     call: a fallback to the full two-product path fails here."""
@@ -373,8 +441,8 @@ class TestAssociatorProducts:
         return counts
 
     def test_verlinde_table_takes_one_product_per_step(self, monkeypatch):
-        ring = verlinde_ring(12)
-        counts = self.blocks_per_matmul(monkeypatch, ring.verify_axioms)
+        c = verlinde_ring(12).constants.astype(float)
+        counts = self.blocks_per_matmul(monkeypatch, lambda: list(associators(c)))
         assert counts == [12 - i for i in range(12)]
 
     def test_its_hypergroup_takes_two_over_k_from_i(self, monkeypatch):

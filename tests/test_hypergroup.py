@@ -119,6 +119,14 @@ class TestVerifyAxioms:
         assert report["row sums equal 1"].passed and report["unit law"].passed
         assert not report["involution conditions"].passed
 
+    def test_asymmetry_below_tolerance_passes_involution_conditions(self):
+        # Not bitwise commutative, so the 1e-12 comparison decides.
+        constants = np.array(from_fusion_ring(verlinde_ring(4)).constants)
+        constants[1, 2, 1] -= 1e-14
+        constants[1, 2, 3] += 1e-14
+        report = {check.name: check for check in verify_hypergroup_axioms(Hypergroup(constants))}
+        assert report["involution conditions"].passed
+
     def test_perturbed_row_sum_fails(self):
         hg = from_fusion_ring(verlinde_ring(4))
         constants = np.array(hg.constants)
