@@ -9,6 +9,7 @@ digits and all iteration is in fixed order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -131,8 +132,12 @@ def cmd_verify(args) -> int:
 
 
 def _points_to_csv(points) -> str:
-    lines = [f"{x:.12g},{y:.12g}" for x, y in points]
-    return "\n".join(lines) + "\n"
+    """One ``x,y`` line per point at 12 significant digits, in one ``%`` call:
+    ``%.12g`` of a Python float is the bytes of ``f"{x:.12g}"`` on a
+    numpy float64, and ``tolist`` makes the Python floats in one pass.
+    ``points`` is never empty: ``coxeter_plane`` refuses rank < 2, and a
+    root system holds each simple root and its negative."""
+    return ("%.12g,%.12g\n" * len(points)) % tuple(points.ravel().tolist())
 
 
 def _points_to_svg(points, with_labels: bool) -> str:
@@ -145,18 +150,19 @@ def _points_to_svg(points, with_labels: bool) -> str:
         f"{xs.min() - pad:.12g} {ys.min() - pad:.12g} "
         f"{extent + 2 * pad:.12g} {extent + 2 * pad:.12g}"
     )
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
-    ]
-    for x, y in points:
-        circle = f'<circle cx="{x:.12g}" cy="{y:.12g}" r="{radius:.12g}" fill="black"'
-        if with_labels:
-            parts.append(f"{circle}><title>({x:.12g}, {y:.12g})</title></circle>")
-        else:
-            parts.append(f"{circle}/>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">\n'
+    )
+    # every circle in one % call, as in _points_to_csv
+    circle = f'<circle cx="%.12g" cy="%.12g" r="{radius:.12g}" fill="black"'
+    if with_labels:
+        circle += "><title>(%.12g, %.12g)</title></circle>\n"
+        values = np.hstack((points, points))  # x, y for the circle, then the title
+    else:
+        circle += "/>\n"
+        values = points
+    return header + (circle * len(points)) % tuple(values.ravel().tolist()) + "</svg>\n"
 
 
 def cmd_project(args) -> int:
@@ -214,7 +220,14 @@ def cmd_suite(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and shared by every
+    ``main`` call.  Do not mutate the result: ``parse_args`` leaves it as it
+    is, but ``add_argument``, ``set_defaults`` and the like would reach every
+    later call.  It keeps the ``cmd_*`` functions it was built with, so a
+    patch of ``coxfusion.cli.cmd_*`` takes effect only after
+    ``build_parser.cache_clear()``."""
     parser = _Parser(prog="coxfusion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -50,6 +50,7 @@ class CoxeterDiagram:
         mat.setflags(write=False)
         self.coxeter_matrix = mat
         self.name = name
+        self._ade = None
 
     @property
     def rank(self) -> int:
@@ -64,14 +65,18 @@ class CoxeterDiagram:
 
     def is_ade(self) -> bool:
         """Simply laced, connected and of finite type: 2I - A positive definite,
-        so the adjacency spectral radius is below 2."""
-        off = self.coxeter_matrix[~np.eye(self.rank, dtype=bool)]
-        if np.any((off != 2) & (off != 3)):
-            return False
-        adj = self.adjacency_matrix()
-        if len(connected_components(adj)) != 1:
-            return False
-        return positive_definite(2.0 * np.eye(self.rank) - adj)
+        so the adjacency spectral radius is below 2.  Decided once per
+        instance, since the Coxeter matrix is read-only: ``suite`` gates
+        each roster diagram and ``ade_module`` gates it again."""
+        if self._ade is None:
+            off = self.coxeter_matrix[~np.eye(self.rank, dtype=bool)]
+            adj = self.adjacency_matrix()
+            self._ade = (
+                not np.any((off != 2) & (off != 3))
+                and len(connected_components(adj)) == 1
+                and positive_definite(2.0 * np.eye(self.rank) - adj)
+            )
+        return self._ade
 
     def __repr__(self) -> str:
         return f"CoxeterDiagram({self.name}, rank={self.rank})"

@@ -82,10 +82,12 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     never do, and after 100000 steps ConvergenceError is raised.
 
     Only the sum and the images are read, so the matrices need not be
-    held as floats, or at all: ``regular_element`` passes its integer
-    stack's ``sum(axis=0, dtype=float)`` and a buffered einsum, which never
-    copy the stack to float64, and a ``FusionRing`` its int32 run lengths
-    and prefix sums.
+    held as floats, or at all: ``regular_element`` passes its int8
+    stack's exact ``sum(axis=0, dtype=np.int32)`` and a buffered einsum,
+    which never copy the stack to float64, and a ``FusionRing`` its int32
+    run lengths and prefix sums.  A float sum of an integer stack is exact
+    while every partial sum stays below 2**53, so there the float64 copy
+    of an exact integer sum is the float sum, bit for bit.
     """
     total = np.asarray(total)
     if total.ndim != 2 or total.shape[0] != total.shape[1]:

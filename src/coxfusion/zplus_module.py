@@ -145,9 +145,12 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
 
     It is the common Perron vector of all actions, from one solve on the stack,
     checked against every generator at eigenvalue FP(b_i): the max-norm
-    residual of each must be at most 1e-9.  The sum and the images come
-    from buffered float reductions, never from a float64 copy of the
-    integer stack.
+    residual of each must be at most 1e-9.  The sum is taken in int32,
+    exact while the stack is shorter than 2**24 (each entry is at most 128
+    times its length in magnitude), and ``perron_eigenpair`` widens it in
+    its own float64 copy; the
+    images come from a buffered einsum.  Neither makes a float64 copy of
+    the integer stack.
     """
     components = decompose(module)
     if len(components) != 1:
@@ -159,7 +162,7 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
     def images(vec):
         return np.einsum("kij,j->ki", mats, vec)
 
-    _, vec = perron_eigenpair(mats.sum(axis=0, dtype=float), images)
+    _, vec = perron_eigenpair(mats.sum(axis=0, dtype=np.int32), images)
     vec = vec / vec.sum()
     if np.any(vec <= 0):
         raise ZPlusModuleError("Perron vector is not strictly positive")

@@ -15,6 +15,8 @@ that the library's closed form for the Coxeter element is tested against,
 and ``matrix_order`` is the power walk that checks its order against h.
 ``edges`` lists a diagram's bonds and ``squaring_components`` is the
 reachability-squaring reference for ``linalg.connected_components``.
+``fstring_csv`` and ``fstring_svg`` are the per-point f-string renderers
+of ``project``'s output, the references for the CLI's single-format ones.
 ``traced_peak`` is the tracemalloc peak of one call, for the memory pins;
 ``caller_writable`` gives the arrays a constructor must copy.  ``cycle``,
 ``affine_d`` and ``e10`` are Coxeter matrices of simply laced diagrams of
@@ -58,9 +60,10 @@ class TableRing(FusionRing):
 
 
 def stack_perron(mats):
-    """``perron_eigenpair`` of a (k, n, n) stack of matrices, read as
-    ``regular_element`` reads the module's: the float sum of the stack and
-    buffered einsum images, with no float64 copy of an integer stack."""
+    """``perron_eigenpair`` of a (k, n, n) stack of matrices from the float
+    sum of the stack and buffered einsum images, with no float64 copy of an
+    integer stack: the reference for ``regular_element``, which sums its
+    int8 stack in int32."""
     mats = np.asarray(mats)
     return perron_eigenpair(
         mats.sum(axis=0, dtype=float), lambda vec: np.einsum("kij,j->ki", mats, vec)
@@ -189,6 +192,37 @@ def e10():
     for i, j in [(i, i + 1) for i in range(8)] + [(6, 9)]:
         mat[i, j] = mat[j, i] = 3
     return mat
+
+
+def fstring_csv(points) -> str:
+    """``project``'s CSV, one f-string per point."""
+    lines = [f"{x:.12g},{y:.12g}" for x, y in points]
+    return "\n".join(lines) + "\n"
+
+
+def fstring_svg(points, with_labels: bool) -> str:
+    """``project``'s SVG, one f-string per circle."""
+    xs = points[:, 0]
+    ys = points[:, 1]
+    extent = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1e-9)
+    pad = 0.05 * extent
+    radius = 0.005 * extent
+    view = (
+        f"{xs.min() - pad:.12g} {ys.min() - pad:.12g} "
+        f"{extent + 2 * pad:.12g} {extent + 2 * pad:.12g}"
+    )
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
+    ]
+    for x, y in points:
+        circle = f'<circle cx="{x:.12g}" cy="{y:.12g}" r="{radius:.12g}" fill="black"'
+        if with_labels:
+            parts.append(f"{circle}><title>({x:.12g}, {y:.12g})</title></circle>")
+        else:
+            parts.append(f"{circle}/>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def traced_peak(call, *args):

@@ -18,11 +18,19 @@ import coxfusion
 import coxfusion.cli
 import coxfusion.coxeter
 import coxfusion.zplus_module
-from coxfusion.cli import main, parse_roster
-from coxfusion.coxeter import CoxeterDiagram, diagram
+from coxfusion.cli import _points_to_csv, _points_to_svg, build_parser, main, parse_roster
+from coxfusion.coxeter import (
+    CoxeterDiagram,
+    coxeter_plane,
+    diagram,
+    parse_diagram,
+    project_to_plane,
+    root_system,
+)
 from coxfusion.linalg import ConvergenceError
 from coxfusion.verify import check_main_theorem, default_roster
 from coxfusion.zplus_module import ZPlusModuleError
+from helpers import fstring_csv, fstring_svg
 
 
 def run(capsys, *argv):
@@ -307,6 +315,85 @@ class TestProject:
         assert "float64 resolution" in lines[0]
 
 
+RENDERED = ["A2", "A3", "E8", "H4", "F4", "B10", "D30"] + [f"I2({m})" for m in range(5, 41)]
+
+
+def projected(tag):
+    plane = coxeter_plane(parse_diagram(tag))
+    return project_to_plane(root_system(plane), plane)
+
+
+class TestRenderers:
+    # the single % call against the per-point f-strings, byte for byte
+    @pytest.mark.parametrize("tag", RENDERED)
+    def test_csv_matches_fstring_reference(self, tag):
+        points = projected(tag)
+        assert _points_to_csv(points) == fstring_csv(points)
+
+    @pytest.mark.parametrize("labels", [False, True], ids=["plain", "labels"])
+    @pytest.mark.parametrize("tag", RENDERED)
+    def test_svg_matches_fstring_reference(self, tag, labels):
+        points = projected(tag)
+        assert _points_to_svg(points, labels) == fstring_svg(points, labels)
+
+    def test_special_values_match_fstring_reference(self):
+        values = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e308, 1 / 3, -1e-5]
+        points = np.array([[x, y] for x in values for y in values])
+        assert _points_to_csv(points) == fstring_csv(points)
+        finite = points[np.isfinite(points).all(axis=1)]
+        for labels in (False, True):
+            assert _points_to_svg(finite, labels) == fstring_svg(finite, labels)
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        original = coxfusion.cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(coxfusion.cli._Parser, "__init__", counted)
+        build_parser.cache_clear()
+        try:
+            for argv in (["ring", "4"], ["project", "A3"], ["verify", "A3"], ["ring", "0"]):
+                run(capsys, *argv)
+        finally:
+            build_parser.cache_clear()
+        # the top-level parser and one subparser per command, each built once
+        assert built == [
+            "coxfusion",
+            "coxfusion ring",
+            "coxfusion verify",
+            "coxfusion project",
+            "coxfusion suite",
+        ]
+
+    def test_sections_do_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "verify", "E8", "--lemmas")
+        assert code == 0 and "main theorem" not in json.loads(out)
+        code, out, _ = run(capsys, "verify", "E8")
+        sections = json.loads(out)
+        assert code == 0 and "main theorem" in sections and len(sections) > 1
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        code, _, _ = run(capsys, "verify", "--lemmas", "--theorem", "A3")
+        assert code == 1
+        code, out, err = run(capsys, "verify", "A3", "--theorem")
+        assert code == 0 and err == "" and json.loads(out)["main theorem"]["passed"]
+
+    def test_out_does_not_carry_over(self, capsys, tmp_path):
+        target = tmp_path / "a3.csv"
+        code, out, _ = run(capsys, "project", "A3", "--out", str(target))
+        assert code == 0 and out == ""
+        written = target.read_text()
+        target.unlink()
+        code, out, _ = run(capsys, "project", "A3")
+        assert code == 0 and out == written
+        assert not target.exists()
+
+
 class TestRoster:
     def test_parse_ranges(self):
         names = [d.name for d in parse_roster("A2..A4,D4,E6")]
@@ -342,6 +429,20 @@ class TestSuite:
         assert len(data) == 23
         assert [row["diagram"] for row in data] == [d.name for d in default_roster()]
         assert max(row["projector_distance"] for row in data) < 1e-8
+
+    def test_default_roster_gates_each_diagram_once(self, capsys, monkeypatch):
+        # the CLI's gate and ade_module's read one verdict per diagram
+        calls = []
+        original = coxfusion.coxeter.positive_definite
+
+        def counted(sym):
+            calls.append(len(sym))
+            return original(sym)
+
+        monkeypatch.setattr(coxfusion.coxeter, "positive_definite", counted)
+        code, _, _ = run(capsys, "suite")
+        assert code == 0
+        assert calls == [d.rank for d in default_roster()]
 
     def test_csv_output(self, capsys, tmp_path):
         json_path = tmp_path / "suite.json"

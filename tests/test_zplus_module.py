@@ -32,6 +32,7 @@ from helpers import (
     e10,
     fib_ring,
     regular_module,
+    stack_perron,
     traced_peak,
     verify_module_axioms,
 )
@@ -349,6 +350,13 @@ class TestRegularElement:
         reg = regular_element(module)  # raises beyond 1e-9 residual
         assert reg.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(reg > 0)
+
+    @pytest.mark.parametrize("tag", ["E8", "A100", "D100"])
+    def test_integer_sum_matches_float_sum_reference(self, tag):
+        # the int32 sum widens to the float sum's bits, so Perron runs the same steps
+        module = ade_module(parse_diagram(tag))
+        _, vec = stack_perron(module.actions)
+        assert np.array_equal(regular_element(module), vec / vec.sum())
 
     # Ranks whose summed action has a Rayleigh quotient well above 64: an
     # absolute stopping rule sits below its float spacing there, and
