@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from .linalg import perron_eigenpair
-from .report import CheckResult, exact_check, sliced_check
+from .report import CheckResult, exact_check
 
 
 class FusionRingError(ValueError):
@@ -136,22 +136,24 @@ class FusionRing:
         certified by ``nucleus_certificate`` in O(rank**4) time: b_1 lies
         in the middle nucleus, which is a subalgebra (Schafer 1966), and
         generates the ring.  Every Verlinde ring and even part takes this
-        path.  Without the certificate, it compares (b_i b_j) b_k with
-        b_i (b_j b_k) one i at a time in rank**3 memory, and stops at the
-        first i with a mismatch; on this table, symmetric in all three
-        indices, ``associators`` takes one product per i, over k >= i.  Both
-        multiply in float64, which is exact here: each associator entry
-        sums at most rank products of int8 entries, so it stays below
-        127**2 * rank, less than 2**53 for any rank below about 5.6e11.
+        path.  Without the certificate, ``associativity_witness`` scans
+        every associator up to the first step i with a mismatch; on this
+        table, symmetric in all three indices, ``associators`` takes one
+        product per i, over k >= i.  Both read the int8 table in blocks
+        of at most ``_BLOCK_BYTES`` widened to float64, so no float copy of
+        the whole table is made, and multiply in float64, which is
+        exact here: each associator entry sums at most rank products of
+        int8 entries, so it stays below 127**2 * rank, less than 2**53 for
+        any rank below about 5.6e11.
         """
         c = self.constants
         eye = np.eye(self.rank, dtype=np.int64)
-        exact = c.astype(float)
         unit = exact_check("unit law", c[0] != eye, c[:, 0, :] != eye)
-        if unit.passed and nucleus_certificate(exact):
+        if unit.passed and nucleus_certificate(c):
             associative = CheckResult("associativity", True)
         else:
-            associative = sliced_check("associativity", (a != 0 for a in associators(exact)))
+            witness = associativity_witness(c)
+            associative = CheckResult("associativity", witness is None, witness)
         return [
             unit,
             associative,
@@ -171,9 +173,15 @@ class FusionRing:
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 
 
-# Rows i of the j = 1 associator slice that ``nucleus_certificate`` forms
-# at once: two (rows, rank, rank) float64 buffers.
-_SLICE_ROWS = 16
+# Bytes of one float64 block buffer of the axiom checks, which take their
+# products over rank**2 * rows entries at a time: small enough that the
+# few buffers of a block stay in a core's L2 cache.
+_BLOCK_BYTES = 1 << 17
+
+
+def _block_rows(n: int) -> int:
+    """Rows of an (rows, n, n) float64 block within ``_BLOCK_BYTES``, at least 1."""
+    return max(1, _BLOCK_BYTES // (8 * n * n))
 
 
 def nucleus_certificate(c: np.ndarray) -> bool:
@@ -190,10 +198,13 @@ def nucleus_certificate(c: np.ndarray) -> bool:
       index joins K; the sweeps stop when K stops growing, and K must
       cover every index.  This reads only the support of c[:, 1].
     - b_1 is in N_m when the j = 1 slice of the associator is 0:
-      (b_i b_1) b_k = b_i (b_1 b_k), that is c[i, 1] @ c.reshape(n, n*n)
-      equals (c[1] @ c[i]).ravel(), for ``_SLICE_ROWS`` rows i at a time:
-      O(rank**4) products in O(rank**2) memory per row, where a full
-      associator scan takes O(rank**5).
+      (b_i b_1) b_k = b_i (b_1 b_k) for all i, k.  It is compared in
+      column blocks l0:l1 of the table, each T = c[:, :, l0:l1] widened
+      to float64 once and read twice: c[:, 1] @ T.reshape(n, -1) on the
+      left, and on the right c[1] @ T[i], batched over i.  That is
+      O(rank**4) products in ``_BLOCK_BYTES`` buffers, where a full
+      associator scan takes O(rank**5); ``c`` may be an int8 table, and
+      the float products of its entries are exact.
     """
     n = len(c)
     if n == 1:
@@ -208,50 +219,74 @@ def nucleus_certificate(c: np.ndarray) -> bool:
         inside |= joins
     if not inside.all():
         return False
-    flat = c.reshape(n, n * n)
-    for start in range(0, n, _SLICE_ROWS):
-        rows = slice(start, start + _SLICE_ROWS)
-        left = c[rows, 1] @ flat
-        if not np.array_equal(left, (c[1] @ c[rows]).reshape(left.shape)):
+    by_one, one_by = c[:, 1].astype(float), c[1].astype(float)
+    cols = _block_rows(n)
+    for start in range(0, n, cols):
+        table = c[:, :, start : start + cols].astype(float)
+        left = by_one @ table.reshape(n, -1)
+        if not np.array_equal(left.reshape(table.shape), np.matmul(one_by, table)):
             return False
     return True
 
 
 def associators(c: np.ndarray):
-    """Yield (b_i b_j) b_k - b_i (b_j b_k) as a [j, k, l] array for i = 0, 1, ...
+    """Yield (b_i b_j) b_k - b_i (b_j b_k) in blocks over k, as (i, k0, block)
+    with block[k - k0, j, l], for i = 0, 1, ... and k0 ascending.
 
-    With C_i = c[i] and B_k = c[:, k], both indexed [m, l], the (j, l) block
-    at k is the commutator C_i B_k - B_k C_i; each step writes these blocks
-    by k into two rank**3 buffers, and yields a transposed view.
+    With C_i = c[i] and B_k = c[:, k], both indexed [m, l], block k of step
+    i is the commutator C_i B_k - B_k C_i, indexed [j, l].  A block spans
+    ``_block_rows(rank)`` values of k, so its two float64 buffers hold at
+    most ``_BLOCK_BYTES`` each (one k at least); they are overwritten by
+    the next block.  An integer table is widened to float64 a block at a
+    time, C_i once per step and each block of B as it is read, so no float
+    copy of the whole table is made; its products are exact while every
+    sum of rank products of entries stays below 2**53.
     - A commutative table has B_k = C_k, so block k of step i is minus
-      block i of step k, and step i computes only k >= i: its blocks
-      k < i read 0.  The first nonzero entry stays where it was (were it
-      at some k < i, step k would hold one first), so a scan up to it
-      reads the same witness.  The largest |entry| is the same in exact
-      arithmetic; on a float table, products taken in blocks may round
-      apart from one wide product in the last bit.  Two products per
-      step, over k >= i.
+      block i of step k, and step i yields only k >= i.  The first step
+      with a nonzero entry still yields all of them (were one at some
+      k < i, step k would hold one first).  The largest |entry| is the
+      same in exact arithmetic; on a float table, products taken in blocks
+      may round apart from one wide product in the last bit.  Two products
+      per block, over k >= i.
     - If every C_k is also symmetric (a self-dual table reciprocal in all
       three indices, as the Verlinde table), C_k C_i = (C_i C_k)^T: one
-      product per step, and its blocks minus their transposes.
+      product per block, and its blocks minus their transposes.
     - Any other table takes both products over every k.
     """
     n = len(c)
     commutative = np.array_equal(c, c.transpose(1, 0, 2))
     reciprocal = commutative and np.array_equal(c, c.transpose(0, 2, 1))
     by_k = c if commutative else c.transpose(1, 0, 2)
-    blocks, products = np.empty((n, n, n), c.dtype), np.empty((n, n, n), c.dtype)
+    rows = _block_rows(n)
+    blocks, products = np.empty((rows, n, n)), np.empty((rows, n, n))
     for i in range(n):
-        start = i if commutative else 0
-        if start:
-            blocks[start - 1] = 0  # the blocks below it are still 0 from earlier steps
-        left = np.matmul(c[i], by_k[start:], out=products[start:])
-        if reciprocal:
-            np.subtract(left, left.transpose(0, 2, 1), out=blocks[start:])
-        else:
-            right = np.matmul(by_k[start:], c[i], out=blocks[start:])
-            np.subtract(left, right, out=right)
-        yield blocks.transpose(1, 0, 2)
+        c_i = c[i].astype(float, copy=False)
+        for k0 in range(i if commutative else 0, n, rows):
+            b_k = by_k[k0 : k0 + rows].astype(float, copy=False)
+            block = blocks[: len(b_k)]
+            left = np.matmul(c_i, b_k, out=products[: len(b_k)])
+            if reciprocal:
+                np.subtract(left, left.transpose(0, 2, 1), out=block)
+            else:
+                np.subtract(left, np.matmul(b_k, c_i, out=block), out=block)
+            yield i, k0, block
+
+
+def associativity_witness(c: np.ndarray) -> tuple[int, int, int, int] | None:
+    """First (i, j, k, l) at which (b_i b_j) b_k - b_i (b_j b_k) has a
+    nonzero coefficient of b_l, or None: read off ``associators`` up to
+    the first step i with one.  Blocks split that step over k, so its
+    witness is the least of their first hits."""
+    first = None
+    for i, k0, block in associators(c):
+        if first is not None and first[0] < i:
+            break
+        hits = np.argwhere(block.transpose(1, 0, 2))
+        if len(hits):
+            j, k, l = (int(x) for x in hits[0])
+            hit = (i, j, k0 + k, l)
+            first = hit if first is None else min(first, hit)
+    return first
 
 
 @functools.lru_cache(maxsize=None)

@@ -65,11 +65,12 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     involution to be an anti-automorphism, (b_i b_j)* = b_j b_i, that is
     c_{ij}^k = c_{ji}^k within 1e-12; a bitwise commutative table forms
     no difference.  The associativity witness is
-    max |(b_i b_j) b_k - b_i (b_j b_k)|, taken one i at a time in rank**3
-    memory by ``associators``, which computes only half of it for a
-    bitwise commutative table.  It scans every entry: the nucleus
-    certificate of ``FusionRing.verify_axioms`` proves an exact associator
-    zero, but bounds no residual of a float table.
+    max |(b_i b_j) b_k - b_i (b_j b_k)|, taken over the blocks of
+    ``associators``, two float64 buffers of at most
+    ``fusion_ring._BLOCK_BYTES`` next to the table, which compute only
+    half of it for a bitwise commutative table.  It scans every entry:
+    the nucleus certificate of ``FusionRing.verify_axioms`` proves an
+    exact associator zero, but bounds no residual of a float table.
     """
     c = hg.constants
     eye = np.eye(hg.rank)
@@ -86,7 +87,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
         np.max(np.abs(c - c.transpose(1, 0, 2))) < 1e-12
     )
     support_ok = np.array_equal(c[:, :, 0] > 0, eye > 0)
-    assoc_err = max(float(max(a.max(), -a.min())) for a in associators(c))
+    assoc_err = max(float(max(a.max(), -a.min())) for _, _, a in associators(c))
     return [
         exact_check("nonnegativity", c < 0),
         CheckResult("unit law", bool(unit_ok)),

@@ -79,7 +79,9 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     quotient, whose error is quadratic in the vector's when the set is
     closed under transposition, and the unit vector, once every matrix's
     residual also passes 1e-12; matrices with no common Perron vector
-    never do, and after 100000 steps ConvergenceError is raised.
+    never do, and after 100000 steps ConvergenceError is raised.  The
+    last call of ``images`` is at the returned vector, so a caller may
+    keep its result rather than take the images again.
 
     Only the sum and the images are read, so the matrices need not be
     held as floats, or at all: ``regular_element`` passes its int8

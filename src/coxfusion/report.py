@@ -34,14 +34,5 @@ def exact_check(name: str, *bad: np.ndarray) -> CheckResult:
     return CheckResult(name, True)
 
 
-def sliced_check(name: str, bad) -> CheckResult:
-    """``exact_check(name, mask)`` with ``bad`` yielding mask[i] for i = 0, 1, ...,
-    read up to the first set one: the witness is the same as on the full mask."""
-    for i, mask in enumerate(bad):
-        if mask.any():
-            return CheckResult(name, False, (i, *(int(x) for x in np.argwhere(mask)[0])))
-    return CheckResult(name, True)
-
-
 def all_passed(report: list[CheckResult]) -> bool:
     return all(check.passed for check in report)

@@ -148,9 +148,10 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
     residual of each must be at most 1e-9.  The sum is taken in int32,
     exact while the stack is shorter than 2**24 (each entry is at most 128
     times its length in magnitude), and ``perron_eigenpair`` widens it in
-    its own float64 copy; the
-    images come from a buffered einsum.  Neither makes a float64 copy of
-    the integer stack.
+    its own float64 copy; the images come from a buffered einsum.  Neither
+    makes a float64 copy of the integer stack.  The check reads the images
+    that the solve took last, at the vector it returns, scaled by the same
+    coordinate sum: no second einsum over the stack.
     """
     components = decompose(module)
     if len(components) != 1:
@@ -158,16 +159,22 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
             f"module is reducible ({len(components)} components); regular element undefined"
         )
     mats = module.actions
+    fp = module.ring.fp_dims()
+    moved = None
 
     def images(vec):
-        return np.einsum("kij,j->ki", mats, vec)
+        nonlocal moved
+        moved = np.einsum("kij,j->ki", mats, vec)
+        return moved
 
     _, vec = perron_eigenpair(mats.sum(axis=0, dtype=np.int32), images)
-    vec = vec / vec.sum()
+    total = vec.sum()
+    vec = vec / total
     if np.any(vec <= 0):
         raise ZPlusModuleError("Perron vector is not strictly positive")
-    fp = module.ring.fp_dims()
-    residuals = np.max(np.abs(images(vec) - fp[:, None] * vec), axis=1)
+    moved /= total  # the images at vec
+    moved -= fp[:, None] * vec
+    residuals = np.max(np.abs(moved, out=moved), axis=1)
     failing = np.flatnonzero(residuals > 1e-9)
     if failing.size:
         i = int(failing[0])

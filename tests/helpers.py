@@ -7,7 +7,8 @@ reference for the library's runs, and the carrier of injected defects.  The Fibo
 (``fib_ring``) and the regular module (``regular_module``) keep the
 generic FP-dimension and axiom code under test on data outside those
 families.  ``verify_module_axioms`` is the
-exact Z+-module axiom check, which no pipeline stage reads, and
+exact Z+-module axiom check, which no pipeline stage reads, read one
+step at a time by ``sliced_check``, and
 ``dense_associators`` the full two-product associator slices that
 ``fusion_ring.associators`` halves on commutative tables.
 ``reflection_matrices`` are the dense simple reflections, the reference
@@ -30,7 +31,7 @@ import numpy as np
 from coxfusion.coxeter import CoxeterDiagram, cartan_form
 from coxfusion.fusion_ring import FusionRing, FusionRingError
 from coxfusion.linalg import ConvergenceError, narrow_integers, perron_eigenpair
-from coxfusion.report import CheckResult, exact_check, sliced_check
+from coxfusion.report import CheckResult, exact_check
 from coxfusion.zplus_module import ZPlusModule
 
 
@@ -83,6 +84,15 @@ def fib_ring() -> FusionRing:
 def regular_module(ring: FusionRing) -> ZPlusModule:
     """The ring acting on itself by left multiplication: b_i acts by constants[i].T."""
     return ZPlusModule(ring, ring.constants.transpose(0, 2, 1))
+
+
+def sliced_check(name: str, bad) -> CheckResult:
+    """``exact_check(name, mask)`` with ``bad`` yielding mask[i] for i = 0, 1, ...,
+    read up to the first set one: the witness is the same as on the full mask."""
+    for i, mask in enumerate(bad):
+        if mask.any():
+            return CheckResult(name, False, (i, *(int(x) for x in np.argwhere(mask)[0])))
+    return CheckResult(name, True)
 
 
 def verify_module_axioms(module: ZPlusModule) -> list[CheckResult]:

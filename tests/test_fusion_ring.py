@@ -356,11 +356,16 @@ class TestVerifyAxiomsReporting:
         assert bad_checks and all(check.witness is not None for check in bad_checks)
 
 
-def einsum_witness(table):
-    """First index of the rank**4 einsum associator that is nonzero, or None."""
+def einsum_hits(table):
+    """Indices (i, j, k, l) of the rank**4 einsum associator that are nonzero, in order."""
     left = np.einsum("ijm,mkl->ijkl", table, table)
     right = np.einsum("jkm,iml->ijkl", table, table)
-    hits = np.argwhere(left != right)
+    return np.argwhere(left != right)
+
+
+def einsum_witness(table):
+    """First index of the rank**4 einsum associator that is nonzero, or None."""
+    hits = einsum_hits(table)
     return tuple(int(x) for x in hits[0]) if len(hits) else None
 
 
@@ -416,12 +421,30 @@ class TestNucleusCertificate:
         assert report["associativity"].witness == einsum_witness(bad) is not None
 
     def test_r120_holds_no_second_float_table(self):
-        # Past the float64 copy of the table (13.2 MiB) the certificate holds
-        # rank**2 buffers per row; the full scan holds two more rank**3
-        # buffers (43.0 MiB in all).
+        # Past the int8 table the checks hold a rank**3 boolean mask (1.6 MiB)
+        # and the certificate's column blocks within ``_BLOCK_BYTES``; a
+        # float64 copy of the table alone is 13.2 MiB.
         ring = verlinde_ring.__wrapped__(120)
         ring.constants
-        assert traced_peak(ring.verify_axioms) <= 20 * 2**20
+        assert traced_peak(ring.verify_axioms) <= 8 * 2**20
+
+    @pytest.mark.parametrize("defect", [(24, 10, 36), (0, 33, 25), (38, 33, 18)])
+    def test_witness_across_k_blocks_of_r40(self, defect):
+        # R_40 takes k in blocks of 10.  On these defects, added on their
+        # orbit so that the one-product path runs, the first step with a
+        # mismatch has a hit of larger j in an earlier block than the witness.
+        ring = verlinde_ring(40)
+        rows = fusion_ring._block_rows(ring.rank)
+        assert rows < ring.rank
+        bad = np.array(ring.constants)
+        for entry in DEFECT_ORBITS["symmetric"](*defect):
+            bad[entry] += 1
+        hits = einsum_hits(bad)
+        first = hits[0]
+        step = hits[hits[:, 0] == first[0]]
+        assert any(j > first[1] and k // rows < first[2] // rows for _, j, k, _ in step)
+        report = {c.name: c for c in TableRing(ring.labels, bad).verify_axioms()}
+        assert report["associativity"].witness == einsum_witness(bad)
 
 
 class TestAssociatorProducts:
@@ -449,6 +472,27 @@ class TestAssociatorProducts:
         hg = from_fusion_ring(verlinde_ring(12))
         counts = self.blocks_per_matmul(monkeypatch, verify_hypergroup_axioms, hg)
         assert counts == [12 - i for i in range(12) for _ in range(2)]
+
+    @pytest.mark.parametrize("products", [1, 2], ids=["ring", "hypergroup"])
+    def test_r60_takes_its_blocks_within_the_budget(self, monkeypatch, products):
+        # The int8 Verlinde table and its float hypergroup: each step i
+        # multiplies n - i blocks per product, in calls of at most the
+        # budget's rows.
+        ring = verlinde_ring(60)
+        c = ring.constants if products == 1 else from_fusion_ring(ring).constants
+        counts, matmul = [], np.matmul
+        per_step = [0] * ring.rank
+
+        def counted(a, b, out):
+            counts.append(len(out))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        for i, _, _ in associators(c):
+            per_step[i] += sum(counts)
+            assert max(counts) <= fusion_ring._block_rows(ring.rank) < ring.rank
+            counts.clear()
+        assert per_step == [products * (ring.rank - i) for i in range(ring.rank)]
 
     def test_non_commutative_table_takes_two_over_every_k(self, monkeypatch):
         ring = verlinde_ring(12)

@@ -108,6 +108,13 @@ class TestVerifyAxioms:
         dense = max(float(max(a.max(), -a.min())) for a in dense_associators(hg.constants))
         assert verify_hypergroup_axioms(hg)[-1].witness == dense
 
+    def test_r120_holds_block_buffers_only(self):
+        # Past its table (13.2 MiB) the check holds rank**3 boolean masks
+        # (1.6 MiB) one at a time and two associator blocks within
+        # ``_BLOCK_BYTES``; two rank**3 float buffers would take 26.4 MiB.
+        hg = from_fusion_ring(verlinde_ring.__wrapped__(120))
+        assert traced_peak(verify_hypergroup_axioms, hg) <= 4 * 2**20
+
     def test_asymmetric_pair_fails_involution_conditions(self):
         # In R_4, b_1 b_2 has the terms b_1 and b_3.  Moving weight between
         # them keeps every row sum and unit coefficient, but b_1 b_2 is no

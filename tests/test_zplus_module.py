@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from coxfusion import linalg, zplus_module
 from coxfusion.coxeter import (
     CoxeterDiagram,
     CoxeterError,
@@ -357,6 +358,38 @@ class TestRegularElement:
         module = ade_module(parse_diagram(tag))
         _, vec = stack_perron(module.actions)
         assert np.array_equal(regular_element(module), vec / vec.sum())
+
+    @pytest.mark.parametrize("tag", ["E8", "A100", "D100"])
+    def test_check_reuses_the_converged_images(self, monkeypatch, tag):
+        # the eigen-relation check reads the images of the solve's last step:
+        # one einsum over the stack per images call, and none after the solve
+        module = ade_module(parse_diagram(tag))
+        einsums, calls, einsum = [], [], np.einsum
+
+        def counted_einsum(subscripts, *operands, **kwargs):
+            einsums.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        def counted_perron(total, images):
+            def counting(vec):
+                calls.append(vec)
+                return images(vec)
+
+            return linalg.perron_eigenpair(total, counting)
+
+        monkeypatch.setattr(np, "einsum", counted_einsum)
+        monkeypatch.setattr(zplus_module, "perron_eigenpair", counted_perron)
+        regular_element(module)
+        assert calls and einsums.count("kij,j->ki") == len(calls)
+
+    def test_eigen_relation_fails_off_the_fp_dimensions(self):
+        # Over R_3 (FP dimensions 1, sqrt 2, 1), b_1 and b_2 both act by the
+        # swap: the common Perron vector (1/2, 1/2) has eigenvalue 1, not
+        # sqrt 2, for b_1, a residual of (sqrt 2 - 1) / 2.
+        swap = np.array([[0, 1], [1, 0]])
+        module = ZPlusModule(verlinde_ring(3), [np.eye(2, dtype=int), swap, swap])
+        with pytest.raises(ZPlusModuleError, match=r"basis element 1 fails \(residual 2.071e-01\)"):
+            regular_element(module)
 
     # Ranks whose summed action has a Rayleigh quotient well above 64: an
     # absolute stopping rule sits below its float spacing there, and
