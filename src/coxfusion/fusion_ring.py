@@ -229,7 +229,7 @@ def nucleus_certificate(c: np.ndarray) -> bool:
     return True
 
 
-def associators(c: np.ndarray):
+def associators(c: np.ndarray, commutative: bool | None = None):
     """Yield (b_i b_j) b_k - b_i (b_j b_k) in blocks over k, as (i, k0, block)
     with block[k - k0, j, l], for i = 0, 1, ... and k0 ascending.
 
@@ -240,7 +240,9 @@ def associators(c: np.ndarray):
     the next block.  An integer table is widened to float64 a block at a
     time, C_i once per step and each block of B as it is read, so no float
     copy of the whole table is made; its products are exact while every
-    sum of rank products of entries stays below 2**53.
+    sum of rank products of entries stays below 2**53.  ``commutative``,
+    when given, is whether ``c`` equals its transpose over i and j, which
+    is then not compared again.
     - A commutative table has B_k = C_k, so block k of step i is minus
       block i of step k, and step i yields only k >= i.  The first step
       with a nonzero entry still yields all of them (were one at some
@@ -254,7 +256,8 @@ def associators(c: np.ndarray):
     - Any other table takes both products over every k.
     """
     n = len(c)
-    commutative = np.array_equal(c, c.transpose(1, 0, 2))
+    if commutative is None:
+        commutative = np.array_equal(c, c.transpose(1, 0, 2))
     reciprocal = commutative and np.array_equal(c, c.transpose(0, 2, 1))
     by_k = c if commutative else c.transpose(1, 0, 2)
     rows = _block_rows(n)
@@ -270,6 +273,97 @@ def associators(c: np.ndarray):
             else:
                 np.subtract(left, np.matmul(b_k, c_i, out=block), out=block)
             yield i, k0, block
+
+
+def parity_graded(c: np.ndarray) -> bool:
+    """True when c_ij^k is exactly 0 wherever i + j + k is odd.
+
+    Every Verlinde ring is graded so, by the parity of its indices: that
+    is its universal Z/2 grading (Gelaki & Nikshych, *Adv. Math.* 217,
+    2008).  Its even part from R_4 on is not, nor is any table with a
+    nonzero entry, NaN included, at an odd slot.
+    """
+    return not any(c[a::2, b::2, (a ^ b ^ 1) :: 2].any() for a in (0, 1) for b in (0, 1))
+
+
+def graded_associators(c: np.ndarray):
+    """Yield blocks of (b_i b_j) b_k - b_i (b_j b_k) that hold, up to sign,
+    every entry a commutative ``parity_graded`` float table can leave
+    nonzero, each overwritten by the next.
+
+    As in ``associators``, the associator at (i, k) is C_i C_k - C_k C_i
+    over [j, l], with C_i = c[i].  Class a holds the h_a = (rank + 1 - a)
+    // 2 indices of parity a.  C_i[j, m] is 0 unless m is in class s ^ p_i
+    for j in class s (p_i the parity of i), so on rows j of class s the
+    commutator is 0 off the columns l of class t = s ^ p_i ^ p_k, and
+    there it is
+        C_i[s, s ^ p_i] C_k[s ^ p_i, t] - C_k[s, s ^ p_k] C_i[s ^ p_k, t]:
+    two products over one class of m, a quarter of the dense products'
+    multiply-adds.  The terms dropped are 0 * x, so on a finite table the
+    entries skipped are exactly 0.0 and those kept equal the dense sums in
+    exact arithmetic.  In float64 they agree where BLAS adds the terms
+    left in the same order; its kernel for the last (columns mod 8) of a
+    product may round a sum otherwise, in either scan.
+    - i and k run in tiles of T indices of one parity.  A tile A of
+      parity p is copied once per class s into Q[x, a, y] = c[a, x, y],
+      x in class s and y in class s ^ p: its rows (x, a) are the left
+      factors C_a[s, s ^ p] of all a in A, its (x, (a, y)) matrix their
+      right factors.
+    - Each pair of tiles, A even and B odd, or both of one parity with B
+      from A on, takes two GEMMs per class s, (T h, h) @ (h, T h):
+      ((j, a), m) @ (m, (b, l)) is C_a C_b and ((j, b), m) @ (m, (a, l))
+      is C_b C_a, and the block is the first less the second with a and b
+      swapped.  A tile paired with itself takes the first GEMM only, G,
+      and its block, G less G with a and b swapped, holds each pair of
+      distinct steps twice, once per sign, and exactly 0 where a = b.
+    - With h = h_0, the two tiles' copies take 2 T h**2 floats each and
+      the two products T**2 h**2 each: T is the largest, at least 1, that
+      keeps all four within ``2 * _BLOCK_BYTES``, the two buffers of
+      ``associators``, then spread evenly over the tiles of a class (5 at
+      R_30, 3 at R_60, 1 at R_120).
+    """
+    n = len(c)
+    h, classes = ((n + 1) // 2, n // 2), range(min(n, 2))
+    square = h[0] * h[0]
+    size = max(1, int((_BLOCK_BYTES / (8 * square) + 1) ** 0.5) - 1)
+    count = -(-h[0] // size)
+    size = -(-h[0] // count)
+    copies = np.empty((2, 2 * size * square))
+    lefts, rights = np.empty(size * size * square), np.empty(size * size * square)
+    tiles = [[slice(a, a + 2 * size, 2) for a in range(p, n, 2 * size)] for p in classes]
+
+    def copy(buffer, tile, p):
+        blocks, start = [], 0
+        for s in classes:
+            part = c[tile, s::2, (s ^ p) :: 2].transpose(1, 0, 2)
+            blocks.append(buffer[start : start + part.size].reshape(part.shape))
+            np.copyto(blocks[-1], part)
+            start += part.size
+        return blocks
+
+    for p in classes:
+        for at, tile_a in enumerate(tiles[p]):
+            qa = copy(copies[0], tile_a, p)
+            for q in classes[p:]:
+                for tile_b in tiles[q][at if q == p else 0 :]:
+                    qb = qa if tile_b is tile_a else copy(copies[1], tile_b, q)
+                    for s in classes:
+                        (_, ta, m), (_, tb, l) = qa[s].shape, qb[s ^ p].shape
+                        left = np.matmul(
+                            qa[s].reshape(-1, m),
+                            qb[s ^ p].reshape(m, -1),
+                            out=lefts[: h[s] * ta * tb * l].reshape(h[s] * ta, tb * l),
+                        ).reshape(h[s], ta, tb, l)
+                        if qb is qa:
+                            out = rights[: left.size].reshape(left.shape)
+                            yield np.subtract(left, left.transpose(0, 2, 1, 3), out=out)
+                            continue
+                        right = np.matmul(
+                            qb[s].reshape(h[s] * tb, -1),
+                            qa[s ^ q].reshape(-1, ta * l),
+                            out=rights[: left.size].reshape(h[s] * tb, ta * l),
+                        ).reshape(h[s], tb, ta, l)
+                        yield np.subtract(left, right.transpose(0, 2, 1, 3), out=left)
 
 
 def associativity_witness(c: np.ndarray) -> tuple[int, int, int, int] | None:

@@ -10,7 +10,9 @@ families.  ``verify_module_axioms`` is the
 exact Z+-module axiom check, which no pipeline stage reads, read one
 step at a time by ``sliced_check``, and
 ``dense_associators`` the full two-product associator slices that
-``fusion_ring.associators`` halves on commutative tables.
+``fusion_ring.associators`` halves on commutative tables, and
+``dense_associator_max`` their largest |entry|, the hypergroup check's
+reference witness.
 ``reflection_matrices`` are the dense simple reflections, the reference
 that the library's closed form for the Coxeter element is tested against,
 and ``matrix_order`` is the power walk that checks its order against h.
@@ -124,6 +126,13 @@ def dense_associators(c: np.ndarray):
         np.matmul(c[i], by_i, out=left)
         np.matmul(by_l, c[i], out=right)
         yield np.subtract(left, right.reshape(n, n * n), out=left).reshape(n, n, n)
+
+
+def dense_associator_max(c: np.ndarray) -> float:
+    """Largest |entry| over every ``dense_associators`` slice; NaN if any
+    entry is NaN, and no floating-point warning on a non-finite table."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max([np.max(np.abs(a)) for a in dense_associators(c)]))
 
 
 def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:

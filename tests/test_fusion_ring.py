@@ -449,7 +449,8 @@ class TestNucleusCertificate:
 
 class TestAssociatorProducts:
     """How many blocks each matmul of ``associators`` takes, one entry per
-    call: a fallback to the full two-product path fails here."""
+    call, and how many multiply-adds the hypergroup check takes: a fallback
+    to a fuller path fails here."""
 
     @staticmethod
     def blocks_per_matmul(monkeypatch, check, *args):
@@ -468,10 +469,21 @@ class TestAssociatorProducts:
         counts = self.blocks_per_matmul(monkeypatch, lambda: list(associators(c)))
         assert counts == [12 - i for i in range(12)]
 
-    def test_its_hypergroup_takes_two_over_k_from_i(self, monkeypatch):
-        hg = from_fusion_ring(verlinde_ring(12))
-        counts = self.blocks_per_matmul(monkeypatch, verify_hypergroup_axioms, hg)
-        assert counts == [12 - i for i in range(12) for _ in range(2)]
+    @pytest.mark.parametrize("n", [12, 60])
+    def test_its_hypergroup_takes_a_quarter_of_the_multiply_adds(self, monkeypatch, n):
+        # Two dense products over k >= i take n**3 multiply-adds per (i, k)
+        # and product, n**4 (n + 1) in all; the graded scan drops the three
+        # quarters of them that multiply a structural zero.
+        hg = from_fusion_ring(verlinde_ring(n))
+        macs, matmul = [], np.matmul
+
+        def counted(a, b, out):
+            macs.append(out.size * a.shape[-1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        verify_hypergroup_axioms(hg)
+        assert sum(macs) <= 0.3 * n**4 * (n + 1)
 
     @pytest.mark.parametrize("products", [1, 2], ids=["ring", "hypergroup"])
     def test_r60_takes_its_blocks_within_the_budget(self, monkeypatch, products):

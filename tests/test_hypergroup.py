@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from coxfusion import hypergroup
 from coxfusion.coxeter import diagram, parse_diagram
-from coxfusion.fusion_ring import even_subring, verlinde_ring
+from coxfusion.fusion_ring import even_subring, parity_graded, verlinde_ring
 from coxfusion.hypergroup import (
     Hypergroup,
     HypergroupAction,
@@ -23,7 +24,7 @@ from helpers import (
     WRITABLE_SOURCES,
     TableRing,
     caller_writable,
-    dense_associators,
+    dense_associator_max,
     fib_ring,
     traced_peak,
 )
@@ -82,6 +83,20 @@ class TestFromFusionRing:
         assert not hg.constants.flags.writeable
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """Names of the associator scans ``verify_hypergroup_axioms`` runs, in order."""
+    taken = []
+    for name in ("graded_associators", "associators"):
+
+        def spy(*args, _scan=getattr(hypergroup, name), _name=name):
+            taken.append(_name)
+            return _scan(*args)
+
+        monkeypatch.setattr(hypergroup, name, spy)
+    return taken
+
+
 class TestVerifyAxioms:
     def test_large_verlinde(self):
         assert all_passed(verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(30))))
@@ -101,17 +116,77 @@ class TestVerifyAxioms:
         assert report[-1].witness == float(np.max(np.abs(left - right)))
 
     @pytest.mark.parametrize("even", [False, True])
-    def test_associativity_residual_matches_dense_slices_in_r60(self, even):
-        # the k >= i half reads the same largest |entry| as both products over every k
+    def test_associativity_residual_matches_dense_slices_in_r60(self, even, scans):
+        # The graded scan of R_60 and the k >= i half of its even part, which
+        # is not graded, read the same largest |entry| as both products over
+        # every k.
         ring = verlinde_ring(60)
         hg = from_fusion_ring(even_subring(ring) if even else ring)
-        dense = max(float(max(a.max(), -a.min())) for a in dense_associators(hg.constants))
-        assert verify_hypergroup_axioms(hg)[-1].witness == dense
+        assert verify_hypergroup_axioms(hg)[-1].witness == dense_associator_max(hg.constants)
+        assert scans == ["associators" if even else "graded_associators"]
+
+    @pytest.mark.parametrize("n", [*range(2, 14), 30, 31, 60, 61])
+    def test_graded_scan_keeps_the_dense_witness(self, n, scans):
+        hg = from_fusion_ring(verlinde_ring(n))
+        assert verify_hypergroup_axioms(hg)[-1].witness == dense_associator_max(hg.constants)
+        assert scans == ["graded_associators"]
+
+    def test_graded_non_commutative_table_takes_the_full_scan(self, scans):
+        # Weight moved between b_1 and b_3 in b_1 b_2 keeps every entry on
+        # an even slot, but b_1 b_2 is no longer b_2 b_1.
+        constants = np.array(from_fusion_ring(verlinde_ring(12)).constants)
+        constants[1, 2, 1] -= 1e-3
+        constants[1, 2, 3] += 1e-3
+        assert parity_graded(constants)
+        report = verify_hypergroup_axioms(Hypergroup(constants))
+        assert report[-1].witness == dense_associator_max(constants) > 1e-4
+        assert scans == ["associators"]
+
+    def test_entry_at_an_odd_slot_takes_the_full_scan(self, scans):
+        # c_11^1 sits where i + j + k is odd; the table stays commutative.
+        constants = np.array(from_fusion_ring(verlinde_ring(12)).constants)
+        constants[1, 1, 1] = 1e-3
+        assert not parity_graded(constants)
+        report = verify_hypergroup_axioms(Hypergroup(constants))
+        assert report[-1].witness == dense_associator_max(constants) > 1e-4
+        assert scans == ["associators"]
+
+    @pytest.mark.parametrize("n, seed", [(13, 0), (30, 1), (31, 2), (61, 3)])
+    def test_random_graded_table_keeps_the_dense_witness(self, n, seed, scans):
+        # Random commutative weights on the even slots leave every
+        # associator entry of order 1, so a pair of steps the tiles left
+        # out would show; 30 and up take several tiles per parity.
+        rng = np.random.default_rng(seed)
+        i, j, k = np.indices((n, n, n))
+        constants = rng.random((n, n, n)) * ((i + j + k) % 2 == 0)
+        constants += constants.transpose(1, 0, 2)
+        report = verify_hypergroup_axioms(Hypergroup(constants))
+        assert report[-1].witness == pytest.approx(dense_associator_max(constants), rel=1e-14)
+        assert scans == ["graded_associators"]
+
+    def test_r120_witness(self):
+        hg = from_fusion_ring(verlinde_ring.__wrapped__(120))
+        assert verify_hypergroup_axioms(hg)[-1].witness == 2.220446049250313e-16
+
+    @pytest.mark.parametrize("n", [12, 60])
+    @pytest.mark.parametrize(
+        "value, scan", [(math.nan, "associators"), (math.inf, "graded_associators")]
+    )
+    def test_non_finite_entry_fails_associativity(self, n, value, scan, scans):
+        # b_{n/2} b_{n/2+1} has the term b_1, so both entries are on the
+        # support.  NaN != NaN, so a NaN table is not commutative and takes
+        # the full scan; an infinity keeps it commutative and graded.
+        constants = np.array(from_fusion_ring(verlinde_ring(n)).constants)
+        constants[n // 2, n // 2 + 1, 1] = constants[n // 2 + 1, n // 2, 1] = value
+        associativity = verify_hypergroup_axioms(Hypergroup(constants))[-1]
+        assert not associativity.passed
+        assert not math.isfinite(associativity.witness)
+        assert scans == [scan]
 
     def test_r120_holds_block_buffers_only(self):
         # Past its table (13.2 MiB) the check holds rank**3 boolean masks
-        # (1.6 MiB) one at a time and two associator blocks within
-        # ``_BLOCK_BYTES``; two rank**3 float buffers would take 26.4 MiB.
+        # (1.6 MiB) one at a time and the graded scan's buffers within
+        # 2 * ``_BLOCK_BYTES``; two rank**3 float buffers would take 26.4 MiB.
         hg = from_fusion_ring(verlinde_ring.__wrapped__(120))
         assert traced_peak(verify_hypergroup_axioms, hg) <= 4 * 2**20
 
