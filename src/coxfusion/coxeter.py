@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConvergenceError, connected_components, eigvalsh_slack, positive_definite
+from .linalg import ConvergenceError, spectrum_slack
 
 #: Sentinel for an infinite bond order inside integer Coxeter matrices.
 INFINITE = 0
@@ -61,32 +61,84 @@ class CoxeterDiagram:
         return ((self.coxeter_matrix >= 3) | (self.coxeter_matrix == INFINITE)).astype(np.int64)
 
     def is_connected(self) -> bool:
-        return len(connected_components(self.adjacency_matrix())) == 1
+        return min(_walk(self)[1], default=-1) >= 0
 
     def is_ade(self) -> bool:
-        """Simply laced, connected and of finite type: 2I - A positive definite,
-        so the adjacency spectral radius is below 2.  Decided once per
-        instance, since the Coxeter matrix is read-only: ``suite`` gates
-        each roster diagram and ``ade_module`` gates it again."""
+        """Simply laced, connected and of finite type, decided exactly on the graph.
+
+        A connected simply laced diagram has a positive definite form
+        2I - A exactly when it is a Dynkin tree A_n, D_n or E_6..E_8
+        (Humphreys, Reflection Groups and Coxeter Groups, 2.4-2.7): a tree
+        with no degree above 3 and at most one branch vertex, whose three
+        arms of p, q and r vertices, the centre counted in each, have
+        1/p + 1/q + 1/r > 1, that is qr + pr + pq > pqr.  A path has no
+        branch vertex and is A_n.  One ``_walk`` reads the graph; no
+        eigenvalue is taken.  Decided once per instance, since the Coxeter
+        matrix is read-only: ``suite`` gates each roster diagram and
+        ``ade_module`` gates it again."""
         if self._ade is None:
-            off = self.coxeter_matrix[~np.eye(self.rank, dtype=bool)]
-            adj = self.adjacency_matrix()
-            self._ade = (
-                not np.any((off != 2) & (off != 3))
-                and len(connected_components(adj)) == 1
-                and positive_definite(2.0 * np.eye(self.rank) - adj)
-            )
+            cm = self.coxeter_matrix
+            # simply laced: every entry in {1, 2, 3}, so no bond is infinite (0)
+            laced = bool(cm.min(initial=1) >= 1 and cm.max(initial=1) <= 3)
+            self._ade = laced and _dynkin_tree(*_walk(self))
         return self._ade
 
     def __repr__(self) -> str:
         return f"CoxeterDiagram({self.name}, rank={self.rank})"
 
 
+def _walk(d: CoxeterDiagram) -> tuple[list[list[int]], list[int]]:
+    """Adjacency lists of the diagram's graph, read off one ``np.nonzero``,
+    and the depth of each vertex on one breadth-first walk from vertex 0
+    over them, -1 where the walk does not reach."""
+    cm = d.coxeter_matrix
+    neighbours = [[] for _ in range(d.rank)]
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero((cm >= 3) | (cm == INFINITE)))):
+        neighbours[i].append(j)
+    depth, queue = [-1] * d.rank, []
+    if d.rank:
+        depth[0], queue = 0, [0]
+    for v in queue:  # the walk's queue: reached vertices are appended
+        for w in neighbours[v]:
+            if depth[w] < 0:
+                depth[w] = depth[v] + 1
+                queue.append(w)
+    return neighbours, depth
+
+
+def _is_tree(neighbours: list[list[int]], depth: list[int]) -> bool:
+    """Whether the walk reached every vertex over exactly rank - 1 bonds."""
+    return min(depth, default=-1) >= 0 and sum(map(len, neighbours)) == 2 * (len(depth) - 1)
+
+
+def _dynkin_tree(neighbours: list[list[int]], depth: list[int]) -> bool:
+    """Whether a walked graph is a tree A_n, D_n or E_6..E_8 (see ``is_ade``)."""
+    if not _is_tree(neighbours, depth):
+        return False
+    branches = [v for v, adj in enumerate(neighbours) if len(adj) > 2]
+    if not branches:
+        return True
+    centre = branches[0]
+    if len(branches) > 1 or len(neighbours[centre]) > 3:
+        return False
+    arms = []
+    for first in neighbours[centre]:
+        prev, v, length = centre, first, 2
+        while len(neighbours[v]) == 2:  # no other branch vertex: the arm ends at a leaf
+            left, right = neighbours[v]
+            prev, v = v, right if left == prev else left
+            length += 1
+        arms.append(length)
+    p, q, r = arms
+    return q * r + p * r + p * q > p * q * r
+
+
 def _path_matrix(n: int) -> np.ndarray:
     mat = np.full((n, n), 2, dtype=np.int64)
     np.fill_diagonal(mat, 1)
-    for i in range(n - 1):
-        mat[i, i + 1] = mat[i + 1, i] = 3
+    bond = np.arange(n - 1)
+    mat[bond, bond + 1] = 3
+    mat[bond + 1, bond] = 3
     return mat
 
 
@@ -170,12 +222,17 @@ _EXACT_ENTRIES = {1: 2.0, 2: 0.0, 3: -1.0, INFINITE: -2.0}
 
 
 def cartan_form(d: CoxeterDiagram) -> np.ndarray:
-    """Symmetric bilinear form matrix with entries -2cos(pi/m(i, j)), one math.cos per order:
-    exactly 2, 0, -1 and -2 at m = 1, 2, 3 and infinity."""
-    form = np.empty((d.rank, d.rank))
-    for m in set(d.coxeter_matrix.ravel().tolist()):
-        value = _EXACT_ENTRIES[m] if m in _EXACT_ENTRIES else -2.0 * math.cos(math.pi / m)
-        form[d.coxeter_matrix == m] = value
+    """Symmetric bilinear form matrix with entries -2cos(pi/m(i, j)), one mask and
+    one math.cos per order present: exactly 2, 0, -1 and -2 at m = 1, 2, 3 and
+    infinity.  The orders above 3 are read off their own entries, which simply
+    laced diagrams do not have, so no list of all n**2 entries is made."""
+    cm = d.coxeter_matrix
+    form = np.zeros((d.rank, d.rank))  # m = 2
+    np.fill_diagonal(form, _EXACT_ENTRIES[1])
+    for m in (3, INFINITE):
+        form[cm == m] = _EXACT_ENTRIES[m]
+    for m in set(cm[cm > 3].tolist()):
+        form[cm == m] = -2.0 * math.cos(math.pi / m)
     return form
 
 
@@ -190,17 +247,16 @@ class Bipartition:
 def bipartition(d: CoxeterDiagram) -> Bipartition:
     """The parity classes of the depths of one breadth-first walk from vertex 0.
     A tree's rank - 1 edges reach every vertex; any other diagram raises CoxeterError."""
-    adj = d.adjacency_matrix() != 0
-    depth = np.full(d.rank, -1)
-    frontier, level = [0], 0
-    while len(frontier):
-        depth[frontier] = level
-        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (depth < 0))
-        level += 1
-    if np.any(depth < 0) or np.count_nonzero(adj) != 2 * (d.rank - 1):
+    return _parity_classes(*_walk(d))
+
+
+def _parity_classes(neighbours: list[list[int]], depth: list[int]) -> Bipartition:
+    if not _is_tree(neighbours, depth):
         raise CoxeterError("bipartition requires a tree-shaped diagram")
-    even = depth % 2 == 0
-    return Bipartition(tuple(np.flatnonzero(even).tolist()), tuple(np.flatnonzero(~even).tolist()))
+    return Bipartition(
+        tuple(v for v, k in enumerate(depth) if k % 2 == 0),
+        tuple(v for v, k in enumerate(depth) if k % 2 == 1),
+    )
 
 
 def _bipartite_word(parts: Bipartition, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,23 +278,33 @@ def _bipartite_word(parts: Bipartition, form: np.ndarray) -> tuple[np.ndarray, n
     return theta, s_plus @ s_minus
 
 
-def coxeter_number(d: CoxeterDiagram) -> int:
+_NOT_CONNECTED = "Coxeter number requires an irreducible (connected) diagram"
+
+
+def coxeter_number(d: CoxeterDiagram, spectrum=None) -> int:
     """Coxeter number h of a finite irreducible type; the plane side's one gate.
 
-    The diagram must be connected and one ``eigvalsh_slack`` of its form must put
-    the smallest eigenvalue above the error bar s: a positive definite form means
-    a finite group (Humphreys, Reflection Groups and Coxeter Groups, 6.4).  That
-    eigenvalue is 4 sin(pi / 2h)**2 (Coxeter 1951; Humphreys 3.16-3.19), so h is the
-    one integer between pi / (2 asin(sqrt(lambda_min +- s) / 2)), else ConvergenceError.
+    The diagram must be connected and the smallest eigenvalue of its form must
+    lie above the error bar s of ``spectrum_slack``: a positive definite form
+    means a finite group (Humphreys, Reflection Groups and Coxeter Groups, 6.4).
+    That eigenvalue is 4 sin(pi / 2h)**2 (Coxeter 1951; Humphreys 3.16-3.19), so h
+    is the one integer between pi / (2 asin(sqrt(lambda_min +- s) / 2)), else
+    ConvergenceError.
+
+    Called alone, it checks connectivity and takes one ``eigvalsh`` of the form.
+    ``coxeter_plane`` hands over ``spectrum``, the form's ascending eigenvalues
+    read off its own ``eigh``, after checking connectivity itself.
     """
-    if not d.is_connected():
-        raise CoxeterError("Coxeter number requires an irreducible (connected) diagram")
-    evals, slack = eigvalsh_slack(cartan_form(d))
-    if not evals[0] > slack:
+    if spectrum is None:
+        if not d.is_connected():
+            raise CoxeterError(_NOT_CONNECTED)
+        spectrum = np.linalg.eigvalsh(cartan_form(d))
+    lowest, slack = spectrum[0], spectrum_slack(spectrum)
+    if not lowest > slack:
         raise CoxeterError(
             f"diagram {d.name} is not of finite type: its bilinear form is not positive definite"
         )
-    lo, hi = (math.pi / (2 * math.asin(math.sqrt(evals[0] + e) / 2)) for e in (slack, -slack))
+    lo, hi = (math.pi / (2 * math.asin(math.sqrt(lowest + e) / 2)) for e in (slack, -slack))
     if math.floor(hi) != math.ceil(lo):
         raise ConvergenceError(f"Coxeter number of {d.name} is past float64 resolution")
     return math.ceil(lo)
@@ -267,19 +333,28 @@ class CoxeterPlane:
 
 
 def coxeter_plane(d: CoxeterDiagram) -> CoxeterPlane:
-    """The plane side's one build: h from ``coxeter_number`` (the gate), one form,
-    one bipartition, one ``eigh`` of 2I - form and gamma = s_plus s_minus.  The
-    exponents run from 1 to h - 1, so 2cos(pi/h) must top the spectrum, simple;
-    anything else raises CoxeterError.  2I - form is exactly 0 on its diagonal and
-    inside each class, so D (2I - form) D = -(2I - form) bit for bit, with D = +-1
-    on the two classes: u_minus = D u_plus is the eigenvector at -2cos(pi/h), with
-    u_plus's residual (Steinberg, Trans. AMS 1959; Humphreys 3.17)."""
+    """The plane side's one build: one form, one ``_walk`` of the graph, one
+    ``eigh`` of 2I - form and gamma = s_plus s_minus.
+
+    The walk gives connectivity, tree shape and the parity classes; the
+    ``eigh`` gives the form's spectrum, 2 minus its eigenvalues reversed, which
+    ``coxeter_number`` (the gate) reads for h.  A diagram that is not connected,
+    then one not of finite type, then one that is not a tree raises
+    CoxeterError, in that order.  The exponents run from 1 to h - 1, so
+    2cos(pi/h) must top the spectrum, simple; anything else raises
+    CoxeterError.  2I - form is exactly 0 on its diagonal and inside each class,
+    so D (2I - form) D = -(2I - form) bit for bit, with D = +-1 on the two
+    classes: u_minus = D u_plus is the eigenvector at -2cos(pi/h), with u_plus's
+    residual (Steinberg, Trans. AMS 1959; Humphreys 3.17)."""
     if d.rank < 2:
         raise CoxeterError("Coxeter plane requires rank >= 2")
-    h = coxeter_number(d)
     form = cartan_form(d)
-    parts = bipartition(d)
+    neighbours, depth = _walk(d)
+    if min(depth) < 0:
+        raise CoxeterError(_NOT_CONNECTED)
     evals, evecs = np.linalg.eigh(2.0 * np.eye(d.rank) - form)
+    h = coxeter_number(d, spectrum=2.0 - evals[::-1])
+    parts = _parity_classes(neighbours, depth)
     target = 2.0 * math.cos(math.pi / h)
     if abs(evals[-1] - target) > 1e-9:
         raise CoxeterError(

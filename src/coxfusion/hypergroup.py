@@ -4,7 +4,8 @@ A fusion ring induces a hypergroup by renormalising each basis element
 by its Frobenius-Perron dimension; a Z+-module then induces an action
 whose matrices are the integer actions divided by the same dimensions.
 A common fixed vector lies in the kernel of T = sum_i (I - Theta_i); the
-fixed space is cut out of that kernel by singular-value thresholding.
+fixed space is that kernel when a positive common fixed vector is known,
+and is cut out of it by singular-value thresholding otherwise.
 T and the products Theta_i V are read off the integer stack and the
 dimensions directly, so no float copy of the stack is made.
 """
@@ -15,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion_ring import FusionRing, associators, graded_associators, parity_graded
+from .fusion_ring import (
+    _BLOCK_BYTES,
+    FusionRing,
+    _block_rows,
+    associators,
+    graded_associators,
+    parity_graded,
+)
 from .linalg import read_only
-from .report import CheckResult, exact_check
+from .report import CheckResult, blocked_check
 from .zplus_module import ZPlusModule
 
 
@@ -80,9 +88,12 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
       table, takes ``associators``, which computes half of it for a
       commutative table.
     Both hold a few float64 buffers within ``2 * fusion_ring._BLOCK_BYTES``
-    next to the table.  A NaN or an infinity anywhere in the table reaches
-    a row of some product, so associativity fails with a non-finite
-    witness; no floating-point warning is raised.
+    next to the table, and the comparisons with the transpose and the sign
+    check read the table in blocks of ``fusion_ring._block_rows`` values of
+    i, the first axis, so no mask of the table's size is made.  A NaN or an
+    infinity anywhere in the table reaches a row of some product, so
+    associativity fails with a non-finite witness; no floating-point
+    warning is raised.
     """
     c = hg.constants
     eye = np.eye(hg.rank)
@@ -95,8 +106,11 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     if not rows_ok:
         i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
         witness = (int(i), int(j), float(sums[i, j]))
-    commutative = np.array_equal(c, c.transpose(1, 0, 2))
-    sym_ok = commutative or np.max(np.abs(c - c.transpose(1, 0, 2))) < 1e-12
+    rows = _block_rows(hg.rank)
+    starts = range(0, hg.rank, rows)
+    pairs = [(c[i : i + rows], c[:, i : i + rows].transpose(1, 0, 2)) for i in starts]
+    commutative = all(np.array_equal(block, flipped) for block, flipped in pairs)
+    sym_ok = commutative or np.max([np.max(np.abs(b - f)) for b, f in pairs]) < 1e-12
     support_ok = np.array_equal(c[:, :, 0] > 0, eye > 0)
     if commutative and parity_graded(c):
         blocks = graded_associators(c)
@@ -105,7 +119,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     # np.max, unlike the builtin max, keeps a NaN wherever it comes.
     assoc_err = float(np.max([max(a.max(), -a.min()) for a in blocks]))
     return [
-        exact_check("nonnegativity", c < 0),
+        blocked_check("nonnegativity", (block < 0 for block, _ in pairs), rows),
         CheckResult("unit law", bool(unit_ok)),
         CheckResult("row sums equal 1", bool(rows_ok), witness),
         CheckResult("involution conditions", bool(sym_ok and support_ok)),
@@ -132,21 +146,55 @@ def action_from_module(module: ZPlusModule) -> HypergroupAction:
     return HypergroupAction(module.actions, module.ring.fp_dims())
 
 
-def fixed_space(action: HypergroupAction) -> np.ndarray:
+def fixed_space(action: HypergroupAction, regular=None) -> np.ndarray:
     """Read-only (dim, n) orthonormal rows spanning the intersection of the
     kernels of Theta(r_i) - I, found inside ker T.
 
-    V: right singular vectors of T = sum_i (I - Theta_i) at singular value <= sqrt(k)*1e-8;
-    result V ker(S V) at the absolute cut 1e-8, S the never-built stack of Theta_i - I.
-    |T v| <= sqrt(k) |S v|, so it is the stacked SVD's kernel when T's least singular value
-    sigma above the cut is far from it (ADE: I - Theta_i >= 0, dim V = 2, sigma >= 1.38).
-    T and the Theta_i V are buffered float einsums over the stored matrices, weighted
-    by 1 / fp_dims and divided by fp_dims, so memory stays O(k n + n**2)."""
+    V: the kernel of T = sum_i (I - Theta_i), the vectors at singular value
+    <= sqrt(k)*1e-8, from one ``eigh`` of T when the stored stack is exactly
+    symmetric, and from its ``svd`` otherwise.  Symmetry is compared with
+    ``array_equal`` on blocks of matrices whose masks fit in
+    ``fusion_ring._BLOCK_BYTES``, not on the whole stack.  T is a buffered
+    float einsum over the stored matrices, weighted by 1 / fp_dims, so
+    memory stays O(k n + n**2).
+
+    ``regular``, a positive common fixed vector r of the Theta_i that the
+    caller has certified (``zplus_module.regular_element`` does), skips the
+    second stage on a symmetric nonnegative stack: each Theta_i then has
+    Perron root 1 at r, so every I - Theta_i is positive semidefinite and
+    T v = 0 only where each (I - Theta_i) v = 0 (Perron-Frobenius; Horn &
+    Johnson, Matrix Analysis, 8.1).  V is the fixed space.  Here r is only
+    checked to be positive with |T r| within the cut times |r|; a vector
+    that fails is ignored.
+
+    Otherwise the result is V ker(S V) at the absolute cut 1e-8, S the
+    never-built stack of Theta_i - I, with the Theta_i V buffered einsums
+    divided by fp_dims.  |T v| <= sqrt(k) |S v|, so it is the stacked SVD's
+    kernel when T's least singular value sigma above the cut is far from it
+    (ADE: I - Theta_i >= 0, dim V = 2, sigma >= 1.38)."""
     mats, fp = action.matrices, action.fp_dims
     k, dim = mats.shape[:2]
     total = np.einsum("kij,k->ij", mats, 1.0 / fp)
-    _, svals, vt = np.linalg.svd(k * np.eye(dim) - total)
-    cand = vt[svals <= np.sqrt(k) * 1e-8]
+    t = k * np.eye(dim) - total
+    cut = np.sqrt(k) * 1e-8
+    step = max(1, _BLOCK_BYTES // (dim * dim))
+    blocks = (mats[i : i + step] for i in range(0, k, step))
+    if all(np.array_equal(block, block.transpose(0, 2, 1)) for block in blocks):
+        evals, vecs = np.linalg.eigh(t)
+        cand = vecs.T[np.abs(evals) <= cut]
+        certified = (
+            regular is not None
+            and mats.min(initial=0) >= 0
+            and fp.min(initial=1) > 0
+            and np.all(regular > 0)
+            and np.linalg.norm(t @ regular) <= cut * np.linalg.norm(regular)
+        )
+        if certified:
+            cand.setflags(write=False)
+            return cand
+    else:
+        _, svals, vt = np.linalg.svd(t)
+        cand = vt[svals <= cut]
     images = np.einsum("kij,jc->kic", mats, cand.T) / fp[:, None, None]
     moved = (images - cand.T).reshape(k * dim, len(cand))
     _, svals, vt = np.linalg.svd(moved, full_matrices=False)

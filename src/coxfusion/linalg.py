@@ -1,7 +1,9 @@
-"""Small numerical kernels: Perron pairs, positive definiteness, projectors,
+"""Small numerical kernels: Perron pairs, spectral error bars, projectors,
 components, read-only int8 storage."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -101,7 +103,7 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     image = shifted @ vec
     rq_prev = np.inf
     for _ in range(_PERRON_MAX_ITER):
-        norm = float(np.linalg.norm(image))
+        norm = math.sqrt(image @ image)  # np.linalg.norm's 1-D path, bit for bit
         if norm == 0.0:
             raise ConvergenceError("power iteration collapsed to the zero vector")
         vec = image / norm
@@ -122,16 +124,10 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     raise ConvergenceError(f"power iteration did not converge in {_PERRON_MAX_ITER} steps")
 
 
-def eigvalsh_slack(sym) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of a symmetric matrix and their error bar, 10 * n * eps * largest."""
-    evals = np.linalg.eigvalsh(sym)
-    return evals, 10 * len(evals) * np.finfo(float).eps * evals[-1]
-
-
-def positive_definite(sym) -> bool:
-    """Whether a symmetric matrix's smallest eigenvalue exceeds its ``eigvalsh_slack``."""
-    evals, slack = eigvalsh_slack(sym)
-    return bool(evals[0] > slack)
+def spectrum_slack(evals) -> float:
+    """Error bar of the ascending eigenvalues of a symmetric matrix, from
+    ``eigvalsh`` or ``eigh``: 10 * n * eps * largest."""
+    return 10 * len(evals) * np.finfo(float).eps * evals[-1]
 
 
 def subspace_projector(vectors) -> np.ndarray:
@@ -147,17 +143,22 @@ def subspace_projector(vectors) -> np.ndarray:
 def connected_components(support) -> list[list[int]]:
     """Sorted vertex lists of the components of a symmetric boolean adjacency,
     by smallest vertex: a breadth-first walk from each vertex not yet
-    reached, which reads each vertex's row once, so O(n**2) in all."""
+    reached, level by level, with one ``any`` over the rows of each level
+    (a level of one vertex reads its row as it is).  Each vertex's row is
+    read once, so O(n**2) in all, in a number of numpy calls that grows with
+    the number of levels, not of vertices."""
     adj = np.asarray(support, dtype=bool)
     unseen = np.ones(len(adj), dtype=bool)
     components = []
-    for root in range(len(adj)):
-        if unseen[root]:
-            unseen[root] = False
-            component = [root]
-            for v in component:  # the walk's queue: reached vertices are appended
-                reached = (adj[v] & unseen).nonzero()[0]
-                unseen[reached] = False
-                component += reached.tolist()
-            components.append(sorted(component))
+    while unseen.any():
+        root = int(unseen.argmax())
+        unseen[root] = False
+        component, level = [root], [root]
+        while level:
+            rows = adj[level[0]] if len(level) == 1 else adj[level].any(axis=0)
+            reached = (rows & unseen).nonzero()[0]
+            unseen[reached] = False
+            level = reached.tolist()
+            component += level
+        components.append(sorted(component))
     return components

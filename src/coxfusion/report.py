@@ -34,5 +34,17 @@ def exact_check(name: str, *bad: np.ndarray) -> CheckResult:
     return CheckResult(name, True)
 
 
+def blocked_check(name: str, blocks, rows: int) -> CheckResult:
+    """``exact_check(name, mask)`` read in blocks along the first axis:
+    ``blocks`` yields mask[i : i + rows] for i = 0, rows, 2 * rows, ..., and
+    is read up to the first block with a set entry, so the witness is that
+    of the whole mask, which is never built."""
+    for index, mask in enumerate(blocks):
+        if mask.any():
+            first = np.argwhere(mask)[0]
+            return CheckResult(name, False, (index * rows + int(first[0]), *map(int, first[1:])))
+    return CheckResult(name, True)
+
+
 def all_passed(report: list[CheckResult]) -> bool:
     return all(check.passed for check in report)

@@ -53,15 +53,17 @@ def check_decomposition_lemma(restricted: ZPlusModule, parts: Bipartition) -> Ch
     return CheckResult("decomposition lemma", components == expected, components)
 
 
-def check_regular_split(module: ZPlusModule, parts: Bipartition) -> CheckResult:
+def check_regular_split(module: ZPlusModule, parts: Bipartition, regular=None) -> CheckResult:
     """r+ +/- r- are +/-FP(Delta_1)-eigenvectors of the Delta_1 action,
     each with a residual norm below 1e-9.
 
     The split r = r+ + r- masks the regular element of the full module by
     the bipartition classes, which fixes the relative scaling of the two
     halves: r+ + r- is r, and r+ - r- is r with the minus class negated.
+    ``regular`` is r when the caller has it from ``regular_element``;
+    otherwise it is solved for here.
     """
-    reg = regular_element(module)
+    reg = regular_element(module) if regular is None else regular
     mirrored = reg.copy()
     mirrored[list(parts.minus)] *= -1.0
     delta1 = module.actions[1].astype(float)
@@ -114,13 +116,20 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     values to agree.  The lemmas hold the fusion side against the
     bipartition the plane built for gamma's word (``plane.parts``), which
     comes from the adjacency matrix alone.
+
+    The regular element r of the module is solved for first, once: it is
+    the certificate with which ``fixed_space`` reads the fixed space off
+    ker T alone, and the regular-split lemma checks it.  So each side takes
+    one symmetric eigendecomposition: ``eigh`` of T on the fusion side and
+    of 2I - form on the plane side.
     """
     if d.rank < 2:
         raise CoxeterError(f"diagram {d.name} has rank < 2")
 
     module = ade_module(d)
+    regular = regular_element(module)
     restricted = restrict(module)
-    basis = fixed_space(action_from_module(restricted))
+    basis = fixed_space(action_from_module(restricted), regular=regular)
 
     plane = coxeter_plane(d)
     proj_fixed = subspace_projector(basis)
@@ -130,7 +139,7 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     lemmas = (
         check_bifurcation_lemma(module.actions[1], plane.parts),
         check_decomposition_lemma(restricted, plane.parts),
-        check_regular_split(module, plane.parts),
+        check_regular_split(module, plane.parts, regular),
     )
     passed = len(basis) == 2 and distance < tol and module.ring.rank + 1 == plane.h
     return TheoremReport(

@@ -67,7 +67,10 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     neighbours, padded to the largest degree with a zero row appended to
     a copy of X, so a step is O(rank**2) with no matmul.  Each step must
     be nonnegative with max * (largest degree + 1) <= 127, so that the
-    next cannot wrap.
+    next cannot wrap.  That check runs once after the loop, as one min and
+    one max per step over the stack, and raises for the first failing
+    step, whose entries are exact since every step before it passed; what
+    the steps after it hold, once they may have wrapped, decides nothing.
 
     h - 1 is read first off the row sums Delta_k(A) 1, in int64 and
     O(rank) per step, so that the stack is allocated once and filled in
@@ -93,12 +96,6 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
         padded[:n] = x
         return padded[neighbours].sum(axis=0, dtype=x.dtype)
 
-    def check(step):
-        if step.min() < 0:
-            raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
-        if int(step.max()) * (width + 1) > 127:
-            raise ZPlusModuleError(f"Chebyshev actions of {d.name} leave the int8 range")
-
     padded = np.zeros(n + 1, dtype=np.int64)
     count, prev, sums = 0, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
     while 0 < int(sums.max()) * (width + 1) <= 127 * n:
@@ -108,10 +105,16 @@ def ade_module(d: CoxeterDiagram) -> ZPlusModule:
     padded = np.zeros((n + 1, n), dtype=np.int8)
     prev, step = np.zeros((n, n), dtype=np.int8), np.eye(n, dtype=np.int8)
     for k in range(count):
-        check(step)
         actions[k] = step
         prev, step = step, times_adjacency(step, padded) - prev
-    check(step)  # zero, unless the row sums stopped where a check fails
+    # the last step is zero, unless the row sums stopped where a check fails
+    lows = actions.min(axis=(1, 2)).tolist() + [int(step.min())]
+    highs = actions.max(axis=(1, 2)).tolist() + [int(step.max())]
+    for low, high in zip(lows, highs):
+        if low < 0:
+            raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
+        if high * (width + 1) > 127:
+            raise ZPlusModuleError(f"Chebyshev actions of {d.name} leave the int8 range")
     actions.setflags(write=False)
     return ZPlusModule(verlinde_ring(count), actions)
 
@@ -152,13 +155,18 @@ def regular_element(module: ZPlusModule) -> np.ndarray:
     makes a float64 copy of the integer stack.  The check reads the images
     that the solve took last, at the vector it returns, scaled by the same
     coordinate sum: no second einsum over the stack.
+
+    The module is irreducible when the support of Delta_1 alone is
+    connected, since every submodule of ``decompose`` is a union of its
+    components; only otherwise is the whole stack's support read.
     """
-    components = decompose(module)
-    if len(components) != 1:
-        raise ZPlusModuleError(
-            f"module is reducible ({len(components)} components); regular element undefined"
-        )
     mats = module.actions
+    if len(mats) < 2 or len(connected_components((mats[1] != 0) | (mats[1].T != 0))) != 1:
+        components = decompose(module)
+        if len(components) != 1:
+            raise ZPlusModuleError(
+                f"module is reducible ({len(components)} components); regular element undefined"
+            )
     fp = module.ring.fp_dims()
     moved = None
 

@@ -18,6 +18,8 @@ that the library's closed form for the Coxeter element is tested against,
 and ``matrix_order`` is the power walk that checks its order against h.
 ``edges`` lists a diagram's bonds and ``squaring_components`` is the
 reachability-squaring reference for ``linalg.connected_components``.
+``positive_definite`` is the spectral reference for the exact graph gate
+``CoxeterDiagram.is_ade``.
 ``fstring_csv`` and ``fstring_svg`` are the per-point f-string renderers
 of ``project``'s output, the references for the CLI's single-format ones.
 ``traced_peak`` is the tracemalloc peak of one call, for the memory pins;
@@ -32,7 +34,7 @@ import numpy as np
 
 from coxfusion.coxeter import CoxeterDiagram, cartan_form
 from coxfusion.fusion_ring import FusionRing, FusionRingError
-from coxfusion.linalg import ConvergenceError, narrow_integers, perron_eigenpair
+from coxfusion.linalg import ConvergenceError, narrow_integers, perron_eigenpair, spectrum_slack
 from coxfusion.report import CheckResult, exact_check
 from coxfusion.zplus_module import ZPlusModule
 
@@ -183,6 +185,12 @@ def squaring_components(support) -> list[list[int]]:
     for _ in range(n.bit_length()):
         reach = np.minimum(reach @ reach, 1.0)
     return [np.flatnonzero(row).tolist() for v, row in enumerate(reach) if row.argmax() == v]
+
+
+def positive_definite(sym) -> bool:
+    """Whether a symmetric matrix's smallest eigenvalue exceeds its ``spectrum_slack``."""
+    evals = np.linalg.eigvalsh(sym)
+    return bool(evals[0] > spectrum_slack(evals))
 
 
 def cycle(n):

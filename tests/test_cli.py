@@ -281,10 +281,10 @@ class TestProject:
 
     @pytest.mark.parametrize("tag", ["E8", "H4", "I2(9)"])
     def test_project_builds_the_plane_once(self, capsys, monkeypatch, tag):
-        # one bipartition and one gamma = s_plus s_minus feed the plane and the roots;
-        # the form is built by the gate and once more by the plane
+        # one form, one walk of the graph and one gamma = s_plus s_minus feed the
+        # plane and the roots; the gate reads the spectrum of the plane's eigh
         calls = []
-        for name in ("bipartition", "_bipartite_word", "cartan_form"):
+        for name in ("_walk", "_bipartite_word", "cartan_form"):
 
             def counted(*args, name=name, original=getattr(coxfusion.coxeter, name), **kwargs):
                 calls.append(name)
@@ -293,7 +293,7 @@ class TestProject:
             monkeypatch.setattr(coxfusion.coxeter, name, counted)
         code, _, _ = run(capsys, "project", tag)
         assert code == 0
-        assert sorted(calls) == ["_bipartite_word", "bipartition", "cartan_form", "cartan_form"]
+        assert sorted(calls) == ["_bipartite_word", "_walk", "cartan_form"]
 
     def test_non_crystallographic(self, capsys):
         code, out, _ = run(capsys, "project", "H3")
@@ -433,13 +433,13 @@ class TestSuite:
     def test_default_roster_gates_each_diagram_once(self, capsys, monkeypatch):
         # the CLI's gate and ade_module's read one verdict per diagram
         calls = []
-        original = coxfusion.coxeter.positive_definite
+        original = coxfusion.coxeter._dynkin_tree
 
-        def counted(sym):
-            calls.append(len(sym))
-            return original(sym)
+        def counted(neighbours, depth):
+            calls.append(len(depth))
+            return original(neighbours, depth)
 
-        monkeypatch.setattr(coxfusion.coxeter, "positive_definite", counted)
+        monkeypatch.setattr(coxfusion.coxeter, "_dynkin_tree", counted)
         code, _, _ = run(capsys, "suite")
         assert code == 0
         assert calls == [d.rank for d in default_roster()]
@@ -524,6 +524,41 @@ def test_runtime_imports_only_numpy():
     added = set(result.stdout.split())
     assert {"coxfusion", "numpy"} <= added
     assert added - sys.stdlib_module_names <= {"coxfusion", "numpy"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "D12", "--theorem"],
+        ["suite", "--roster", "A3,D4"],
+        ["ring", "30", "--verify"],
+        ["project", "H4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_import_nothing_lazily(argv):
+    # A command imports only what argparse's first message lookup does
+    # (locale); a hot-path call that imports lazily, such as np.unique's
+    # first call importing numpy.ma (8.7-11 ms), fails here.
+    src = str(pathlib.Path(coxfusion.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1])\n"
+        "import coxfusion.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = coxfusion.cli.main(sys.argv[2:])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", script, src, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    code, added = json.loads(result.stdout)
+    assert code == 0
+    assert added == ["_locale", "locale"]
 
 
 def test_unknown_subcommand(capsys):

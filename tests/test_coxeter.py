@@ -22,7 +22,15 @@ from coxfusion.coxeter import (
 )
 from coxfusion.linalg import ConvergenceError, subspace_projector
 from coxfusion.verify import default_roster
-from helpers import affine_d, cycle, e10, edges, matrix_order, reflection_matrices
+from helpers import (
+    affine_d,
+    cycle,
+    e10,
+    edges,
+    matrix_order,
+    positive_definite,
+    reflection_matrices,
+)
 
 ALL_TYPES = (
     [diagram("A", n) for n in range(2, 9)]
@@ -367,6 +375,80 @@ def test_is_ade_agrees_with_coxeter_number_gate(d):
     assert d.is_ade() == finite
 
 
+def tree(bonds, name):
+    """The simply laced diagram with the given bonds, its vertices permuted by a
+    fixed shuffle, so that vertex 0 is no particular vertex of the tree."""
+    n = 1 + max((max(bond) for bond in bonds), default=0)
+    perm = np.random.default_rng(n).permutation(n)
+    mat = np.full((n, n), 2)
+    np.fill_diagonal(mat, 1)
+    for i, j in bonds:
+        mat[perm[i], perm[j]] = mat[perm[j], perm[i]] = 3
+    return CoxeterDiagram(mat, name)
+
+
+def star(*arms):
+    """T_{p,q,r,...}: arms of p, q, r, ... vertices around vertex 0, the centre
+    counted in each; one arm of p vertices is the path A_p."""
+    bonds, size = [], 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm - 1):
+            bonds.append((prev, size))
+            prev, size = size, size + 1
+    return tree(bonds, "T" + ",".join(map(str, arms)))
+
+
+def double_star(left, spine, right):
+    """Two branch vertices joined by a path of ``spine`` bonds, each carrying
+    two more arms, of the vertex counts in ``left`` and ``right`` (the branch
+    vertex counted in each)."""
+    bonds = [(i, i + 1) for i in range(spine)]
+    size = spine + 1
+    for centre, arms in ((0, left), (spine, right)):
+        for arm in arms:
+            prev = centre
+            for _ in range(arm - 1):
+                bonds.append((prev, size))
+                prev, size = size, size + 1
+    return tree(bonds, f"H{left},{spine},{right}")
+
+
+STARS = [star(p, q, r) for p in range(1, 10) for q in range(p, 10) for r in range(q, 10)]
+PATHS = [star(n) for n in list(range(1, 41)) + [97, 200, 301]]
+WIDE_TREES = [
+    star(2, 2, 2, 2),  # affine D4
+    star(2, 2, 2, 3),
+    star(2, 2, 2, 2, 2),
+    star(3, 3, 3, 3),
+    double_star((2, 2), 1, (2, 2)),  # affine D5
+    double_star((2, 2), 4, (2, 2)),  # affine D8
+    double_star((2, 2), 1, (2, 3)),
+    double_star((2, 3), 5, (3, 4)),
+    double_star((2, 2), 1, (2, 2, 2)),  # a degree-4 vertex and a second branch
+]
+AFFINE = [
+    CoxeterDiagram(matrix, name)
+    for matrix, name in [(cycle(n + 1), f"affine A{n}") for n in range(2, 12)]
+    + [(affine_d(n + 1), f"affine D{n}") for n in range(4, 16)]
+] + [star(3, 3, 3), star(2, 4, 4), star(2, 3, 6)]  # affine E6, E7, E8
+
+
+@pytest.mark.parametrize(
+    "d", STARS + PATHS + WIDE_TREES + AFFINE + GATE_INPUTS, ids=lambda d: d.name
+)
+def test_exact_gate_agrees_with_the_form(d):
+    # the graph rule decides what the spectral test of 2I - A decides
+    reference = positive_definite(2.0 * np.eye(d.rank) - d.adjacency_matrix())
+    assert d.is_ade() == reference
+
+
+def test_gate_inputs_on_both_sides_of_the_rule():
+    # the 45 paths T_{1,q,r}, D_{r+2} as T_{2,2,r} (8) and E6..E8 as T_{2,3,3..5}
+    assert sum(d.is_ade() for d in STARS) == 45 + 8 + 3
+    assert not any(d.is_ade() for d in WIDE_TREES + AFFINE)
+
+
 def _double_top_eigenvalue(evals, evecs):
     evals[-2] = evals[-1]
 
@@ -410,7 +492,7 @@ class TestCoxeterPlane:
 
         d = parse_diagram(tag)
         h = coxeter_number(d)
-        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _: h + 1)
+        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _, spectrum=None: h + 1)
         with pytest.raises(CoxeterError, match="no eigenvalue of 2I-A near"):
             coxeter_plane(d)
 
@@ -424,7 +506,7 @@ class TestCoxeterPlane:
         h = coxeter_number(d)
         evals = np.linalg.eigvalsh(2.0 * np.eye(d.rank) - cartan_form(d))
         assert evals[0] < 2.0 * math.cos(math.pi / (h - 1)) < evals[-1]
-        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _: h - 1)
+        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _, spectrum=None: h - 1)
         with pytest.raises(CoxeterError, match="no eigenvalue of 2I-A near"):
             coxeter_plane(d)
 

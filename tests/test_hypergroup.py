@@ -184,11 +184,27 @@ class TestVerifyAxioms:
         assert scans == [scan]
 
     def test_r120_holds_block_buffers_only(self):
-        # Past its table (13.2 MiB) the check holds rank**3 boolean masks
-        # (1.6 MiB) one at a time and the graded scan's buffers within
-        # 2 * ``_BLOCK_BYTES``; two rank**3 float buffers would take 26.4 MiB.
+        # Past its table (13.2 MiB) the check holds the graded scan's buffers
+        # within 2 * ``_BLOCK_BYTES`` and rank**2 arrays; two rank**3 float
+        # buffers would take 26.4 MiB.  The comparison with the transpose and
+        # the sign check read the table in blocks, so the peak (0.88 MiB
+        # measured) stays below one rank**3 boolean mask (1.65 MiB).
         hg = from_fusion_ring(verlinde_ring.__wrapped__(120))
-        assert traced_peak(verify_hypergroup_axioms, hg) <= 4 * 2**20
+        verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(12)))  # first-call allocations
+        peak = traced_peak(verify_hypergroup_axioms, hg)
+        assert peak <= 4 * 2**20
+        assert peak < hg.rank**3
+
+    @pytest.mark.parametrize("n", [12, 30, 60])
+    def test_blocked_nonnegativity_witness_is_the_first_index(self, n):
+        # blocks of _block_rows(n) values of i: 113 at R_12, 18 at R_30, 4 at R_60
+        constants = np.array(from_fusion_ring(verlinde_ring(n)).constants)
+        for entry in [(n - 1, 1, 2), (n - 5, 2, 1), (n - 5, 0, 3)]:
+            constants[entry] = -1.0
+        report = verify_hypergroup_axioms(Hypergroup(constants))
+        assert report[0].name == "nonnegativity" and not report[0].passed
+        assert report[0].witness == tuple(int(x) for x in np.argwhere(constants < 0)[0])
+        assert report[0].witness == (n - 5, 0, 3)
 
     def test_asymmetric_pair_fails_involution_conditions(self):
         # In R_4, b_1 b_2 has the terms b_1 and b_3.  Moving weight between
@@ -352,6 +368,49 @@ class TestFixedSpaceInsideKernelOfSum:
         assert basis.shape == reference.shape == (2, action.matrices.shape[1])
         assert np.max(np.abs(basis.T @ basis - reference.T @ reference)) <= 1e-13
 
+    @pytest.mark.parametrize("tag", ["E8", "D12", "A30", "A100", "D100"])
+    def test_regular_element_reads_the_fixed_space_off_ker_t(self, monkeypatch, tag):
+        module = ade_module(parse_diagram(tag))
+        action = action_from_module(restrict(module))
+        reference = stacked_fixed_space(action)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        basis = fixed_space(action, regular=regular_element(module))
+        assert basis.shape == reference.shape == (2, module.rank)
+        assert not basis.flags.writeable
+        assert np.max(np.abs(basis.T @ basis - reference.T @ reference)) <= 1e-13
+
+    @pytest.mark.parametrize("shift", ["negated", "off ker T"])
+    def test_uncertified_vector_keeps_the_second_stage(self, monkeypatch, shift):
+        module = ade_module(parse_diagram("E8"))
+        action = action_from_module(restrict(module))
+        reg = regular_element(module)
+        vec = -reg if shift == "negated" else reg + 1e-3 * np.arange(module.rank)
+        svds, svd = [], np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svds.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        basis = fixed_space(action, regular=vec)
+        assert svds == [(module.rank * len(action.matrices), 2)]  # the second stage's only
+        assert np.array_equal(basis, fixed_space(action))
+
+    def test_negative_entries_keep_the_second_stage(self):
+        # Theta = I, I + S, I - S with S symmetric and S r = 0 for r = (1, 1, 1):
+        # T = 0, yet only ker S is fixed.  S has negative entries, so r certifies
+        # nothing and the second stage cuts ker T down to ker S.
+        eye = np.eye(3)
+        sym = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        basis = fixed_space(plain_action(eye, eye + sym, eye - sym), regular=np.ones(3))
+        assert basis.shape == (2, 3)
+        kernel = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]) / np.array([[2.0**0.5], [2.0]])
+        assert np.max(np.abs(basis.T @ basis - kernel.T @ kernel)) < 1e-15
+
     def test_cancellation_in_the_sum(self):
         # T = 3I - (I + (I + N) + (I - N)) = 0, yet only ker N = span(e_0, e_2) is fixed.
         eye = np.eye(3)
@@ -386,3 +445,15 @@ class TestFixedSpaceInsideKernelOfSum:
         restricted.ring.fp_dims()
         peak = traced_peak(lambda: fixed_space(action_from_module(restricted)))
         assert peak < 8 * restricted.actions.size / 4
+
+    def test_symmetry_check_makes_no_mask_of_the_stack(self):
+        # The comparison with the transpose runs on blocks of matrices: at
+        # D100 the whole call peaks at 0.29 MiB, under the bool mask of the
+        # 0.94 MiB int8 stack that one array_equal over all of it would make.
+        module = ade_module(parse_diagram("D100"))
+        restricted = restrict(module)
+        action = action_from_module(restricted)
+        reg = regular_element(module)
+        fixed_space(even_action("D5"), regular=regular_element(ade_module(parse_diagram("D5"))))
+        peak = traced_peak(lambda: fixed_space(action, regular=reg))
+        assert peak < restricted.actions.nbytes / 2

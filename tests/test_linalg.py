@@ -13,7 +13,6 @@ from coxfusion.linalg import (
     connected_components,
     narrow_integers,
     perron_eigenpair,
-    positive_definite,
     read_only,
     subspace_projector,
 )
@@ -22,6 +21,7 @@ from helpers import (
     caller_writable,
     cycle,
     matrix_order,
+    positive_definite,
     squaring_components,
     stack_perron,
 )

@@ -13,6 +13,7 @@ from coxfusion.coxeter import (
     CoxeterDiagram,
     CoxeterError,
     bipartition,
+    coxeter_number,
     coxeter_plane,
     diagram,
     parse_diagram,
@@ -147,7 +148,7 @@ class TestMainTheorem:
         import coxfusion.verify
 
         empty = np.zeros((0, 8))
-        monkeypatch.setattr(coxfusion.verify, "fixed_space", lambda action: empty)
+        monkeypatch.setattr(coxfusion.verify, "fixed_space", lambda action, regular=None: empty)
         report = check_main_theorem(diagram("E", 8))
         assert not report.passed
         assert report.fixed_dimension == 0
@@ -255,7 +256,9 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
         "coxeter_number",
         "cartan_form",
         "_bipartite_word",
-        "bipartition",
+        "_walk",
+        "regular_element",
+        "fixed_space",
         "perron_eigenpair",
     ):
         rebind(monkeypatch, name, counting(name))
@@ -269,20 +272,74 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
     assert check_main_theorem(diagram("E", 8)).passed
     # One Perron solve each for the full ring, the even ring and the module;
     # the only modules built are the ADE module and its even restriction.
-    # The plane builds the bipartition and gamma = s_plus s_minus once, and the lemmas
-    # read its classes; the form is built twice, for the gate and for the plane.
+    # The regular element is solved for once, for the fixed space and the
+    # regular-split lemma.  The plane builds the form, its walk and
+    # gamma = s_plus s_minus once, and the lemmas read its classes; the graph
+    # is walked once by the plane and once by the gate.
     assert calls == {
         "ade_module": 1,
         "restrict": 1,
         "even_subring": 1,
+        "regular_element": 1,
+        "fixed_space": 1,
         "coxeter_number": 1,
-        "cartan_form": 2,
+        "cartan_form": 1,
         "_bipartite_word": 1,
-        "bipartition": 1,
+        "_walk": 2,
         "is_ade": 1,
         "perron_eigenpair": 3,
         "ZPlusModule": 2,
     }
+
+
+class TestFactorisations:
+    """How many dense symmetric or singular-value factorisations a theorem
+    check takes: a fallback to the second fixed-space stage, to the SVD of
+    T, or to a second spectrum on the plane side fails here."""
+
+    NAMES = ("eigh", "eigvalsh", "svd", "eig", "eigvals")
+
+    @classmethod
+    def counted(cls, monkeypatch, call, *args):
+        calls = Counter()
+        for name in cls.NAMES:
+
+            def count(*a, name=name, original=getattr(np.linalg, name), **kw):
+                calls[name] += 1
+                return original(*a, **kw)
+
+            monkeypatch.setattr(np.linalg, name, count)
+        result = call(*args)
+        return calls, result
+
+    @pytest.mark.parametrize("tag", ["E8", "D12", "A30"])
+    def test_one_eigh_per_side(self, monkeypatch, tag):
+        # eigh of T on the fusion side, eigh of 2I - form on the plane side
+        calls, report = self.counted(monkeypatch, check_main_theorem, parse_diagram(tag))
+        assert report.passed
+        assert calls == {"eigh": 2}
+
+    @pytest.mark.parametrize("tag", ["E8", "D12", "A30"])
+    def test_stack_einsums(self, monkeypatch, tag):
+        # over the module's stack: T once, and the Perron images of the
+        # regular element once per converged check; the second stage's
+        # Theta_i V never runs
+        subscripts, einsum = Counter(), np.einsum
+
+        def counted(spec, *operands, **kwargs):
+            subscripts[spec] += 1
+            return einsum(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        assert check_main_theorem(parse_diagram(tag)).passed
+        assert subscripts["kij,k->ij"] == 1
+        assert subscripts["kij,j->ki"] >= 1
+        assert set(subscripts) == {"kij,k->ij", "kij,j->ki"}
+
+    @pytest.mark.parametrize("tag", ["E8", "D12", "A30", "H4"])
+    def test_coxeter_number_alone_takes_one_eigvalsh(self, monkeypatch, tag):
+        calls, _ = self.counted(monkeypatch, coxeter_number, parse_diagram(tag))
+        assert calls == {"eigvalsh": 1}
 
 
 def test_cold_main_theorem_holds_each_table_once():

@@ -345,6 +345,26 @@ class TestRegularElement:
         with pytest.raises(ZPlusModuleError):
             regular_element(restrict(module))
 
+    @pytest.mark.parametrize("tag", ["E8", "D12", "A30"])
+    def test_connected_generator_skips_the_stack_support(self, monkeypatch, tag):
+        # Delta_1 is the tree's adjacency: connected, so no decompose
+        def refuse(module):
+            raise AssertionError("decompose read the whole stack")
+
+        monkeypatch.setattr(zplus_module, "decompose", refuse)
+        assert np.all(regular_element(ade_module(parse_diagram(tag))) > 0)
+
+    def test_disconnected_generator_falls_back_to_the_stack_support(self):
+        # b_1 acts by 0, so its support joins nothing, but b_2's swap joins
+        # the two basis vectors: the module is irreducible, and the solve
+        # then fails at b_1's eigenvalue 0 against FP dimension sqrt 2.
+        swap = np.array([[0, 1], [1, 0]])
+        zero = np.zeros((2, 2), dtype=int)
+        module = ZPlusModule(verlinde_ring(3), [np.eye(2, dtype=int), zero, swap])
+        assert decompose(module) == [[0, 1]]
+        with pytest.raises(ZPlusModuleError, match=r"basis element 1 fails \(residual 7.071e-01\)"):
+            regular_element(module)
+
     @pytest.mark.parametrize("d", ADE_ROSTER, ids=lambda d: d.name)
     def test_eigen_relations_full_roster(self, d):
         module = ade_module(d)
