@@ -4,10 +4,10 @@ The one family used downstream is the Verlinde ring R_n = Z[x]/(Delta_n)
 with basis Delta_0..Delta_{n-1}, and its even part.  Both are stored as
 runs: for each (j, k), the i with c_{ij}^k = 1 are lo, lo + step, .., hi.
 Frobenius-Perron dimensions come from one Perron solve on the left
-multiplication matrices, read off the runs in O(rank**2): the regular
-element sum_i FP(b_i) b_i is their common Perron vector, and each
-dimension is a Rayleigh quotient on it.  The rank**3 table of structure
-constants is built only when it is read.
+multiplication matrices of R_n, read off the runs in O(rank**2): the
+regular element sum_i FP(b_i) b_i is their common Perron vector, and each
+dimension is a Rayleigh quotient on it.  The even part reads R_n's.  The
+rank**3 table of structure constants is built only when it is read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from .linalg import perron_eigenpair
-from .report import CheckResult, exact_check
+from .report import CheckResult, blocked_check, exact_check
 
 
 class FusionRingError(ValueError):
@@ -112,14 +112,22 @@ class FusionRing:
         return perron_eigenpair(np.subtract(*self._run_ends(lengths)), images)
 
     def fp_dims(self) -> np.ndarray:
-        """Frobenius-Perron dimensions of all basis elements (cached)."""
-        if self._fp_dims is None:
+        """Frobenius-Perron dimensions of all basis elements (cached).
+
+        An even part (step 1, fold n - 1) reads them off R_n, the cached
+        ``verlinde_ring(fold + 1)``, at the even indices: FP dimensions
+        restrict to a based subring (Etingof, Gelaki, Nikshych & Ostrik,
+        *Tensor Categories*, 3.3), so R_n and its even part share one Perron
+        solve.  Any other ring solves ``_perron_pair`` on its own runs.
+        """
+        if self._fp_dims is None and self.step == 1:
+            self._fp_dims = verlinde_ring(self.fold + 1).fp_dims()[::2]
+        elif self._fp_dims is None:
             try:
-                dims, _ = self._perron_pair()
+                self._fp_dims, _ = self._perron_pair()
             except ArithmeticError as exc:
                 raise FusionRingError("FP dimensions did not converge") from exc
-            dims.setflags(write=False)
-            self._fp_dims = dims
+            self._fp_dims.setflags(write=False)
         return self._fp_dims
 
     def fp_dim(self, i: int) -> float:
@@ -144,9 +152,13 @@ class FusionRing:
         the whole table is made, and multiply in float64, which is
         exact here: each associator entry sums at most rank products of
         int8 entries, so it stays below 127**2 * rank, less than 2**53 for
-        any rank below about 5.6e11.
+        any rank below about 5.6e11.  The involution check compares the
+        table with its transpose in the ``_transposed_blocks`` that the
+        hypergroup check reads too, through ``report.blocked_check``: the
+        witness is the first index of the whole mask, which is never built.
         """
         c = self.constants
+        rows, pairs = _transposed_blocks(c)
         eye = np.eye(self.rank, dtype=np.int64)
         unit = exact_check("unit law", c[0] != eye, c[:, 0, :] != eye)
         if unit.passed and nucleus_certificate(c):
@@ -158,7 +170,7 @@ class FusionRing:
             unit,
             associative,
             exact_check("based condition", c[:, :, 0] != eye),
-            exact_check("involution anti-automorphism", c != c.transpose(1, 0, 2)),
+            blocked_check("involution anti-automorphism", (b != f for b, f in pairs), rows),
         ]
 
     def to_dict(self) -> dict:
@@ -182,6 +194,16 @@ _BLOCK_BYTES = 1 << 17
 def _block_rows(n: int) -> int:
     """Rows of an (rows, n, n) float64 block within ``_BLOCK_BYTES``, at least 1."""
     return max(1, _BLOCK_BYTES // (8 * n * n))
+
+
+def _transposed_blocks(c: np.ndarray) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """``_block_rows(rank)`` and, for i = 0, rows, 2 * rows, ..., the views
+    (c[i : i + rows], c.transpose(1, 0, 2)[i : i + rows]): the blocks in
+    which both axiom checks compare a table with its transpose over its
+    first two indices, so that no mask of the table's size is made."""
+    rows = _block_rows(len(c))
+    starts = range(0, len(c), rows)
+    return rows, [(c[i : i + rows], c[:, i : i + rows].transpose(1, 0, 2)) for i in starts]
 
 
 def nucleus_certificate(c: np.ndarray) -> bool:
@@ -396,9 +418,10 @@ def verlinde_ring(n: int) -> FusionRing:
 def even_subring(ring: FusionRing) -> FusionRing:
     """Even-indexed fusion subring of a Verlinde ring: its basis element k
     is the ring's 2k.  Halving i, j and k in the rule of R_n gives the
-    runs of fold n - 1 and step 1.  Any other ring raises FusionRingError:
-    in an even part of rank 4 or more, for one, the even-indexed elements
-    are not closed.
+    runs of fold n - 1 and step 1, and its ``fp_dims`` are R_n's at the
+    even indices, with no Perron solve of its own.  Any other ring raises
+    FusionRingError: in an even part of rank 4 or more, for one, the
+    even-indexed elements are not closed.
     """
     if ring.step != 2:
         raise FusionRingError(f"the even part is taken of Verlinde rings only, not {ring!r}")

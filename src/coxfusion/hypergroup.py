@@ -3,10 +3,11 @@
 A fusion ring induces a hypergroup by renormalising each basis element
 by its Frobenius-Perron dimension; a Z+-module then induces an action
 whose matrices are the integer actions divided by the same dimensions.
-A common fixed vector lies in the kernel of T = sum_i (I - Theta_i); the
+A common fixed vector lies in the kernel of W = sum_i FP_i (I - Theta_i),
+the plain sum (sum_i FP_i) I - sum_i M_i of the integer actions M_i; the
 fixed space is that kernel when a positive common fixed vector is known,
 and is cut out of it by singular-value thresholding otherwise.
-T and the products Theta_i V are read off the integer stack and the
+W and the products Theta_i V are read off the integer stack and the
 dimensions directly, so no float copy of the stack is made.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from .fusion_ring import (
     _BLOCK_BYTES,
     FusionRing,
-    _block_rows,
+    _transposed_blocks,
     associators,
     graded_associators,
     parity_graded,
@@ -89,11 +90,11 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
       commutative table.
     Both hold a few float64 buffers within ``2 * fusion_ring._BLOCK_BYTES``
     next to the table, and the comparisons with the transpose and the sign
-    check read the table in blocks of ``fusion_ring._block_rows`` values of
-    i, the first axis, so no mask of the table's size is made.  A NaN or an
-    infinity anywhere in the table reaches a row of some product, so
-    associativity fails with a non-finite witness; no floating-point
-    warning is raised.
+    check read the table in the ``fusion_ring._transposed_blocks`` of
+    ``_block_rows`` values of i, the first axis, so no mask of the table's
+    size is made.  A NaN or an infinity anywhere in the table reaches a row
+    of some product, so associativity fails with a non-finite witness; no
+    floating-point warning is raised.
     """
     c = hg.constants
     eye = np.eye(hg.rank)
@@ -106,9 +107,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     if not rows_ok:
         i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
         witness = (int(i), int(j), float(sums[i, j]))
-    rows = _block_rows(hg.rank)
-    starts = range(0, hg.rank, rows)
-    pairs = [(c[i : i + rows], c[:, i : i + rows].transpose(1, 0, 2)) for i in starts]
+    rows, pairs = _transposed_blocks(c)
     commutative = all(np.array_equal(block, flipped) for block, flipped in pairs)
     sym_ok = commutative or np.max([np.max(np.abs(b - f)) for b, f in pairs]) < 1e-12
     support_ok = np.array_equal(c[:, :, 0] > 0, eye > 0)
@@ -148,52 +147,54 @@ def action_from_module(module: ZPlusModule) -> HypergroupAction:
 
 def fixed_space(action: HypergroupAction, regular=None) -> np.ndarray:
     """Read-only (dim, n) orthonormal rows spanning the intersection of the
-    kernels of Theta(r_i) - I, found inside ker T.
+    kernels of Theta(r_i) - I, found inside ker W.
 
-    V: the kernel of T = sum_i (I - Theta_i), the vectors at singular value
-    <= sqrt(k)*1e-8, from one ``eigh`` of T when the stored stack is exactly
-    symmetric, and from its ``svd`` otherwise.  Symmetry is compared with
-    ``array_equal`` on blocks of matrices whose masks fit in
-    ``fusion_ring._BLOCK_BYTES``, not on the whole stack.  T is a buffered
-    float einsum over the stored matrices, weighted by 1 / fp_dims, so
-    memory stays O(k n + n**2).
+    V: the kernel of W = (sum_i FP_i) I - sum_i M_i = sum_i FP_i (I - Theta_i),
+    M_i the stored matrices and FP_i the dimensions, the vectors at singular
+    value <= |FP|_2 * 1e-8, from one ``eigh`` of W when the stored stack is
+    exactly symmetric, and from its ``svd`` otherwise.  sum_i M_i is one
+    buffered ``sum(axis=0)`` over the stack, in int32 for an int8 stack
+    (exact while it is shorter than 2**24), so W is integer off the
+    diagonal and memory stays O(n**2).  When every FP_i is 1, W is
+    T = sum_i (I - Theta_i) and the cut is sqrt(k) * 1e-8.
+    Symmetry is compared with ``array_equal`` on blocks of matrices whose
+    masks fit in ``fusion_ring._BLOCK_BYTES``, not on the whole stack.
 
     ``regular``, a positive common fixed vector r of the Theta_i that the
     caller has certified (``zplus_module.regular_element`` does), skips the
-    second stage on a symmetric nonnegative stack: each Theta_i then has
-    Perron root 1 at r, so every I - Theta_i is positive semidefinite and
-    T v = 0 only where each (I - Theta_i) v = 0 (Perron-Frobenius; Horn &
-    Johnson, Matrix Analysis, 8.1).  V is the fixed space.  Here r is only
-    checked to be positive with |T r| within the cut times |r|; a vector
-    that fails is ignored.
+    second stage on a symmetric nonnegative stack with positive dimensions:
+    each Theta_i then has Perron root 1 at r, so every FP_i (I - Theta_i)
+    is positive semidefinite and W v = 0 only where each (I - Theta_i) v = 0
+    (Perron-Frobenius; Horn & Johnson, Matrix Analysis, 8.1).  V is the
+    fixed space.  Here r is only checked to be positive with |W r| within
+    the cut times |r|; a vector that fails is ignored.
 
     Otherwise the result is V ker(S V) at the absolute cut 1e-8, S the
     never-built stack of Theta_i - I, with the Theta_i V buffered einsums
-    divided by fp_dims.  |T v| <= sqrt(k) |S v|, so it is the stacked SVD's
-    kernel when T's least singular value sigma above the cut is far from it
-    (ADE: I - Theta_i >= 0, dim V = 2, sigma >= 1.38)."""
+    divided by fp_dims.  |W v| <= |FP|_2 |S v| by Cauchy-Schwarz, so it is
+    the stacked SVD's kernel when W's least singular value sigma above the
+    cut is far from it (ADE: I - Theta_i >= 0 and dim V = 2)."""
     mats, fp = action.matrices, action.fp_dims
     k, dim = mats.shape[:2]
-    total = np.einsum("kij,k->ij", mats, 1.0 / fp)
-    t = k * np.eye(dim) - total
-    cut = np.sqrt(k) * 1e-8
+    w = fp.sum() * np.eye(dim) - mats.sum(axis=0, dtype=np.result_type(mats, np.int32))
+    cut = np.linalg.norm(fp) * 1e-8
     step = max(1, _BLOCK_BYTES // (dim * dim))
     blocks = (mats[i : i + step] for i in range(0, k, step))
     if all(np.array_equal(block, block.transpose(0, 2, 1)) for block in blocks):
-        evals, vecs = np.linalg.eigh(t)
+        evals, vecs = np.linalg.eigh(w)
         cand = vecs.T[np.abs(evals) <= cut]
         certified = (
             regular is not None
             and mats.min(initial=0) >= 0
             and fp.min(initial=1) > 0
             and np.all(regular > 0)
-            and np.linalg.norm(t @ regular) <= cut * np.linalg.norm(regular)
+            and np.linalg.norm(w @ regular) <= cut * np.linalg.norm(regular)
         )
         if certified:
             cand.setflags(write=False)
             return cand
     else:
-        _, svals, vt = np.linalg.svd(t)
+        _, svals, vt = np.linalg.svd(w)
         cand = vt[svals <= cut]
     images = np.einsum("kij,jc->kic", mats, cand.T) / fp[:, None, None]
     moved = (images - cand.T).reshape(k * dim, len(cand))

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import coxfusion
 import coxfusion.cli
 import coxfusion.coxeter
+import coxfusion.fusion_ring
 import coxfusion.zplus_module
 from coxfusion.cli import _points_to_csv, _points_to_svg, build_parser, main, parse_roster
 from coxfusion.coxeter import (
@@ -27,7 +28,8 @@ from coxfusion.coxeter import (
     project_to_plane,
     root_system,
 )
-from coxfusion.linalg import ConvergenceError
+from coxfusion.fusion_ring import even_subring, verlinde_ring
+from coxfusion.linalg import ConvergenceError, perron_eigenpair
 from coxfusion.verify import check_main_theorem, default_roster
 from coxfusion.zplus_module import ZPlusModuleError
 from helpers import fstring_csv, fstring_svg
@@ -64,6 +66,21 @@ class TestRing:
         assert list(dims) == ["Δ_0", "Δ_2", "Δ_4"]
         assert dims["Δ_2"] == pytest.approx(2.0, abs=1e-10)
         assert dims["Δ_4"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_even_fpdims_take_one_solve(self, capsys, monkeypatch):
+        # The even part reads R_N's dimensions: one Perron solve, of R_N.
+        solves = []
+
+        def counted(total, images):
+            solves.append(len(total))
+            return perron_eigenpair(total, images)
+
+        monkeypatch.setattr(coxfusion.fusion_ring, "perron_eigenpair", counted)
+        verlinde_ring.cache_clear()
+        even_subring.cache_clear()
+        code, out, _ = run(capsys, "ring", "40", "--even", "--fpdims")
+        assert code == 0 and len(json.loads(out)) == 20
+        assert solves == [40]
 
     def test_verify_mode(self, capsys):
         code, out, _ = run(capsys, "ring", "7", "--verify")

@@ -229,6 +229,20 @@ class TestFPDim:
             assert np.max(np.abs(ring.fp_dims() - expected)) < 1e-9
             assert np.max(np.abs(sub.fp_dims() - expected[::2])) < 1e-9
 
+    def test_even_part_reads_the_full_rings_solve(self, monkeypatch):
+        # The even part's dimensions are R_n's at the even indices, bit for
+        # bit, with no solve of its own; its own solve, kept as the
+        # reference, agrees to rounding (1.03e-15 relative at worst, R_196).
+        rings = [verlinde_ring(n) for n in range(1, 201)]
+        owns = [even_subring.__wrapped__(ring)._perron_pair()[0] for ring in rings]
+        for ring in rings:
+            ring.fp_dims()
+        monkeypatch.setattr(fusion_ring, "perron_eigenpair", None)
+        for ring, own in zip(rings, owns):
+            dims = even_subring.__wrapped__(ring).fp_dims()
+            assert np.array_equal(dims, ring.fp_dims()[::2])
+            assert np.max(np.abs(dims - own) / own) <= 2e-15
+
     def test_fp_dims_independent_of_memory_layout(self):
         # Constants are stored C-ordered, so the Perron solve sees the same
         # memory whatever the layout of the integers it was given.
@@ -421,12 +435,27 @@ class TestNucleusCertificate:
         assert report["associativity"].witness == einsum_witness(bad) is not None
 
     def test_r120_holds_no_second_float_table(self):
-        # Past the int8 table the checks hold a rank**3 boolean mask (1.6 MiB)
-        # and the certificate's column blocks within ``_BLOCK_BYTES``; a
-        # float64 copy of the table alone is 13.2 MiB.
+        # Past the int8 table the checks hold the certificate's column blocks
+        # within ``_BLOCK_BYTES`` and the involution check's masks of one
+        # block of i: 0.74 MiB at the peak, where the full rank**3 mask made
+        # it 1.77 MiB.  A float64 copy of the table alone is 13.2 MiB.
         ring = verlinde_ring.__wrapped__(120)
         ring.constants
-        assert traced_peak(ring.verify_axioms) <= 8 * 2**20
+        assert traced_peak(ring.verify_axioms) <= 0.8 * 2**20
+
+    @pytest.mark.parametrize("defect", [(0, 1, 2), (3, 2, 2), (11, 2, 30), (38, 21, 5)])
+    def test_involution_witness_across_blocks_of_r40(self, defect):
+        # R_40 compares i in blocks of 10; a defect off the diagonal i = j
+        # breaks commutativity at (i, j, k) and (j, i, k), and the blocked
+        # witness is the first index of the whole mask.
+        ring = verlinde_ring(40)
+        assert fusion_ring._block_rows(ring.rank) == 10
+        bad = np.array(ring.constants)
+        bad[defect] += 1
+        report = {c.name: c for c in TableRing(ring.labels, bad).verify_axioms()}
+        expected = tuple(int(x) for x in np.argwhere(bad != bad.transpose(1, 0, 2))[0])
+        assert expected == min(defect, (defect[1], defect[0], defect[2]))
+        assert report["involution anti-automorphism"].witness == expected
 
     @pytest.mark.parametrize("defect", [(24, 10, 36), (0, 33, 25), (38, 33, 18)])
     def test_witness_across_k_blocks_of_r40(self, defect):

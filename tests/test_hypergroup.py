@@ -434,6 +434,41 @@ class TestFixedSpaceInsideKernelOfSum:
         if dimension == 2:
             assert np.max(np.abs(basis @ u)) < 1e-15 / shift
 
+    # Scaling each M_i and FP_i by c leaves every Theta_i as it is and scales
+    # W and its cut |FP|_2 * 1e-8 alike; c = 1 is the FP = 1 case above.
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1000.0])
+    @pytest.mark.parametrize(
+        "shift,dimension", [(1e-6, 2), (1.2e-8, 2), (0.9e-8, 3), (1e-10, 3)]
+    )
+    def test_dimension_independent_of_fp_scale(self, scale, shift, dimension):
+        eye = np.eye(3)
+        u = np.array([1.0, 2.0, 2.0]) / 3
+        mats = scale * np.stack([eye, eye - shift * np.outer(u, u)])
+        action = HypergroupAction(mats, np.full(2, scale))
+        assert fixed_space(action).shape == (dimension, 3)
+
+    @pytest.mark.parametrize("tag", ["E8", "D12", "A30", "D100"])
+    def test_first_stage_is_the_integer_sum(self, monkeypatch, tag):
+        # W = (sum FP) I - sum M_i: off the diagonal it is minus the exact
+        # sum of the int8 stack, an integer, and it equals the float sum bit
+        # for bit, with no division by the dimensions.
+        module = ade_module(parse_diagram(tag))
+        action = action_from_module(restrict(module))
+        mats, fp = action.matrices, action.fp_dims
+        assert mats.dtype == np.int8
+        seen, eigh = [], np.linalg.eigh
+
+        def kept(t):
+            seen.append(t)
+            return eigh(t)
+
+        monkeypatch.setattr(np.linalg, "eigh", kept)
+        assert len(fixed_space(action, regular=regular_element(module))) == 2
+        (w,) = seen
+        off = ~np.eye(len(w), dtype=bool)
+        assert np.array_equal(w[off], np.round(w[off]))
+        assert np.array_equal(w, fp.sum() * np.eye(len(w)) - mats.sum(axis=0, dtype=float))
+
     def test_no_fixed_vector_gives_empty_basis(self):
         fixed = fixed_space(plain_action(-np.eye(3), 0.5 * np.eye(3)))
         assert fixed.shape == (0, 3)
