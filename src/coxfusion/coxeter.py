@@ -341,7 +341,8 @@ def coxeter_plane(d: CoxeterDiagram) -> CoxeterPlane:
     ``coxeter_number`` (the gate) reads for h.  A diagram that is not connected,
     then one not of finite type, then one that is not a tree raises
     CoxeterError, in that order.  The exponents run from 1 to h - 1, so
-    2cos(pi/h) must top the spectrum, simple; anything else raises
+    2cos(pi/h) must top the spectrum, simple: above the next eigenvalue by
+    more than the error bar of ``spectrum_slack``; anything else raises
     CoxeterError.  2I - form is exactly 0 on its diagonal and inside each class,
     so D (2I - form) D = -(2I - form) bit for bit, with D = +-1 on the two
     classes: u_minus = D u_plus is the eigenvector at -2cos(pi/h), with u_plus's
@@ -360,7 +361,7 @@ def coxeter_plane(d: CoxeterDiagram) -> CoxeterPlane:
         raise CoxeterError(
             f"no eigenvalue of 2I-A near {target:.12g} (spectrum end: {evals[-1]:.12g})"
         )
-    if abs(evals[-2] - evals[-1]) <= 1e-6:
+    if evals[-1] - evals[-2] <= spectrum_slack(evals):
         raise CoxeterError(f"eigenvalue {target:.12g} is not simple")
     u_plus = evecs[:, -1].copy()
     if u_plus[int(np.argmax(np.abs(u_plus)))] < 0:

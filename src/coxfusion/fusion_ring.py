@@ -152,26 +152,26 @@ class FusionRing:
         the whole table is made, and multiply in float64, which is
         exact here: each associator entry sums at most rank products of
         int8 entries, so it stays below 127**2 * rank, less than 2**53 for
-        any rank below about 5.6e11.  The involution check compares the
-        table with its transpose in the ``_transposed_blocks`` that the
-        hypergroup check reads too, through ``report.blocked_check``: the
-        witness is the first index of the whole mask, which is never built.
+        any rank below about 5.6e11.  The involution check runs first and
+        compares the table with its transpose in the ``_transposed_blocks``
+        that the hypergroup check reads too, through ``report.blocked_check``:
+        the witness is the first index of the whole mask, which is never
+        built.  Its verdict is whether the table is commutative, which the
+        scan is handed.
         """
         c = self.constants
         rows, pairs = _transposed_blocks(c)
+        involution = blocked_check(
+            "involution anti-automorphism", (b != f for b, f in pairs), rows
+        )
         eye = np.eye(self.rank, dtype=np.int64)
         unit = exact_check("unit law", c[0] != eye, c[:, 0, :] != eye)
         if unit.passed and nucleus_certificate(c):
             associative = CheckResult("associativity", True)
         else:
-            witness = associativity_witness(c)
+            witness = associativity_witness(c, involution.passed)
             associative = CheckResult("associativity", witness is None, witness)
-        return [
-            unit,
-            associative,
-            exact_check("based condition", c[:, :, 0] != eye),
-            blocked_check("involution anti-automorphism", (b != f for b, f in pairs), rows),
-        ]
+        return [unit, associative, exact_check("based condition", c[:, :, 0] != eye), involution]
 
     def to_dict(self) -> dict:
         return {
@@ -204,6 +204,16 @@ def _transposed_blocks(c: np.ndarray) -> tuple[int, list[tuple[np.ndarray, np.nd
     rows = _block_rows(len(c))
     starts = range(0, len(c), rows)
     return rows, [(c[i : i + rows], c[:, i : i + rows].transpose(1, 0, 2)) for i in starts]
+
+
+def _symmetric_stack(mats: np.ndarray) -> bool:
+    """True when every matrix of the (k, n, n) stack ``mats`` equals its
+    transpose, bit for bit: compared in blocks of matrices whose masks fit
+    in ``_BLOCK_BYTES``, up to the first block that differs, so that no mask
+    of the stack's size is made."""
+    rows = max(1, _BLOCK_BYTES // mats.shape[-1] ** 2)
+    blocks = (mats[i : i + rows] for i in range(0, len(mats), rows))
+    return all(np.array_equal(block, block.transpose(0, 2, 1)) for block in blocks)
 
 
 def nucleus_certificate(c: np.ndarray) -> bool:
@@ -251,7 +261,7 @@ def nucleus_certificate(c: np.ndarray) -> bool:
     return True
 
 
-def associators(c: np.ndarray, commutative: bool | None = None):
+def associators(c: np.ndarray, commutative: bool):
     """Yield (b_i b_j) b_k - b_i (b_j b_k) in blocks over k, as (i, k0, block)
     with block[k - k0, j, l], for i = 0, 1, ... and k0 ascending.
 
@@ -262,9 +272,9 @@ def associators(c: np.ndarray, commutative: bool | None = None):
     the next block.  An integer table is widened to float64 a block at a
     time, C_i once per step and each block of B as it is read, so no float
     copy of the whole table is made; its products are exact while every
-    sum of rank products of entries stays below 2**53.  ``commutative``,
-    when given, is whether ``c`` equals its transpose over i and j, which
-    is then not compared again.
+    sum of rank products of entries stays below 2**53.  ``commutative`` is
+    whether ``c`` equals its transpose over i and j, as the caller's
+    involution check has found; it is not compared again here.
     - A commutative table has B_k = C_k, so block k of step i is minus
       block i of step k, and step i yields only k >= i.  The first step
       with a nonzero entry still yields all of them (were one at some
@@ -274,13 +284,12 @@ def associators(c: np.ndarray, commutative: bool | None = None):
       per block, over k >= i.
     - If every C_k is also symmetric (a self-dual table reciprocal in all
       three indices, as the Verlinde table), C_k C_i = (C_i C_k)^T: one
-      product per block, and its blocks minus their transposes.
+      product per block, and its blocks minus their transposes; that is
+      compared by ``_symmetric_stack``.
     - Any other table takes both products over every k.
     """
     n = len(c)
-    if commutative is None:
-        commutative = np.array_equal(c, c.transpose(1, 0, 2))
-    reciprocal = commutative and np.array_equal(c, c.transpose(0, 2, 1))
+    reciprocal = commutative and _symmetric_stack(c)
     by_k = c if commutative else c.transpose(1, 0, 2)
     rows = _block_rows(n)
     blocks, products = np.empty((rows, n, n)), np.empty((rows, n, n))
@@ -388,13 +397,13 @@ def graded_associators(c: np.ndarray):
                         yield np.subtract(left, right.transpose(0, 2, 1, 3), out=left)
 
 
-def associativity_witness(c: np.ndarray) -> tuple[int, int, int, int] | None:
+def associativity_witness(c: np.ndarray, commutative: bool) -> tuple[int, int, int, int] | None:
     """First (i, j, k, l) at which (b_i b_j) b_k - b_i (b_j b_k) has a
-    nonzero coefficient of b_l, or None: read off ``associators`` up to
-    the first step i with one.  Blocks split that step over k, so its
-    witness is the least of their first hits."""
+    nonzero coefficient of b_l, or None: read off ``associators(c,
+    commutative)`` up to the first step i with one.  Blocks split that step
+    over k, so its witness is the least of their first hits."""
     first = None
-    for i, k0, block in associators(c):
+    for i, k0, block in associators(c, commutative):
         if first is not None and first[0] < i:
             break
         hits = np.argwhere(block.transpose(1, 0, 2))

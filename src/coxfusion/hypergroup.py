@@ -4,11 +4,10 @@ A fusion ring induces a hypergroup by renormalising each basis element
 by its Frobenius-Perron dimension; a Z+-module then induces an action
 whose matrices are the integer actions divided by the same dimensions.
 A common fixed vector lies in the kernel of W = sum_i FP_i (I - Theta_i),
-the plain sum (sum_i FP_i) I - sum_i M_i of the integer actions M_i; the
-fixed space is that kernel when a positive common fixed vector is known,
-and is cut out of it by singular-value thresholding otherwise.
-W and the products Theta_i V are read off the integer stack and the
-dimensions directly, so no float copy of the stack is made.
+the plain sum (sum_i FP_i) I - sum_i M_i of the integer actions M_i, and
+the fixed space is that kernel once a positive common fixed vector
+certifies it.  W is read off the integer stack and the dimensions
+directly, so no float copy of the stack is made.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion_ring import (
-    _BLOCK_BYTES,
     FusionRing,
+    _symmetric_stack,
     _transposed_blocks,
     associators,
     graded_associators,
@@ -145,60 +144,41 @@ def action_from_module(module: ZPlusModule) -> HypergroupAction:
     return HypergroupAction(module.actions, module.ring.fp_dims())
 
 
-def fixed_space(action: HypergroupAction, regular=None) -> np.ndarray:
-    """Read-only (dim, n) orthonormal rows spanning the intersection of the
-    kernels of Theta(r_i) - I, found inside ker W.
+def fixed_space(action: HypergroupAction, regular) -> np.ndarray:
+    """Read-only (dim, n) orthonormal rows spanning the common fixed space of
+    the Theta_i, certified by ``regular``: the kernel of
+    W = (sum_i FP_i) I - sum_i M_i = sum_i FP_i (I - Theta_i), M_i the stored
+    matrices and FP_i the dimensions, read off one ``eigh`` of W at
+    |lambda| <= |FP|_2 * 1e-8, the cut (sqrt(k) * 1e-8 when every FP_i is 1).
 
-    V: the kernel of W = (sum_i FP_i) I - sum_i M_i = sum_i FP_i (I - Theta_i),
-    M_i the stored matrices and FP_i the dimensions, the vectors at singular
-    value <= |FP|_2 * 1e-8, from one ``eigh`` of W when the stored stack is
-    exactly symmetric, and from its ``svd`` otherwise.  sum_i M_i is one
-    buffered ``sum(axis=0)`` over the stack, in int32 for an int8 stack
-    (exact while it is shorter than 2**24), so W is integer off the
-    diagonal and memory stays O(n**2).  When every FP_i is 1, W is
-    T = sum_i (I - Theta_i) and the cut is sqrt(k) * 1e-8.
-    Symmetry is compared with ``array_equal`` on blocks of matrices whose
-    masks fit in ``fusion_ring._BLOCK_BYTES``, not on the whole stack.
-
-    ``regular``, a positive common fixed vector r of the Theta_i that the
-    caller has certified (``zplus_module.regular_element`` does), skips the
-    second stage on a symmetric nonnegative stack with positive dimensions:
-    each Theta_i then has Perron root 1 at r, so every FP_i (I - Theta_i)
-    is positive semidefinite and W v = 0 only where each (I - Theta_i) v = 0
-    (Perron-Frobenius; Horn & Johnson, Matrix Analysis, 8.1).  V is the
-    fixed space.  Here r is only checked to be positive with |W r| within
-    the cut times |r|; a vector that fails is ignored.
-
-    Otherwise the result is V ker(S V) at the absolute cut 1e-8, S the
-    never-built stack of Theta_i - I, with the Theta_i V buffered einsums
-    divided by fp_dims.  |W v| <= |FP|_2 |S v| by Cauchy-Schwarz, so it is
-    the stacked SVD's kernel when W's least singular value sigma above the
-    cut is far from it (ADE: I - Theta_i >= 0 and dim V = 2)."""
+    ``regular`` is a positive common fixed vector r of the Theta_i, such as
+    ``zplus_module.regular_element`` of the module the action restricts.
+    The certificate asks that
+    - every M_i is exactly symmetric (``fusion_ring._symmetric_stack``);
+    - every M_i is nonnegative and every FP_i positive;
+    - r is positive;
+    - |W r| <= cut * |r|.
+    Each Theta_i then has Perron root 1 at r, so every FP_i (I - Theta_i) is
+    positive semidefinite and W v = 0 only where each (I - Theta_i) v = 0
+    (Perron-Frobenius; Horn & Johnson, Matrix Analysis, 8.1).  A condition
+    that fails raises ValueError naming it.  sum_i M_i is one buffered
+    ``sum(axis=0)`` over the stack, in int32 for an int8 stack (exact while
+    it is shorter than 2**24), so W is integer off the diagonal and memory
+    stays O(n**2)."""
     mats, fp = action.matrices, action.fp_dims
-    k, dim = mats.shape[:2]
-    w = fp.sum() * np.eye(dim) - mats.sum(axis=0, dtype=np.result_type(mats, np.int32))
+    w = fp.sum() * np.eye(mats.shape[1]) - mats.sum(axis=0, dtype=np.result_type(mats, np.int32))
     cut = np.linalg.norm(fp) * 1e-8
-    step = max(1, _BLOCK_BYTES // (dim * dim))
-    blocks = (mats[i : i + step] for i in range(0, k, step))
-    if all(np.array_equal(block, block.transpose(0, 2, 1)) for block in blocks):
-        evals, vecs = np.linalg.eigh(w)
-        cand = vecs.T[np.abs(evals) <= cut]
-        certified = (
-            regular is not None
-            and mats.min(initial=0) >= 0
-            and fp.min(initial=1) > 0
-            and np.all(regular > 0)
-            and np.linalg.norm(w @ regular) <= cut * np.linalg.norm(regular)
-        )
-        if certified:
-            cand.setflags(write=False)
-            return cand
-    else:
-        _, svals, vt = np.linalg.svd(w)
-        cand = vt[svals <= cut]
-    images = np.einsum("kij,jc->kic", mats, cand.T) / fp[:, None, None]
-    moved = (images - cand.T).reshape(k * dim, len(cand))
-    _, svals, vt = np.linalg.svd(moved, full_matrices=False)
-    basis = vt[int(np.sum(svals >= 1e-8)) :] @ cand
+    residual, bound = np.linalg.norm(w @ regular), cut * np.linalg.norm(regular)
+    for holds, condition in (
+        (_symmetric_stack(mats), "an action matrix is not symmetric"),
+        (mats.min(initial=0) >= 0, "an action matrix has a negative entry"),
+        (fp.min(initial=1) > 0, "an FP dimension is not positive"),
+        (np.all(regular > 0), "the regular vector is not positive"),
+        (residual <= bound, "|W r| exceeds the cut times |r|"),
+    ):
+        if not holds:
+            raise ValueError(f"fixed space not certified: {condition}")
+    evals, vecs = np.linalg.eigh(w)
+    basis = vecs.T[np.abs(evals) <= cut]
     basis.setflags(write=False)
     return basis

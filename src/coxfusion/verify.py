@@ -53,22 +53,20 @@ def check_decomposition_lemma(restricted: ZPlusModule, parts: Bipartition) -> Ch
     return CheckResult("decomposition lemma", components == expected, components)
 
 
-def check_regular_split(module: ZPlusModule, parts: Bipartition, regular=None) -> CheckResult:
+def check_regular_split(module: ZPlusModule, parts: Bipartition, regular) -> CheckResult:
     """r+ +/- r- are +/-FP(Delta_1)-eigenvectors of the Delta_1 action,
     each with a residual norm below 1e-9.
 
     The split r = r+ + r- masks the regular element of the full module by
     the bipartition classes, which fixes the relative scaling of the two
     halves: r+ + r- is r, and r+ - r- is r with the minus class negated.
-    ``regular`` is r when the caller has it from ``regular_element``;
-    otherwise it is solved for here.
+    ``regular`` is r, from ``regular_element(module)``.
     """
-    reg = regular_element(module) if regular is None else regular
-    mirrored = reg.copy()
+    mirrored = regular.copy()
     mirrored[list(parts.minus)] *= -1.0
     delta1 = module.actions[1].astype(float)
     fp1 = module.ring.fp_dim(1)
-    residual_sum = float(np.linalg.norm(delta1 @ reg - fp1 * reg))
+    residual_sum = float(np.linalg.norm(delta1 @ regular - fp1 * regular))
     residual_diff = float(np.linalg.norm(delta1 @ mirrored + fp1 * mirrored))
     passed = residual_sum < _REGULAR_SPLIT_TOL and residual_diff < _REGULAR_SPLIT_TOL
     return CheckResult(

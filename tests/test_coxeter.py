@@ -533,6 +533,25 @@ class TestCoxeterPlane:
         with pytest.raises(CoxeterError, match=message):
             coxeter_plane(parse_diagram(tag))
 
+    def test_gap_at_h_5442_is_simple(self, monkeypatch):
+        # From h = 5442 on, 2cos(pi/h) - 2cos(2pi/h) is below 1e-6 (9.998e-7
+        # here), yet far above the spectrum's error bar, 1.8e-14 for A4.  A4's
+        # own eigenvectors carry the top of that spectrum, so no rank-5441
+        # eigh runs; the gap is compared with ``spectrum_slack``.
+        import coxfusion.coxeter
+
+        h, eigh = 5442, np.linalg.eigh
+
+        def handed(sym):
+            _, evecs = eigh(sym)
+            return 2.0 * np.cos(np.pi * np.arange(4, 0, -1) / h), evecs
+
+        monkeypatch.setattr(coxfusion.coxeter.np.linalg, "eigh", handed)
+        monkeypatch.setattr(coxfusion.coxeter, "coxeter_number", lambda _, spectrum=None: h)
+        plane = coxeter_plane(diagram("A", 4))
+        assert plane.h == h
+        assert np.all(plane.u_plus > 0)
+
     @pytest.mark.parametrize(
         "d",
         [parse_diagram(tag) for tag in ("A100", "D100", "D300")] + ALL_TYPES,

@@ -396,7 +396,7 @@ class TestNucleusCertificate:
 
     @staticmethod
     def no_full_scan(monkeypatch):
-        def refuse(c):
+        def refuse(c, commutative):
             raise AssertionError("the full associator scan ran")
 
         monkeypatch.setattr(fusion_ring, "associators", refuse)
@@ -442,6 +442,22 @@ class TestNucleusCertificate:
         ring = verlinde_ring.__wrapped__(120)
         ring.constants
         assert traced_peak(ring.verify_axioms) <= 0.8 * 2**20
+
+    def test_r120_defect_makes_no_mask_of_the_table(self):
+        # A commutative defect fails the certificate, so the scan runs: it
+        # takes the involution check's verdict and compares each c[i] with
+        # its transpose in blocks, where one array_equal over the whole
+        # table would make a 1.65 MiB mask (1.81 MiB at the peak).
+        ring = verlinde_ring.__wrapped__(120)
+        bad = np.array(ring.constants)
+        bad[5, 7, 12] += 1
+        bad[7, 5, 12] += 1
+        table = TableRing(ring.labels, bad)
+        report = {}
+        peak = traced_peak(lambda: report.update((c.name, c) for c in table.verify_axioms()))
+        assert peak <= 0.8 * 2**20
+        assert report["involution anti-automorphism"].passed
+        assert report["associativity"].witness == (1, 4, 7, 12)
 
     @pytest.mark.parametrize("defect", [(0, 1, 2), (3, 2, 2), (11, 2, 30), (38, 21, 5)])
     def test_involution_witness_across_blocks_of_r40(self, defect):
@@ -495,7 +511,7 @@ class TestAssociatorProducts:
 
     def test_verlinde_table_takes_one_product_per_step(self, monkeypatch):
         c = verlinde_ring(12).constants.astype(float)
-        counts = self.blocks_per_matmul(monkeypatch, lambda: list(associators(c)))
+        counts = self.blocks_per_matmul(monkeypatch, lambda: list(associators(c, True)))
         assert counts == [12 - i for i in range(12)]
 
     @pytest.mark.parametrize("n", [12, 60])
@@ -529,7 +545,7 @@ class TestAssociatorProducts:
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", counted)
-        for i, _, _ in associators(c):
+        for i, _, _ in associators(c, True):
             per_step[i] += sum(counts)
             assert max(counts) <= fusion_ring._block_rows(ring.rank) < ring.rank
             counts.clear()
@@ -540,7 +556,7 @@ class TestAssociatorProducts:
         bad = np.array(ring.constants)
         bad[3, 5, 4] += 1
         c = TableRing(ring.labels, bad).constants.astype(float)
-        counts = self.blocks_per_matmul(monkeypatch, lambda: list(associators(c)))
+        counts = self.blocks_per_matmul(monkeypatch, lambda: list(associators(c, False)))
         assert counts == [12] * 24
 
 

@@ -84,7 +84,8 @@ class TestDecompositionLemma:
 class TestRegularSplit:
     @pytest.mark.parametrize("d", default_roster(), ids=lambda d: d.name)
     def test_passes_roster(self, d):
-        result = check_regular_split(ade_module(d), bipartition(d))
+        module = ade_module(d)
+        result = check_regular_split(module, bipartition(d), regular_element(module))
         assert result.passed
         assert result.witness["sum"] < 1e-9
         assert result.witness["diff"] < 1e-9
@@ -148,7 +149,7 @@ class TestMainTheorem:
         import coxfusion.verify
 
         empty = np.zeros((0, 8))
-        monkeypatch.setattr(coxfusion.verify, "fixed_space", lambda action, regular=None: empty)
+        monkeypatch.setattr(coxfusion.verify, "fixed_space", lambda action, regular: empty)
         report = check_main_theorem(diagram("E", 8))
         assert not report.passed
         assert report.fixed_dimension == 0
@@ -228,7 +229,7 @@ class TestIndependence:
         module = ade_module(parse_diagram(tag))
         assert module.ring.rank == h - 1
         action = action_from_module(restrict(module))
-        assert len(fixed_space(action)) == 2
+        assert len(fixed_space(action, regular_element(module))) == 2
 
     @pytest.mark.parametrize("tag,h", [("E8", 30), ("D7", 12)])
     def test_plane_path_reads_no_fusion_data(self, monkeypatch, tag, h):
@@ -295,8 +296,8 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
 
 class TestFactorisations:
     """How many dense symmetric or singular-value factorisations a theorem
-    check takes: a fallback to the second fixed-space stage, to the SVD of
-    T, or to a second spectrum on the plane side fails here."""
+    check takes: a second factorisation on the fusion side, or a second
+    spectrum on the plane side, fails here."""
 
     NAMES = ("eigh", "eigvalsh", "svd", "eig", "eigvals")
 
