@@ -41,7 +41,7 @@ from .verify import (
     run_suite,
 )
 from .zplus_module import (
-    ZPlusModule,
+    AdeModule,
     ZPlusModuleError,
     ade_module,
     decompose,

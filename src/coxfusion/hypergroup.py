@@ -6,8 +6,8 @@ whose matrices are the integer actions divided by the same dimensions.
 A common fixed vector lies in the kernel of W = sum_i FP_i (I - Theta_i),
 the plain sum (sum_i FP_i) I - sum_i M_i of the integer actions M_i, and
 the fixed space is that kernel once a positive common fixed vector
-certifies it.  W is read off the integer stack and the dimensions
-directly, so no float copy of the stack is made.
+certifies it.  W is read off the module's integer sum and the
+dimensions directly, so no action is stored one by one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .fusion_ring import (
     FusionRing,
-    _symmetric_stack,
     _transposed_blocks,
     associators,
     graded_associators,
@@ -26,7 +25,7 @@ from .fusion_ring import (
 )
 from .linalg import read_only
 from .report import CheckResult, blocked_check
-from .zplus_module import ZPlusModule
+from .zplus_module import AdeModule
 
 
 class Hypergroup:
@@ -127,51 +126,53 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class HypergroupAction:
-    """Algebra homomorphism into matrices: basis element i acts by
-    Theta_i = matrices[i] / fp_dims[i].
+    """What the common fixed space of an action reads: ``matrices``, the sum
+    sum_i M_i of the integer matrices by which basis element i acts as
+    Theta_i = M_i / fp_dims[i], and those FP dimensions.
 
-    An action induced by a Z+-module keeps the module's integer stack and
-    the ring's FP dimensions, so Theta is never stored as a float stack.
+    An action induced by a Z+-module keeps the module's int32 sum and the
+    ring's FP dimensions, so no Theta_i is ever stored.
     """
 
-    matrices: np.ndarray  # (rank, dim, dim)
+    matrices: np.ndarray  # (dim, dim): sum_i M_i
     fp_dims: np.ndarray  # (rank,)
 
 
-def action_from_module(module: ZPlusModule) -> HypergroupAction:
+def action_from_module(module: AdeModule) -> HypergroupAction:
     """Action of the ring's hypergroup induced by a Z+-module: the module's
-    read-only actions and the ring's FP dimensions, with nothing copied."""
-    return HypergroupAction(module.actions, module.ring.fp_dims())
+    read-only sum of its actions and the ring's FP dimensions, with nothing
+    copied."""
+    return HypergroupAction(module.total, module.ring.fp_dims())
 
 
 def fixed_space(action: HypergroupAction, regular) -> np.ndarray:
     """Read-only (dim, n) orthonormal rows spanning the common fixed space of
     the Theta_i, certified by ``regular``: the kernel of
-    W = (sum_i FP_i) I - sum_i M_i = sum_i FP_i (I - Theta_i), M_i the stored
-    matrices and FP_i the dimensions, read off one ``eigh`` of W at
-    |lambda| <= |FP|_2 * 1e-8, the cut (sqrt(k) * 1e-8 when every FP_i is 1).
+    W = (sum_i FP_i) I - sum_i M_i = sum_i FP_i (I - Theta_i), read off one
+    ``eigh`` of W at |lambda| <= |FP|_2 * 1e-8, the cut (sqrt(k) * 1e-8 when
+    every FP_i is 1).
 
     ``regular`` is a positive common fixed vector r of the Theta_i, such as
     ``zplus_module.regular_element`` of the module the action restricts.
-    The certificate asks that
-    - every M_i is exactly symmetric (``fusion_ring._symmetric_stack``);
-    - every M_i is nonnegative and every FP_i positive;
-    - r is positive;
-    - |W r| <= cut * |r|.
-    Each Theta_i then has Perron root 1 at r, so every FP_i (I - Theta_i) is
-    positive semidefinite and W v = 0 only where each (I - Theta_i) v = 0
-    (Perron-Frobenius; Horn & Johnson, Matrix Analysis, 8.1).  A condition
-    that fails raises ValueError naming it.  sum_i M_i is one buffered
-    ``sum(axis=0)`` over the stack, in int32 for an int8 stack (exact while
-    it is shorter than 2**24), so W is integer off the diagonal and memory
-    stays O(n**2)."""
-    mats, fp = action.matrices, action.fp_dims
-    w = fp.sum() * np.eye(mats.shape[1]) - mats.sum(axis=0, dtype=np.result_type(mats, np.int32))
+    When every M_i is nonnegative and symmetric and r is a common
+    eigenvector at FP_i, each Theta_i has Perron root 1 at r, so every
+    FP_i (I - Theta_i) is positive semidefinite and W v = 0 only where each
+    (I - Theta_i) v = 0 (Perron-Frobenius; Horn & Johnson, Matrix Analysis,
+    8.1).  Those facts are about the summands, which this function does not
+    see; for an ADE module they are certified upstream:
+    - nonnegativity, step by step, in ``zplus_module.ade_module``;
+    - symmetry, there too, from A = A^T: each M_i is a polynomial in A;
+    - each eigen-relation M_i r = FP_i r, by ``zplus_module.regular_element``,
+      within 1e-9 for every i.
+    What the sum shows is checked here, and a condition that fails raises
+    ValueError naming it: every FP_i is positive, r is positive, and
+    |W r| <= cut * |r|.  W is integer off the diagonal and memory stays
+    O(n**2)."""
+    total, fp = action.matrices, action.fp_dims
+    w = fp.sum() * np.eye(len(total)) - total
     cut = np.linalg.norm(fp) * 1e-8
     residual, bound = np.linalg.norm(w @ regular), cut * np.linalg.norm(regular)
     for holds, condition in (
-        (_symmetric_stack(mats), "an action matrix is not symmetric"),
-        (mats.min(initial=0) >= 0, "an action matrix has a negative entry"),
         (fp.min(initial=1) > 0, "an FP dimension is not positive"),
         (np.all(regular > 0), "the regular vector is not positive"),
         (residual <= bound, "|W r| exceeds the cut times |r|"),

@@ -1,5 +1,5 @@
 """Small numerical kernels: Perron pairs, spectral error bars, projectors,
-components, read-only int8 storage."""
+components, read-only storage."""
 
 from __future__ import annotations
 
@@ -41,28 +41,10 @@ def _frozen(arr: np.ndarray) -> bool:
     return False
 
 
-def narrow_integers(values, error: type[Exception]) -> np.ndarray:
-    """``values`` as a read-only, C-ordered int8 array, the one width in
-    which the library stores integer tables; copied unless ``read_only``
-    may take it as it is.  An int8 array is taken without a scan.
-
-    Raises ``error`` unless every entry is an integer in [-128, 127].
-    Products of int8 arrays wrap silently: take them in float64, which is
-    exact while every partial sum stays below 2**53."""
-    arr = np.asarray(values)
-    if arr.dtype == np.int8:
-        return read_only(arr, np.int8)
-    kind = arr.dtype.kind
-    integral = kind in "biu" or (kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr))))
-    if not integral:
-        raise error("entries must be integers")
-    if not -128 <= int(arr.min(initial=0)) <= int(arr.max(initial=0)) <= 127:
-        raise error("entries must be integers in the int8 range")
-    return read_only(arr, np.int8)
-
-
 _PERRON_RESIDUAL_TOL = 1e-12
 _PERRON_MAX_ITER = 100_000
+_PERRON_STILL = 1e-15
+_PERRON_STALLS = 3
 
 
 def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
@@ -80,18 +62,22 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     of quotients above about 64).  Returns each matrix's Rayleigh
     quotient, whose error is quadratic in the vector's when the set is
     closed under transposition, and the unit vector, once every matrix's
-    residual also passes 1e-12; matrices with no common Perron vector
-    never do, and after 100000 steps ConvergenceError is raised.  The
-    last call of ``images`` is at the returned vector, so a caller may
-    keep its result rather than take the images again.
+    residual also passes 1e-12.  Matrices with no common Perron vector
+    never do: once the sum has converged, power iteration comes to rest
+    at a vector that moves by at most 1e-15 in max norm from one check (or
+    the start) to the next, a few roundings of a unit vector, and can
+    improve no further.  The third check that fails at such a vector
+    raises ConvergenceError, as does the 100000th step.  The last call of
+    ``images`` is at the returned vector, so a caller may keep its result
+    rather than take the images again.
 
     Only the sum and the images are read, so the matrices need not be
-    held as floats, or at all: ``regular_element`` passes its int8
-    stack's exact ``sum(axis=0, dtype=np.int32)`` and a buffered einsum,
-    which never copy the stack to float64, and a ``FusionRing`` its int32
-    run lengths and prefix sums.  A float sum of an integer stack is exact
-    while every partial sum stays below 2**53, so there the float64 copy
-    of an exact integer sum is the float sum, bit for bit.
+    held as floats, or at all: ``regular_element`` passes its module's
+    exact int32 sum and the images of an exact int64 recursion, and a
+    ``FusionRing`` its int32 run lengths and prefix sums.  A float sum of
+    an integer stack is exact while every partial sum stays below 2**53,
+    so there the float64 copy of an exact integer sum is the float sum,
+    bit for bit.
     """
     total = np.asarray(total)
     if total.ndim != 2 or total.shape[0] != total.shape[1]:
@@ -101,7 +87,7 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     shifted.flat[:: n + 1] += 1.0
     vec = np.ones(n) / np.sqrt(n)
     image = shifted @ vec
-    rq_prev = np.inf
+    rq_prev, checked, stalls = np.inf, vec, 0
     for _ in range(_PERRON_MAX_ITER):
         norm = math.sqrt(image @ image)  # np.linalg.norm's 1-D path, bit for bit
         if norm == 0.0:
@@ -120,6 +106,10 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
             residuals = np.max(np.abs(np.subtract(moved, off, out=off), out=off), axis=1)
             if np.all(residuals < _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))):
                 return values, vec
+            stalls += np.max(np.abs(vec - checked)) <= _PERRON_STILL
+            if stalls == _PERRON_STALLS:
+                raise ConvergenceError("power iteration came to rest off a common Perron vector")
+            checked = vec
         rq_prev = rq
     raise ConvergenceError(f"power iteration did not converge in {_PERRON_MAX_ITER} steps")
 

@@ -27,7 +27,7 @@ from .coxeter import (
 from .hypergroup import action_from_module, fixed_space
 from .linalg import subspace_projector
 from .report import CheckResult
-from .zplus_module import ZPlusModule, ade_module, decompose, regular_element, restrict
+from .zplus_module import AdeModule, ade_module, decompose, regular_element, restrict
 
 # Largest projector distance at which the fixed space and the Coxeter
 # plane count as equal; the CLI's --tol and COXFUSION_TOL override it.
@@ -46,14 +46,14 @@ def check_bifurcation_lemma(adjacency: np.ndarray, parts: Bipartition) -> CheckR
     return CheckResult("bifurcation lemma", not offenders, offenders or None)
 
 
-def check_decomposition_lemma(restricted: ZPlusModule, parts: Bipartition) -> CheckResult:
+def check_decomposition_lemma(restricted: AdeModule, parts: Bipartition) -> CheckResult:
     """The even restriction splits into exactly the bipartition classes."""
     components = decompose(restricted)
     expected = [sorted(parts.plus), sorted(parts.minus)]
     return CheckResult("decomposition lemma", components == expected, components)
 
 
-def check_regular_split(module: ZPlusModule, parts: Bipartition, regular) -> CheckResult:
+def check_regular_split(module: AdeModule, parts: Bipartition, regular) -> CheckResult:
     """r+ +/- r- are +/-FP(Delta_1)-eigenvectors of the Delta_1 action,
     each with a residual norm below 1e-9.
 
@@ -64,7 +64,7 @@ def check_regular_split(module: ZPlusModule, parts: Bipartition, regular) -> Che
     """
     mirrored = regular.copy()
     mirrored[list(parts.minus)] *= -1.0
-    delta1 = module.actions[1].astype(float)
+    delta1 = module.adjacency.astype(float)
     fp1 = module.ring.fp_dim(1)
     residual_sum = float(np.linalg.norm(delta1 @ regular - fp1 * regular))
     residual_diff = float(np.linalg.norm(delta1 @ mirrored + fp1 * mirrored))
@@ -138,7 +138,7 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     distance = float(np.linalg.norm(proj_fixed - proj_plane))
 
     lemmas = (
-        check_bifurcation_lemma(module.actions[1], plane.parts),
+        check_bifurcation_lemma(module.adjacency, plane.parts),
         check_decomposition_lemma(restricted, plane.parts),
         check_regular_split(module, plane.parts, regular),
     )

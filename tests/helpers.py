@@ -1,9 +1,15 @@
 """Test fixtures and references that the library itself never builds.
 
-The library builds only Verlinde rings, their even parts and ADE modules.
-``TableRing`` is a fusion ring handed over as a dense table, with FP
-dimensions from the Perron solve on its stack (``stack_perron``): the
-reference for the library's runs, and the carrier of injected defects.  The Fibonacci ring
+The library builds only Verlinde rings, their even parts and ADE modules,
+and holds an ADE module as the sums of its actions.  ``ZPlusModule`` is a
+module held as its whole stack of actions, stored in int8 by
+``narrow_integers``, and ``reference_module`` is the ADE module so held,
+built by ``reference_stack``: the reference that the streamed pass of
+``zplus_module.ade_module`` and the images of ``regular_element`` are
+pinned to.  ``TableRing`` is a fusion ring handed over as a dense table,
+with FP dimensions from the Perron solve on its stack (``stack_perron``,
+the sum and einsum images of a stored stack): the reference for the
+library's runs, and the carrier of injected defects.  The Fibonacci ring
 (``fib_ring``) and the regular module (``regular_module``) keep the
 generic FP-dimension and axiom code under test on data outside those
 families.  ``verify_module_axioms`` is the
@@ -33,10 +39,81 @@ import tracemalloc
 import numpy as np
 
 from coxfusion.coxeter import CoxeterDiagram, cartan_form
-from coxfusion.fusion_ring import FusionRing, FusionRingError
-from coxfusion.linalg import ConvergenceError, narrow_integers, perron_eigenpair, spectrum_slack
+from coxfusion.fusion_ring import FusionRing, FusionRingError, verlinde_ring
+from coxfusion.linalg import ConvergenceError, perron_eigenpair, read_only, spectrum_slack
 from coxfusion.report import CheckResult, exact_check
-from coxfusion.zplus_module import ZPlusModule
+from coxfusion.zplus_module import ZPlusModuleError
+
+
+def narrow_integers(values, error: type[Exception]) -> np.ndarray:
+    """``values`` as a read-only, C-ordered int8 array, the one width in
+    which the tests store integer tables; copied unless ``read_only``
+    may take it as it is.  An int8 array is taken without a scan.
+
+    Raises ``error`` unless every entry is an integer in [-128, 127].
+    Products of int8 arrays wrap silently: take them in float64, which is
+    exact while every partial sum stays below 2**53."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int8:
+        return read_only(arr, np.int8)
+    kind = arr.dtype.kind
+    integral = kind in "biu" or (kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr))))
+    if not integral:
+        raise error("entries must be integers")
+    if not -128 <= int(arr.min(initial=0)) <= int(arr.max(initial=0)) <= 127:
+        raise error("entries must be integers in the int8 range")
+    return read_only(arr, np.int8)
+
+
+class ZPlusModule:
+    """Module basis with one nonnegative integer matrix per ring basis.
+
+    ``actions[i]`` is the matrix of the ring basis element b_i; entry
+    (k, l) is the coefficient of m_k in b_i . m_l.  As in ``FusionRing``,
+    b_0 is the unit and the ring's basis is self-dual, and the actions are
+    stored read-only in int8 by ``narrow_integers``, without a copy when
+    the caller hands over a read-only int8 stack.  Entries that are not
+    integers in the int8 range raise ZPlusModuleError.
+    """
+
+    def __init__(self, ring: FusionRing, actions):
+        actions = np.asarray(actions)
+        m = actions.shape[-1] if actions.ndim else 0
+        if actions.shape != (ring.rank, m, m):
+            raise ZPlusModuleError(
+                f"actions tensor has shape {actions.shape}, expected {(ring.rank, m, m)}"
+            )
+        self.ring = ring
+        self.actions = narrow_integers(actions, ZPlusModuleError)
+
+    @property
+    def rank(self) -> int:
+        """Module rank (number of basis elements)."""
+        return self.actions.shape[1]
+
+
+def reference_stack(d: CoxeterDiagram) -> np.ndarray:
+    """The actions Delta_k(A), k < h - 1, of the ADE module of ``d``, stored
+    whole as a read-only (h - 1, n, n) int8 stack: the recursion in int64,
+    with A X summed over the edges by one ``np.add.reduceat``, narrowed
+    step by step.  It ends at the first zero step, so ADE diagrams only."""
+    adjacency = d.adjacency_matrix()
+    rows, cols = np.nonzero(adjacency)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    prev, step, steps = 0, np.eye(d.rank, dtype=np.int64), []
+    while step.any():
+        steps.append(narrow_integers(step, ZPlusModuleError))
+        moved = np.add.reduceat(step[cols], starts) if len(cols) else 0 * step
+        prev, step = step, moved - prev
+    stack = np.stack(steps)
+    stack.setflags(write=False)
+    return stack
+
+
+def reference_module(d: CoxeterDiagram) -> ZPlusModule:
+    """The ADE module of ``d`` over R_{h-1}, held as ``reference_stack``."""
+    stack = reference_stack(d)
+    return ZPlusModule(verlinde_ring(len(stack)), stack)
 
 
 class TableRing(FusionRing):

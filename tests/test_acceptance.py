@@ -26,7 +26,7 @@ from coxfusion.hypergroup import from_fusion_ring
 from coxfusion.report import all_passed
 from coxfusion.verify import check_main_theorem, default_roster
 from coxfusion.zplus_module import ade_module
-from helpers import matrix_order
+from helpers import matrix_order, reference_stack
 
 ADE_ROSTER = default_roster()
 
@@ -58,12 +58,14 @@ def test_criterion_02_module_well_defined():
     ok = True
     for d in ADE_ROSTER + [diagram("A", 1)]:
         module = ade_module(d)
+        actions = reference_stack(d)
         h = coxeter_number(d)
-        ok = ok and module.ring.rank == h - 1
-        ok = ok and np.all(module.actions >= 0)
+        ok = ok and module.ring.rank == len(actions) == h - 1
+        ok = ok and np.array_equal(module.total, actions.sum(axis=0, dtype=np.int32))
+        ok = ok and np.all(actions >= 0)
         # the recursion must terminate: the next step is the exact zero matrix
         if h >= 3:
-            top = module.actions[1] @ module.actions[-1] - module.actions[-2]
+            top = actions[1] @ actions[-1] - actions[-2]
             ok = ok and np.array_equal(top, np.zeros_like(top))
         else:
             ok = ok and np.array_equal(d.adjacency_matrix(), np.zeros((1, 1), dtype=np.int64))

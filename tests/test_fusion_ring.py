@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -252,14 +253,17 @@ class TestFPDim:
                 dims = [TableRing(ring.labels, x).fp_dims() for x in (c, np.asfortranarray(c))]
                 assert np.array_equal(dims[0], dims[1]), ring
 
-    def test_non_associative_ring_has_no_common_perron_vector(self, monkeypatch):
+    @pytest.mark.parametrize("n,defect", [(3, [(2, 2, 2)]), (120, [(5, 7, 12), (7, 5, 12)])])
+    def test_non_associative_ring_has_no_common_perron_vector(self, monkeypatch, n, defect):
         # The left multiplication matrices no longer commute, so no single
         # vector satisfies every eigen-relation: the sum settles, every
-        # check of the images refuses it, and the solve runs out of steps.
-        ring = verlinde_ring(3)
+        # check of the images refuses it, and power iteration comes to rest
+        # at a vector that cannot improve.  The R_120 defect, commutative,
+        # ran all 100000 steps (112 s) before the solve noticed the rest.
+        ring = verlinde_ring(n)
         bad = np.array(ring.constants)
-        bad[2, 2, 2] = 1
-        monkeypatch.setattr(linalg, "_PERRON_MAX_ITER", 1000)
+        for index in defect:
+            bad[index] += 1
         checked = []
 
         def counted(total, images):
@@ -270,9 +274,13 @@ class TestFPDim:
             return linalg.perron_eigenpair(total, counting)
 
         monkeypatch.setattr(helpers, "perron_eigenpair", counted)
-        with pytest.raises(FusionRingError, match="did not converge"):
-            TableRing(ring.labels, bad).fp_dims()
-        assert checked
+        table = TableRing(ring.labels, bad)
+        start = time.perf_counter()
+        with pytest.raises(FusionRingError, match="did not converge") as info:
+            table.fp_dims()
+        assert time.perf_counter() - start < 1.0
+        assert "came to rest" in str(info.value.__cause__)
+        assert linalg._PERRON_STALLS < len(checked) < 100
 
 
 DEFECT_ORBITS = {

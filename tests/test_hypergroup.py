@@ -19,13 +19,15 @@ from coxfusion.hypergroup import (
 from coxfusion.linalg import subspace_projector
 from coxfusion.report import all_passed
 from coxfusion.verify import default_roster
-from coxfusion.zplus_module import ZPlusModule, ade_module, decompose, regular_element, restrict
+from coxfusion.zplus_module import ade_module, decompose, regular_element, restrict
 from helpers import (
     WRITABLE_SOURCES,
     TableRing,
     caller_writable,
     dense_associator_max,
     fib_ring,
+    reference_module,
+    stack_perron,
     traced_peak,
 )
 
@@ -245,15 +247,23 @@ class TestVerifyAxioms:
                     assert (col0[i, j] > 0) == (j == i)
 
 
-def thetas(action):
-    """The (rank, dim, dim) float stack of Theta_i = matrices[i] / fp_dims[i]."""
-    return action.matrices / action.fp_dims[:, None, None]
+def thetas(module):
+    """The (rank, dim, dim) float stack of Theta_i = M_i / FP_i of a module
+    held as its stack of actions M_i."""
+    return module.actions / module.ring.fp_dims()[:, None, None]
+
+
+def even_thetas(tag):
+    """``thetas`` of the even part of a diagram's ADE module, from the
+    stored reference stack."""
+    module = reference_module(parse_diagram(tag))
+    ring = even_subring(module.ring)
+    return module.actions[::2] / ring.fp_dims()[:, None, None]
 
 
 class TestActionFromModule:
     def test_a3(self):
-        action = action_from_module(ade_module(diagram("A", 3)))
-        theta = thetas(action)
+        theta = thetas(reference_module(diagram("A", 3)))
         assert np.allclose(theta[0], np.eye(3))
         adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         assert np.allclose(theta[1], adj / math.sqrt(2.0), atol=1e-10)
@@ -262,24 +272,21 @@ class TestActionFromModule:
         assert np.allclose(theta[2], swap, atol=1e-10)
 
     def test_even_restriction(self):
-        module = ade_module(diagram("A", 3))
-        theta = thetas(action_from_module(restrict(module)))
+        theta = even_thetas("A3")
         assert np.allclose(theta[0], np.eye(3))
         swap = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=float)
         assert np.allclose(theta[1], swap, atol=1e-10)
 
-    def test_keeps_the_integer_stack(self):
+    def test_keeps_the_integer_sum(self):
         module = restrict(ade_module(diagram("D", 6)))
         action = action_from_module(module)
-        assert action.matrices is module.actions
+        assert action.matrices is module.total
         assert action.fp_dims is module.ring.fp_dims()
 
     @pytest.mark.parametrize("tag", ["A4", "D5", "E6"])
     def test_homomorphism_property(self, tag):
-        from coxfusion.coxeter import parse_diagram
-
-        module = ade_module(parse_diagram(tag))
-        theta = thetas(action_from_module(module))
+        module = reference_module(parse_diagram(tag))
+        theta = thetas(module)
         hg = from_fusion_ring(module.ring)
         for i in range(hg.rank):
             for j in range(hg.rank):
@@ -290,9 +297,7 @@ class TestActionFromModule:
 
 class TestFixedSpace:
     def test_trivial_action(self):
-        from coxfusion.hypergroup import HypergroupAction
-
-        action = HypergroupAction(np.eye(4)[None, :, :], np.ones(1))
+        action = HypergroupAction(np.eye(4), np.ones(1))
         assert len(fixed_space(action, np.ones(4))) == 4
 
     def test_a3_even(self):
@@ -312,8 +317,6 @@ class TestFixedSpace:
         "tag", ["A2", "A5", "A12", "D4", "D7", "D12", "E6", "E7", "E8"]
     )
     def test_dimension_two_and_regular_span(self, tag):
-        from coxfusion.coxeter import parse_diagram
-
         d = parse_diagram(tag)
         module = ade_module(d)
         restricted = restrict(module)
@@ -322,11 +325,11 @@ class TestFixedSpace:
 
         components = decompose(restricted)
         assert len(components) == 2
+        even = reference_module(d).actions[::2]
         regulars = []
         for comp in components:
-            submodule = ZPlusModule(restricted.ring, restricted.actions[:, comp][:, :, comp])
             padded = np.zeros(d.rank)
-            padded[comp] = regular_element(submodule)
+            padded[comp] = stack_perron(even[:, comp][:, :, comp])[1]
             regulars.append(padded)
         proj_fixed = subspace_projector(fixed)
         proj_regulars = subspace_projector(regulars)
@@ -337,14 +340,14 @@ class TestFixedSpace:
         action = action_from_module(restrict(module))
         fixed = fixed_space(action, regular_element(module))
         for vec in fixed:
-            for mat in thetas(action):
+            for mat in even_thetas("D6"):
                 assert np.max(np.abs(mat @ vec - vec)) < 1e-8
 
 
-def stacked_fixed_space(action):
+def stacked_fixed_space(theta):
     """Reference: thin SVD of the (k n) x n stack of Theta_i - I at the cut 1e-8."""
-    eye = np.eye(action.matrices.shape[1])
-    stacked = np.concatenate([mat - eye for mat in thetas(action)])
+    eye = np.eye(theta.shape[1])
+    stacked = np.concatenate([mat - eye for mat in theta])
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     return vt[int(np.sum(svals >= 1e-8)) :]
 
@@ -357,7 +360,7 @@ def even_action(tag):
 
 
 def plain_action(*matrices):
-    return HypergroupAction(np.stack(matrices), np.ones(len(matrices)))
+    return HypergroupAction(np.sum(matrices, axis=0), np.ones(len(matrices)))
 
 
 class TestFixedSpaceInsideKernelOfSum:
@@ -366,7 +369,7 @@ class TestFixedSpaceInsideKernelOfSum:
     )
     def test_matches_stacked_svd(self, tag):
         action, regular = even_action(tag)
-        basis, reference = fixed_space(action, regular), stacked_fixed_space(action)
+        basis, reference = fixed_space(action, regular), stacked_fixed_space(even_thetas(tag))
         assert basis.shape == reference.shape == (2, action.matrices.shape[1])
         assert np.max(np.abs(basis.T @ basis - reference.T @ reference)) <= 1e-13
 
@@ -382,16 +385,15 @@ class TestFixedSpaceInsideKernelOfSum:
     )
     def test_certificate_margin(self, tag):
         action, regular = even_action(tag)
-        mats, fp = action.matrices, action.fp_dims
-        w = fp.sum() * np.eye(len(regular)) - mats.sum(axis=0, dtype=float)
-        bound = np.linalg.norm(fp) * 1e-8 * np.linalg.norm(regular)
+        w = action.fp_dims.sum() * np.eye(len(regular)) - action.matrices
+        bound = np.linalg.norm(action.fp_dims) * 1e-8 * np.linalg.norm(regular)
         assert np.linalg.norm(w @ regular) / bound < 1e-2
 
     @pytest.mark.parametrize("tag", ["E8", "D12", "A30", "A100", "D100"])
     def test_regular_element_reads_the_fixed_space_off_ker_t(self, monkeypatch, tag):
         module = ade_module(parse_diagram(tag))
         action = action_from_module(restrict(module))
-        reference = stacked_fixed_space(action)
+        reference = stacked_fixed_space(even_thetas(tag))
 
         def refuse(*args, **kwargs):
             raise AssertionError("an SVD ran")
@@ -414,25 +416,8 @@ class TestFixedSpaceInsideKernelOfSum:
         with pytest.raises(ValueError, match=condition):
             fixed_space(action, vec)
 
-    def test_negative_entries_raise(self):
-        # Theta = I, I + S, I - S with S symmetric and S r = 0 for r = (1, 1, 1):
-        # W = 0, yet only ker S is fixed.  S has negative entries, so r
-        # certifies nothing.
-        eye = np.eye(3)
-        sym = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="negative entry"):
-            fixed_space(plain_action(eye, eye + sym, eye - sym), np.ones(3))
-
-    def test_cancellation_in_the_sum_raises(self):
-        # W = 3I - (I + (I + N) + (I - N)) = 0, yet only ker N = span(e_0, e_2)
-        # is fixed: N is not symmetric, so r certifies nothing.
-        eye = np.eye(3)
-        nil = np.outer(eye[0], eye[1])
-        with pytest.raises(ValueError, match="not symmetric"):
-            fixed_space(plain_action(eye, eye + nil, eye - nil), np.ones(3))
-
     def test_nonpositive_fp_dimension_raises(self):
-        action = HypergroupAction(np.stack([np.eye(3), np.eye(3)]), np.array([1.0, 0.0]))
+        action = HypergroupAction(2 * np.eye(3), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="FP dimension is not positive"):
             fixed_space(action, np.ones(3))
 
@@ -451,12 +436,12 @@ class TestFixedSpaceInsideKernelOfSum:
     @pytest.mark.parametrize("tag", ["E8", "D12", "A30", "D100"])
     def test_first_stage_is_the_integer_sum(self, monkeypatch, tag):
         # W = (sum FP) I - sum M_i: off the diagonal it is minus the exact
-        # sum of the int8 stack, an integer, and it equals the float sum bit
-        # for bit, with no division by the dimensions.
+        # int32 sum of the actions, an integer, and it equals the float sum of
+        # the stored stack bit for bit, with no division by the dimensions.
         module = ade_module(parse_diagram(tag))
         action = action_from_module(restrict(module))
-        mats, fp = action.matrices, action.fp_dims
-        assert mats.dtype == np.int8
+        mats, fp = reference_module(parse_diagram(tag)).actions[::2], action.fp_dims
+        assert action.matrices.dtype == np.int32
         seen, eigh = [], np.linalg.eigh
 
         def kept(t):
@@ -471,26 +456,16 @@ class TestFixedSpaceInsideKernelOfSum:
         assert np.array_equal(w, fp.sum() * np.eye(len(w)) - mats.sum(axis=0, dtype=float))
 
     def test_no_fixed_vector_raises(self):
-        # -I has negative entries, and r = (1, 1, 1) is fixed by neither matrix
-        with pytest.raises(ValueError, match="negative entry"):
+        # r = (1, 1, 1) is fixed by neither -I nor I / 2: W = 5 I / 2
+        with pytest.raises(ValueError, match="exceeds the cut"):
             fixed_space(plain_action(-np.eye(3), 0.5 * np.eye(3)), np.ones(3))
 
-    def test_never_builds_the_stack(self):
-        # no float64 stack of Theta_i is formed (7.9 MB on D100's restriction)
+    def test_memory_stays_quadratic(self):
+        # W and the eigh of it: no stack of Theta_i (7.9 MB in float64 on
+        # D100's restriction) and no copy of the int32 sum beyond W
         module = ade_module(parse_diagram("D100"))
         restricted, reg = restrict(module), regular_element(module)
-        restricted.ring.fp_dims()
-        peak = traced_peak(lambda: fixed_space(action_from_module(restricted), reg))
-        assert peak < 8 * restricted.actions.size / 4
-
-    def test_symmetry_check_makes_no_mask_of_the_stack(self):
-        # The comparison with the transpose runs on blocks of matrices: at
-        # D100 the whole call peaks at 0.29 MiB, under the bool mask of the
-        # 0.94 MiB int8 stack that one array_equal over all of it would make.
-        module = ade_module(parse_diagram("D100"))
-        restricted = restrict(module)
         action = action_from_module(restricted)
-        reg = regular_element(module)
         fixed_space(*even_action("D5"))
         peak = traced_peak(lambda: fixed_space(action, regular=reg))
-        assert peak < restricted.actions.nbytes / 2
+        assert peak < 6 * 8 * module.rank**2

@@ -11,7 +11,6 @@ from coxfusion.fusion_ring import verlinde_ring
 from coxfusion.linalg import (
     ConvergenceError,
     connected_components,
-    narrow_integers,
     perron_eigenpair,
     read_only,
     subspace_projector,
@@ -21,6 +20,7 @@ from helpers import (
     caller_writable,
     cycle,
     matrix_order,
+    narrow_integers,
     positive_definite,
     squaring_components,
     stack_perron,
@@ -64,6 +64,24 @@ class TestPerronEigenpair:
         values, vec = perron_eigenpair(total, lambda v: np.einsum("kij,j->ki", mats, v))
         expected_values, expected_vec = stack_perron(mats)
         assert np.array_equal(values, expected_values) and np.array_equal(vec, expected_vec)
+
+    def test_matrices_with_no_common_perron_vector_come_to_rest(self):
+        # Two symmetric nonnegative matrices that do not commute: their sum
+        # converges, and the check at each of its steps fails.  The solve
+        # raises once the vector stops moving, long before its step limit.
+        first = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        second = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        mats = np.stack([first, second])
+        checked = []
+
+        def images(vec):
+            checked.append(vec)
+            return mats @ vec
+
+        with pytest.raises(ConvergenceError, match="came to rest"):
+            perron_eigenpair(mats.sum(axis=0), images)
+        assert 3 <= len(checked) < 100
+        assert np.max(np.abs(checked[-1] - checked[-2])) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
     def test_rejects_non_stack(self, shape):

@@ -3,7 +3,10 @@
 import importlib
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +34,8 @@ from coxfusion.verify import (
     reports_to_json,
     run_suite,
 )
-from coxfusion.zplus_module import ZPlusModule, ade_module, regular_element, restrict
-from helpers import traced_peak
+from coxfusion.zplus_module import AdeModule, ade_module, regular_element, restrict
+from helpers import reference_stack, traced_peak
 
 
 def even_restriction(d):
@@ -259,23 +262,24 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
         "_bipartite_word",
         "_walk",
         "regular_element",
+        "action_from_module",
         "fixed_space",
+        "decompose",
         "perron_eigenpair",
     ):
         rebind(monkeypatch, name, counting(name))
     monkeypatch.setattr(CoxeterDiagram, "is_ade", counting("is_ade")(CoxeterDiagram.is_ade))
-    monkeypatch.setattr(
-        ZPlusModule, "__init__", counting("ZPlusModule")(ZPlusModule.__init__)
-    )
+    monkeypatch.setattr(AdeModule, "__init__", counting("AdeModule")(AdeModule.__init__))
     # FP dimensions are cached on the ring objects; start from fresh rings.
     verlinde_ring.cache_clear()
     even_subring.cache_clear()
     assert check_main_theorem(diagram("E", 8)).passed
     # One Perron solve each for the full ring and the module: the even ring
     # reads the full ring's FP dimensions at its indices.  The only modules
-    # built are the ADE module and its even restriction.  The regular
-    # element is solved for once, for the fixed space and the regular-split
-    # lemma.  The plane builds the form, its walk and
+    # built are the ADE module and its even restriction, whose action the
+    # fixed space reads and whose support the decomposition lemma reads,
+    # each once.  The regular element is solved for once, for the fixed
+    # space and the regular-split lemma.  The plane builds the form, its walk and
     # gamma = s_plus s_minus once, and the lemmas read its classes; the graph
     # is walked once by the plane and once by the gate.
     assert calls == {
@@ -283,14 +287,16 @@ def test_main_theorem_runs_each_stage_once(monkeypatch):
         "restrict": 1,
         "even_subring": 1,
         "regular_element": 1,
+        "action_from_module": 1,
         "fixed_space": 1,
+        "decompose": 1,
         "coxeter_number": 1,
         "cartan_form": 1,
         "_bipartite_word": 1,
         "_walk": 2,
         "is_ade": 1,
         "perron_eigenpair": 2,
-        "ZPlusModule": 2,
+        "AdeModule": 2,
     }
 
 
@@ -322,10 +328,9 @@ class TestFactorisations:
         assert calls == {"eigh": 2}
 
     @pytest.mark.parametrize("tag", ["E8", "D12", "A30"])
-    def test_stack_einsums(self, monkeypatch, tag):
-        # over the module's stack: only the Perron images of the regular
-        # element, once per converged check.  W is a plain sum, not a
-        # weighted einsum, and the second stage's Theta_i V never runs
+    def test_no_einsum(self, monkeypatch, tag):
+        # no stack of actions to contract: the Perron images of the regular
+        # element come from the exact recursion, and W is a plain sum
         subscripts, einsum = Counter(), np.einsum
 
         def counted(spec, *operands, **kwargs):
@@ -334,8 +339,7 @@ class TestFactorisations:
 
         monkeypatch.setattr(np, "einsum", counted)
         assert check_main_theorem(parse_diagram(tag)).passed
-        assert subscripts["kij,j->ki"] >= 1
-        assert set(subscripts) == {"kij,j->ki"}
+        assert not subscripts
 
     @pytest.mark.parametrize("tag", ["E8", "D12", "A30", "H4"])
     def test_coxeter_number_alone_takes_one_eigvalsh(self, monkeypatch, tag):
@@ -343,18 +347,39 @@ class TestFactorisations:
         assert calls == {"eigvalsh": 1}
 
 
-def test_cold_main_theorem_holds_each_table_once():
-    # D100: no ring table (R_197's would be 7.6 MB), only the ADE module
-    # (1.97 MB in int8), its restriction, a view of it, and the rank**2
-    # Perron arrays of R_197 (2.2 MB at their peak).  The warm-up keeps
-    # numpy's first-call allocations out of the count.
+def test_cold_main_theorem_stores_no_stack():
+    # D100: no ring table (R_197's would be 7.6 MB) and no stack of the
+    # module's actions (1.97 MB in int8), only rank**2 arrays: the module's
+    # sums, the exact images (0.32 MB) and the Perron arrays of R_197.  The
+    # whole call peaks below the stack's size, so no one block reaches it.
+    # The warm-up keeps numpy's first-call allocations out of the count.
     check_main_theorem(parse_diagram("D5"))
     d = parse_diagram("D100")
     verlinde_ring.cache_clear()
     even_subring.cache_clear()
     peak = traced_peak(check_main_theorem, d)
-    module = ade_module(d)
-    assert peak < 1.7 * (module.actions.nbytes + restrict(module).actions.nbytes)
+    assert peak < reference_stack(d).nbytes
+
+
+def test_d500_in_a_fresh_process_stays_under_100_mb():
+    # The stored stack alone was 250 MB here, and the process peaked at
+    # 296 MB.  The child reads its peak off VmHWM, the high-water mark of its
+    # own address space: ru_maxrss of a child forked from this test process
+    # starts at this process's size.
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]);"
+        "from coxfusion import check_main_theorem, parse_diagram;"
+        "passed = check_main_theorem(parse_diagram('D500')).passed;"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1];"
+        "print(json.dumps([passed, int(status.split()[0]) / 1024]))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(src)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    passed, rss_mb = json.loads(out.stdout)
+    assert passed and rss_mb < 100
 
 
 def test_main_theorem_builds_no_ring_table(monkeypatch):
