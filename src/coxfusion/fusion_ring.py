@@ -317,10 +317,13 @@ def parity_graded(c: np.ndarray) -> bool:
     return not any(c[a::2, b::2, (a ^ b ^ 1) :: 2].any() for a in (0, 1) for b in (0, 1))
 
 
-def graded_associators(c: np.ndarray):
+def graded_associators(load, n: int):
     """Yield blocks of (b_i b_j) b_k - b_i (b_j b_k) that hold, up to sign,
-    every entry a commutative ``parity_graded`` float table can leave
-    nonzero, each overwritten by the next.
+    every entry a commutative ``parity_graded`` float table of rank ``n``
+    can leave nonzero, each overwritten by the next.  The table is read
+    through ``load(i, j, k, out)``, which writes its entries c[i, j, k]
+    over three slices into the float64 array ``out``, as
+    ``hypergroup.Hypergroup.entries`` does.
 
     As in ``associators``, the associator at (i, k) is C_i C_k - C_k C_i
     over [j, l], with C_i = c[i].  Class a holds the h_a = (rank + 1 - a)
@@ -336,10 +339,10 @@ def graded_associators(c: np.ndarray):
     left in the same order; its kernel for the last (columns mod 8) of a
     product may round a sum otherwise, in either scan.
     - i and k run in tiles of T indices of one parity.  A tile A of
-      parity p is copied once per class s into Q[x, a, y] = c[a, x, y],
-      x in class s and y in class s ^ p: its rows (x, a) are the left
-      factors C_a[s, s ^ p] of all a in A, its (x, (a, y)) matrix their
-      right factors.
+      parity p is loaded once per class s into Q[x, a, y] = c[x, a, y],
+      which is c[a, x, y] on a commutative table, x in class s and y in
+      class s ^ p: its rows (x, a) are the left factors C_a[s, s ^ p] of
+      all a in A, its (x, (a, y)) matrix their right factors.
     - Each pair of tiles, A even and B odd, or both of one parity with B
       from A on, takes two GEMMs per class s, (T h, h) @ (h, T h):
       ((j, a), m) @ (m, (b, l)) is C_a C_b and ((j, b), m) @ (m, (a, l))
@@ -347,54 +350,65 @@ def graded_associators(c: np.ndarray):
       swapped.  A tile paired with itself takes the first GEMM only, G,
       and its block, G less G with a and b swapped, holds each pair of
       distinct steps twice, once per sign, and exactly 0 where a = b.
-    - With h = h_0, the two tiles' copies take 2 T h**2 floats each and
-      the two products T**2 h**2 each: T is the largest, at least 1, that
-      keeps all four within ``2 * _BLOCK_BYTES``, the two buffers of
-      ``associators``, then spread evenly over the tiles of a class (5 at
-      R_30, 3 at R_60, 1 at R_120).
+    - With h = h_0, a tile's loads take 2 T h**2 floats and the two
+      products T**2 h**2 each: T is the largest, at least 1, that keeps
+      two tiles and both products within ``2 * _BLOCK_BYTES``, the two
+      buffers of ``associators``, then spread evenly over the tiles of a
+      class (5 at R_30, 3 at R_60, 1 at R_120).
+    - The rest of that budget holds more tiles: S slots in all (9 at
+      R_30, 3 at R_60 and R_120).  With the tiles in a row, even then odd,
+      the pairs are those (u, v) with u <= v.  The tiles run in groups of
+      S - 1, each loaded once and kept while every tile v from the
+      group's first on passes through the last slot, loaded unless the
+      group holds it.  So a tile is loaded about once per group before
+      it, not once per tile before it: at R_30 each tile once, at R_60
+      110 tile loads against 210 (2.75 against 5.25 times the table's
+      entries), at R_120 3660 against 7260.
     """
-    n = len(c)
     h, classes = ((n + 1) // 2, n // 2), range(min(n, 2))
     square = h[0] * h[0]
     size = max(1, int((_BLOCK_BYTES / (8 * square) + 1) ** 0.5) - 1)
     count = -(-h[0] // size)
     size = -(-h[0] // count)
-    copies = np.empty((2, 2 * size * square))
-    lefts, rights = np.empty(size * size * square), np.empty(size * size * square)
-    tiles = [[slice(a, a + 2 * size, 2) for a in range(p, n, 2 * size)] for p in classes]
+    products = size * size * square
+    slots = max(2, (2 * _BLOCK_BYTES // 8 - 2 * products) // (2 * size * square))
+    copies = np.empty((slots, 2 * size * square))
+    lefts, rights = np.empty(products), np.empty(products)
+    tiles = [(p, slice(a, a + 2 * size, 2)) for p in classes for a in range(p, n, 2 * size)]
 
-    def copy(buffer, tile, p):
+    def copy(buffer, p, tile):
         blocks, start = [], 0
         for s in classes:
-            part = c[tile, s::2, (s ^ p) :: 2].transpose(1, 0, 2)
-            blocks.append(buffer[start : start + part.size].reshape(part.shape))
-            np.copyto(blocks[-1], part)
-            start += part.size
+            width = len(range(n)[tile])
+            blocks.append(buffer[start : start + h[s] * width * h[s ^ p]].reshape(h[s], width, -1))
+            load(slice(s, None, 2), tile, slice(s ^ p, None, 2), out=blocks[-1])
+            start += blocks[-1].size
         return blocks
 
-    for p in classes:
-        for at, tile_a in enumerate(tiles[p]):
-            qa = copy(copies[0], tile_a, p)
-            for q in classes[p:]:
-                for tile_b in tiles[q][at if q == p else 0 :]:
-                    qb = qa if tile_b is tile_a else copy(copies[1], tile_b, q)
-                    for s in classes:
-                        (_, ta, m), (_, tb, l) = qa[s].shape, qb[s ^ p].shape
-                        left = np.matmul(
-                            qa[s].reshape(-1, m),
-                            qb[s ^ p].reshape(m, -1),
-                            out=lefts[: h[s] * ta * tb * l].reshape(h[s] * ta, tb * l),
-                        ).reshape(h[s], ta, tb, l)
-                        if qb is qa:
-                            out = rights[: left.size].reshape(left.shape)
-                            yield np.subtract(left, left.transpose(0, 2, 1, 3), out=out)
-                            continue
-                        right = np.matmul(
-                            qb[s].reshape(h[s] * tb, -1),
-                            qa[s ^ q].reshape(-1, ta * l),
-                            out=rights[: left.size].reshape(h[s] * tb, ta * l),
-                        ).reshape(h[s], tb, ta, l)
-                        yield np.subtract(left, right.transpose(0, 2, 1, 3), out=left)
+    group = slots - 1
+    for first in range(0, len(tiles), group):
+        held = [copy(copies[x], *tile) for x, tile in enumerate(tiles[first : first + group])]
+        for v in range(first, len(tiles)):
+            q = tiles[v][0]
+            qb = held[v - first] if v < first + len(held) else copy(copies[-1], *tiles[v])
+            for p, qa in zip((tile[0] for tile in tiles[first : v + 1]), held):
+                for s in classes:
+                    (_, ta, m), (_, tb, l) = qa[s].shape, qb[s ^ p].shape
+                    left = np.matmul(
+                        qa[s].reshape(-1, m),
+                        qb[s ^ p].reshape(m, -1),
+                        out=lefts[: h[s] * ta * tb * l].reshape(h[s] * ta, tb * l),
+                    ).reshape(h[s], ta, tb, l)
+                    if qb is qa:
+                        out = rights[: left.size].reshape(left.shape)
+                        yield np.subtract(left, left.transpose(0, 2, 1, 3), out=out)
+                        continue
+                    right = np.matmul(
+                        qb[s].reshape(h[s] * tb, -1),
+                        qa[s ^ q].reshape(-1, ta * l),
+                        out=rights[: left.size].reshape(h[s] * tb, ta * l),
+                    ).reshape(h[s], tb, ta, l)
+                    yield np.subtract(left, right.transpose(0, 2, 1, 3), out=left)
 
 
 def associativity_witness(c: np.ndarray, commutative: bool) -> tuple[int, int, int, int] | None:

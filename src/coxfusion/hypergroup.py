@@ -1,7 +1,9 @@
 """Hypergroups from fusion rings, their actions and fixed subspaces.
 
 A fusion ring induces a hypergroup by renormalising each basis element
-by its Frobenius-Perron dimension; a Z+-module then induces an action
+by its Frobenius-Perron dimension.  The hypergroup keeps the ring's int8
+table and those dimensions, and computes a float structure constant only
+where a check reads it.  A Z+-module then induces an action
 whose matrices are the integer actions divided by the same dimensions.
 A common fixed vector lies in the kernel of W = sum_i FP_i (I - Theta_i),
 the plain sum (sum_i FP_i) I - sum_i M_i of the integer actions M_i, and
@@ -29,35 +31,55 @@ from .zplus_module import AdeModule
 
 
 class Hypergroup:
-    """Real algebra with row-stochastic nonnegative structure constants.
+    """Real algebra with row-stochastic nonnegative structure constants
+    h_ij^k = (t_ij^k * d_k) / (d_i * d_j), held as the table t and the
+    dimensions d.
 
     Basis element 0 is the unit and the basis is self-dual, as in the
-    fusion rings it is built from.  Constants are stored read-only in
-    float64, taken without a copy when handed over (``linalg.read_only``).
+    fusion rings it is built from.  ``table`` is a read-only (n, n, n)
+    array, int8 as a ring's table is kept and float64 otherwise, and
+    ``dims`` a read-only float64 (n,) vector, both taken without a copy
+    when handed over (``linalg.read_only``).  A fusion ring hands over its
+    int8 table and its FP dimensions; a table of the constants themselves
+    comes with dims of ones, and then each h_ij^k is the table's entry,
+    (x * 1) / (1 * 1) = x, NaN and infinities included.  No float copy of
+    the table is kept: ``entries`` computes h over three slices when a
+    check reads it, from the table, the dims and their (n, n) products
+    d_i * d_j, kept next to them.
     """
 
-    def __init__(self, constants):
-        constants = read_only(constants, np.float64)
-        if constants.ndim != 3 or constants.shape != (len(constants),) * 3:
-            raise ValueError(f"constants tensor has shape {constants.shape}, expected (n, n, n)")
-        self.constants = constants
+    def __init__(self, table, dims):
+        table = np.asarray(table)
+        table = read_only(table, np.int8 if table.dtype == np.int8 else np.float64)
+        dims = read_only(dims, np.float64)
+        if table.ndim != 3 or table.shape != (len(table),) * 3:
+            raise ValueError(f"table has shape {table.shape}, expected (n, n, n)")
+        if dims.shape != (len(table),):
+            raise ValueError(f"dims have shape {dims.shape}, expected ({len(table)},)")
+        self.table = table
+        self.dims = dims
+        self._products = dims[:, None] * dims  # d_i * d_j
 
     @property
     def rank(self) -> int:
-        return len(self.constants)
+        return len(self.table)
+
+    def entries(self, i: slice, j: slice, k: slice, out=None) -> np.ndarray:
+        """h[i, j, k] over three slices as a float64 array, written into
+        ``out`` when given: t * d_k, then divided by d_i * d_j.  Those are
+        the two roundings of the whole float table (t * d) / (d d^T), so
+        each entry is bit for bit the one that table holds."""
+        out = np.multiply(self.table[i, j, k], self.dims[k], out=out)
+        return np.divide(out, self._products[i, j, None], out=out)
 
     def __repr__(self) -> str:
         return f"Hypergroup(rank={self.rank})"
 
 
 def from_fusion_ring(ring: FusionRing) -> Hypergroup:
-    """Hypergroup on the basis b_i / FP(b_i) of a fusion ring: one float
-    tensor, divided in place and handed to the hypergroup."""
-    fp = ring.fp_dims()
-    constants = np.multiply(ring.constants, fp)
-    constants /= fp[:, None, None] * fp[None, :, None]
-    constants.setflags(write=False)
-    return Hypergroup(constants)
+    """Hypergroup on the basis b_i / FP(b_i) of a fusion ring: its int8
+    table and its FP dimensions, with nothing converted."""
+    return Hypergroup(ring.constants, ring.fp_dims())
 
 
 _AXIOM_TOL = 1e-10
@@ -69,59 +91,85 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
 
     Unit law, row sums and associativity pass within 1e-10.  With b_0
     the unit and a self-dual basis, the involution conditions ask the
-    unit coefficients c_{ij}^0 to be nonzero exactly at i == j, and the
+    unit coefficients h_{ij}^0 to be nonzero exactly at i == j, and the
     involution to be an anti-automorphism, (b_i b_j)* = b_j b_i, that is
-    c_{ij}^k = c_{ji}^k within 1e-12; a bitwise commutative table forms
-    no difference.  That one comparison of c with its transpose also
+    h_{ij}^k = h_{ji}^k within 1e-12; a bitwise commutative table forms
+    no difference.  That one comparison of h with its transpose also
     picks the associativity scan.  The witness is the largest
     |(b_i b_j) b_k - b_i (b_j b_k)| over every entry, in float64; the
     tests pin it bit for bit to that of the dense products at the ranks
     they list.  The nucleus certificate of ``FusionRing.verify_axioms``
     proves an exact associator zero, but bounds no residual of a float
     table.
+
+    With positive finite dims, as FP dimensions and ones are,
+    (t * d_k) / (d_i * d_j) has t's sign and zeros, and d_i * d_j is
+    d_j * d_i bit for bit, so h equals its transpose exactly where t does
+    (t of an integer table, or h itself under dims of ones).  So the sign
+    check, the comparison with the transpose, the support of h[:, :, 0]
+    and ``parity_graded`` read the table, in the
+    ``fusion_ring._transposed_blocks`` of ``_block_rows`` values of i,
+    so no mask of the table's size is made.  Float entries are computed
+    by ``Hypergroup.entries`` only where the checks need them: rows 0 of
+    the first two axes, the row sums in blocks of the same rows (a sum
+    along the last axis does not depend on the blocking), the 1e-12
+    comparison of a table that is not bitwise commutative, and the
+    associator products:
     - A bitwise commutative table that is exactly ``parity_graded``, as
       the hypergroup of every Verlinde ring, takes
-      ``graded_associators``: the entries it skips are exactly 0.0, and
-      it takes a quarter of the multiply-adds of the dense products.
+      ``graded_associators``, which loads its tiles through
+      ``entries``: the entries it skips are exactly 0.0, and it takes a
+      quarter of the multiply-adds of the dense products.
     - Any other table, such as an even part from R_4 on or a perturbed
-      table, takes ``associators``, which computes half of it for a
-      commutative table.
-    Both hold a few float64 buffers within ``2 * fusion_ring._BLOCK_BYTES``
-    next to the table, and the comparisons with the transpose and the sign
-    check read the table in the ``fusion_ring._transposed_blocks`` of
-    ``_block_rows`` values of i, the first axis, so no mask of the table's
-    size is made.  A NaN or an infinity anywhere in the table reaches a row
-    of some product, so associativity fails with a non-finite witness; no
-    floating-point warning is raised.
+      table, takes ``associators`` on h widened to float64 once, which
+      computes half of it for a commutative table.
+    Both scans hold a few float64 buffers within
+    ``2 * fusion_ring._BLOCK_BYTES`` next to what they read.  A NaN or an
+    infinity anywhere in the table reaches a row of some product, so
+    associativity fails with a non-finite witness; no floating-point
+    warning is raised.
     """
-    c = hg.constants
-    eye = np.eye(hg.rank)
+    n, t, every = hg.rank, hg.table, slice(None)
+    eye = np.eye(n)
     unit_ok = (
-        np.max(np.abs(c[0] - eye)) < _AXIOM_TOL and np.max(np.abs(c[:, 0, :] - eye)) < _AXIOM_TOL
+        np.max(np.abs(hg.entries(slice(0, 1), every, every)[0] - eye)) < _AXIOM_TOL
+        and np.max(np.abs(hg.entries(every, slice(0, 1), every)[:, 0] - eye)) < _AXIOM_TOL
     )
-    sums = c.sum(axis=2)
+    rows, pairs = _transposed_blocks(t)
+    parts = [slice(start, start + rows) for start in range(0, n, rows)]
+    sums, buffer = np.empty((n, n)), np.empty((min(rows, n), n, n))
+    for part in parts:
+        loaded = hg.entries(part, every, every, out=buffer[: len(sums[part])])
+        loaded.sum(axis=2, out=sums[part])
     rows_ok = np.max(np.abs(sums - 1.0)) < _AXIOM_TOL
     witness = None
     if not rows_ok:
         i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
         witness = (int(i), int(j), float(sums[i, j]))
-    rows, pairs = _transposed_blocks(c)
-    commutative = all(np.array_equal(block, flipped) for block, flipped in pairs)
-    sym_ok = commutative or np.max([np.max(np.abs(b - f)) for b, f in pairs]) < 1e-12
-    support_ok = np.array_equal(c[:, :, 0] > 0, eye > 0)
-    if commutative and parity_graded(c):
-        blocks = graded_associators(c)
+    commutative = all(np.array_equal(b, f) for b, f in pairs)
+    sym_ok = commutative or np.max([_asymmetry(hg, part) for part in parts]) < 1e-12
+    support_ok = np.array_equal(t[:, :, 0] > 0, eye > 0)
+    if commutative and parity_graded(t):
+        blocks = graded_associators(hg.entries, n)
     else:
-        blocks = (block for _, _, block in associators(c, commutative))
+        widened = hg.entries(every, every, every)
+        blocks = (block for _, _, block in associators(widened, commutative))
     # np.max, unlike the builtin max, keeps a NaN wherever it comes.
     assoc_err = float(np.max([max(a.max(), -a.min()) for a in blocks]))
     return [
-        blocked_check("nonnegativity", (block < 0 for block, _ in pairs), rows),
+        blocked_check("nonnegativity", (b < 0 for b, _ in pairs), rows),
         CheckResult("unit law", bool(unit_ok)),
         CheckResult("row sums equal 1", bool(rows_ok), witness),
         CheckResult("involution conditions", bool(sym_ok and support_ok)),
         CheckResult("associativity", assoc_err < _AXIOM_TOL, assoc_err),
     ]
+
+
+def _asymmetry(hg: Hypergroup, part: slice) -> float:
+    """Largest |h_ij^k - h_ji^k| over i in ``part``, from float entries."""
+    every = slice(None)
+    flipped = hg.entries(every, part, every).transpose(1, 0, 2)
+    return np.max(np.abs(hg.entries(part, every, every) - flipped))
 
 
 @dataclass(frozen=True)

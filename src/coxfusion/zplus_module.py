@@ -9,7 +9,8 @@ built from the adjacency matrix alone and never consults the Coxeter
 element.  Every stage downstream reads either a sum of the actions or
 each action at one vector, so the (h - 1, n, n) stack of actions is
 never stored: ``ade_module`` keeps the int32 sums of the even and the odd
-actions, and ``regular_element`` runs the recursion again on vectors.
+actions, and ``regular_element`` runs half the recursion again on
+vectors and reads the other half off the diagram automorphism.
 ``restrict`` views a module over the even part of its ring, the only
 subring used.
 """
@@ -37,10 +38,14 @@ class AdeModule:
     even part.
 
     ``adjacency`` is A = Delta_1 and ``neighbours`` its (width, n) adjacency
-    lists, padded with n, which the recursion gathers along.  ``total`` is
-    the read-only int32 sum of the actions of every basis element of the
-    ring, and ``even`` that of Delta_0, Delta_2, ...: over the even part the
-    two are one array.  Every action is nonnegative and symmetric, as
+    lists, padded with n, which the recursion gathers along.  ``mirror`` is
+    the permutation sigma with Delta_{h-2}(A)[i, sigma(i)] = 1, the last
+    nonzero action, which ``ade_module`` checks to be a permutation matrix:
+    by Delta_{h-2} Delta_k = Delta_{h-2-k} in R_{h-1}, row i of
+    Delta_{h-2-k}(A) is row sigma(i) of Delta_k(A).  ``total`` is the
+    read-only int32 sum of the actions of every basis element of the ring,
+    and ``even`` that of Delta_0, Delta_2, ...: over the even part the two
+    are one array.  Every action is nonnegative and symmetric, as
     ``ade_module`` certifies, so the support of ``total`` is the union of
     the supports of the actions.
     """
@@ -48,6 +53,7 @@ class AdeModule:
     ring: FusionRing
     adjacency: np.ndarray  # (n, n)
     neighbours: np.ndarray  # (width, n)
+    mirror: np.ndarray  # (n,)
     total: np.ndarray  # (n, n) int32
     even: np.ndarray  # (n, n) int32
 
@@ -69,8 +75,17 @@ def ade_module(d: CoxeterDiagram) -> AdeModule:
     int8 on the tree, in three rotating (n + 1, n) buffers whose last row
     stays zero: row v of A X sums the rows of X at v's neighbours, padded
     to the largest degree with that zero row, so a step is O(rank**2)
-    with no matmul.  Each step is added into the int32 sum of its parity,
-    exact while h is below 2**24, and never stored.
+    with no matmul.  Each odd step is added into the int32 sum S_odd,
+    exact while h is below 2**24, and no step is stored.  Summing
+    A Delta_k = Delta_{k+1} + Delta_{k-1} over the odd k, with
+    Delta_{h-1}(A) = 0, gives
+        2 S_even = A S_odd + I + [h even] Delta_{h-2}(A)
+    for the sum S_even of the even steps, so it takes one gather after the
+    loop; that the right side
+    is even everywhere is checked exactly.  Delta_{h-2}(A), the step left
+    in the buffer, must be a permutation matrix, the diagram automorphism
+    (its eigenvalues Delta_{h-2}(2cos(pi m / h)) are +1 and -1), and that
+    is checked exactly too.
 
     Each step must be nonnegative with max * (largest degree + 1) <= 127,
     so that the next cannot wrap.  One ``max`` of its uint8 view tests
@@ -94,22 +109,36 @@ def ade_module(d: CoxeterDiagram) -> AdeModule:
     limit = 127 // (width + 1)
     prev, step, spare = np.zeros((3, n + 1, n), dtype=np.int8)
     np.fill_diagonal(step, 1)
-    sums = np.zeros((2, n, n), dtype=np.int32)
+    odd = np.zeros((n + 1, n), dtype=np.int32)  # its last row stays zero too
     count = 0
     while (top := int(step.view(np.uint8).max())) != 0:
         if top > limit:
             if step.min() < 0:
                 raise ZPlusModuleError(f"generated action with negative entries for {d.name}")
             raise ZPlusModuleError(f"Chebyshev actions of {d.name} leave the int8 range")
-        np.add(sums[count % 2], step[:n], out=sums[count % 2])
+        if count % 2:
+            np.add(odd[:n], step[:n], out=odd[:n])
         count += 1
         np.add.reduce(np.take(step, neighbours, axis=0), axis=0, dtype=np.int8, out=spare[:n])
         np.subtract(spare[:n], prev[:n], out=spare[:n])
         prev, step, spare = step, spare, prev
-    total = np.add(sums[0], sums[1])
-    for arr in (adjacency, neighbours, total, sums):
+    rows, mirror = np.nonzero(prev[:n])  # Delta_{h-2}(A), h - 1 = count
+    if not (
+        np.array_equal(rows, np.arange(n))
+        and np.all(prev[rows, mirror] == 1)
+        and np.array_equal(np.sort(mirror), np.arange(n))
+    ):
+        raise ZPlusModuleError(f"Delta_(h-2)(A) of {d.name} is not a permutation matrix")
+    even = np.add.reduce(np.take(odd, neighbours, axis=0), axis=0, dtype=np.int32)
+    even[rows, rows] += 1
+    even[rows, mirror] += count % 2
+    if np.any(even & 1):
+        raise ZPlusModuleError(f"the even and odd sums of {d.name} do not match")
+    even >>= 1
+    total = np.add(even, odd[:n])
+    for arr in (adjacency, neighbours, mirror, total, even):
         arr.setflags(write=False)
-    return AdeModule(verlinde_ring(count), adjacency, neighbours, total, sums[0])
+    return AdeModule(verlinde_ring(count), adjacency, neighbours, mirror, total, even)
 
 
 def restrict(module: AdeModule) -> AdeModule:
@@ -117,7 +146,7 @@ def restrict(module: AdeModule) -> AdeModule:
     ``even_subring`` (cached per ring): its actions sum to ``module.even``,
     taken without a copy."""
     ring = even_subring(module.ring)
-    return AdeModule(ring, module.adjacency, module.neighbours, module.even, module.even)
+    return AdeModule(ring, module.adjacency, module.neighbours, module.mirror, module.even, module.even)
 
 
 def decompose(module: AdeModule) -> list[list[int]]:
@@ -146,7 +175,9 @@ def regular_element(module: AdeModule) -> np.ndarray:
     The images Delta_k(A) v come from an exact int64 run of the recursion
     on R = rint(v * 2**E), with E such that 127 * rank * max|R| stays
     below 2**62: every entry of Delta_k(A) is at most 127 and nonnegative,
-    so no partial sum wraps.  The row sums
+    so no partial sum wraps.  The run stops at k = (h - 2) // 2: each later
+    Delta_{h-2-k}(A) R is Delta_k(A) R with its rows taken in the order of
+    ``module.mirror``, the same integers.  The row sums
     Delta_k(A) 1 ride along as a second column.  Each image then differs
     from Delta_k(A) v only by the rounding of R, at most
     (Delta_k(A) 1) * 2**-(E + 1) per entry, and by the one rounding of the
@@ -161,18 +192,20 @@ def regular_element(module: AdeModule) -> np.ndarray:
             f"module is reducible ({len(components)} components); regular element undefined"
         )
     fp = module.ring.fp_dims()
-    n, neighbours = module.rank, module.neighbours
+    n, neighbours, mirror = module.rank, module.neighbours, module.mirror
     columns = np.zeros((len(fp) + 1, n + 1, 2), dtype=np.int64)  # [0] is Delta_{-1} = 0
     columns[1, :n, 1] = 1
+    half = (len(fp) + 1) // 2  # columns 1..half: Delta_0 .. Delta_{(h-2)//2}
     moved, exponent = None, 0
 
     def images(vec):
         nonlocal moved, exponent
         exponent = 61 - math.frexp(127 * n * float(np.max(np.abs(vec))))[1]
         columns[1, :n, 0] = np.rint(np.ldexp(vec, exponent))
-        for k in range(2, len(columns)):
+        for k in range(2, half + 1):
             np.add.reduce(np.take(columns[k - 1], neighbours, axis=0), axis=0, out=columns[k, :n])
             np.subtract(columns[k, :n], columns[k - 2, :n], out=columns[k, :n])
+        columns[half + 1 :, :n] = columns[len(fp) - half : 0 : -1, mirror]
         moved = np.ldexp(columns[1:, :n, 0], -exponent)
         return moved
 

@@ -18,7 +18,9 @@ step at a time by ``sliced_check``, and
 ``dense_associators`` the full two-product associator slices that
 ``fusion_ring.associators`` halves on commutative tables, and
 ``dense_associator_max`` their largest |entry|, the hypergroup check's
-reference witness.
+reference witness.  ``dense_constants`` is a hypergroup's whole float
+tensor of structure constants, which the library never builds, and
+``plain_hypergroup`` a hypergroup handed over as such a tensor.
 ``reflection_matrices`` are the dense simple reflections, the reference
 that the library's closed form for the Coxeter element is tested against,
 and ``matrix_order`` is the power walk that checks its order against h.
@@ -40,6 +42,7 @@ import numpy as np
 
 from coxfusion.coxeter import CoxeterDiagram, cartan_form
 from coxfusion.fusion_ring import FusionRing, FusionRingError, verlinde_ring
+from coxfusion.hypergroup import Hypergroup
 from coxfusion.linalg import ConvergenceError, perron_eigenpair, read_only, spectrum_slack
 from coxfusion.report import CheckResult, exact_check
 from coxfusion.zplus_module import ZPlusModuleError
@@ -212,6 +215,23 @@ def dense_associator_max(c: np.ndarray) -> float:
     entry is NaN, and no floating-point warning on a non-finite table."""
     with np.errstate(invalid="ignore", over="ignore"):
         return float(np.max([np.max(np.abs(a)) for a in dense_associators(c)]))
+
+
+def dense_constants(hg: Hypergroup) -> np.ndarray:
+    """The (n, n, n) float64 tensor of ``hg``'s structure constants, built
+    whole: the table times d_k, divided in place by d_i * d_j.  It is the
+    reference that ``Hypergroup.entries`` and the checks that read it are
+    pinned to bit for bit."""
+    d = hg.dims
+    constants = np.multiply(hg.table, d)
+    constants /= d[:, None, None] * d[None, :, None]
+    return constants
+
+
+def plain_hypergroup(constants) -> Hypergroup:
+    """The hypergroup whose structure constants are ``constants``
+    themselves: the float table with dims of ones."""
+    return Hypergroup(constants, np.ones(len(constants)))
 
 
 def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:

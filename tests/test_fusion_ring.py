@@ -13,7 +13,14 @@ from coxfusion import fusion_ring, linalg
 from coxfusion.fusion_ring import FusionRingError, associators, even_subring, verlinde_ring
 from coxfusion.hypergroup import from_fusion_ring, verify_hypergroup_axioms
 from coxfusion.report import all_passed
-from helpers import WRITABLE_SOURCES, TableRing, caller_writable, fib_ring, traced_peak
+from helpers import (
+    WRITABLE_SOURCES,
+    TableRing,
+    caller_writable,
+    dense_constants,
+    fib_ring,
+    traced_peak,
+)
 
 
 def product(ring, x, y):
@@ -544,7 +551,7 @@ class TestAssociatorProducts:
         # multiplies n - i blocks per product, in calls of at most the
         # budget's rows.
         ring = verlinde_ring(60)
-        c = ring.constants if products == 1 else from_fusion_ring(ring).constants
+        c = ring.constants if products == 1 else dense_constants(from_fusion_ring(ring))
         counts, matmul = [], np.matmul
         per_step = [0] * ring.rank
 

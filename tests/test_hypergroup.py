@@ -25,7 +25,9 @@ from helpers import (
     TableRing,
     caller_writable,
     dense_associator_max,
+    dense_constants,
     fib_ring,
+    plain_hypergroup,
     reference_module,
     stack_perron,
     traced_peak,
@@ -42,47 +44,88 @@ def z2_group_ring():
 
 class TestFromFusionRing:
     def test_group_ring_keeps_integer_constants(self):
-        hg = from_fusion_ring(z2_group_ring())
-        rounded = np.round(hg.constants)
-        assert np.max(np.abs(hg.constants - rounded)) < 1e-12
+        constants = dense_constants(from_fusion_ring(z2_group_ring()))
+        rounded = np.round(constants)
+        assert np.max(np.abs(constants - rounded)) < 1e-12
         assert set(np.unique(rounded)) <= {0.0, 1.0}
 
     def test_fib(self):
-        hg = from_fusion_ring(fib_ring())
+        constants = dense_constants(from_fusion_ring(fib_ring()))
         phi = (1.0 + math.sqrt(5.0)) / 2.0
-        assert hg.constants[1, 1, 0] == pytest.approx(1.0 / phi**2, abs=1e-10)
-        assert hg.constants[1, 1, 1] == pytest.approx(1.0 / phi, abs=1e-10)
+        assert constants[1, 1, 0] == pytest.approx(1.0 / phi**2, abs=1e-10)
+        assert constants[1, 1, 1] == pytest.approx(1.0 / phi, abs=1e-10)
 
     def test_verlinde_row_sums(self):
-        hg = from_fusion_ring(verlinde_ring(3))
-        assert np.max(np.abs(hg.constants.sum(axis=2) - 1.0)) < 1e-12
+        constants = dense_constants(from_fusion_ring(verlinde_ring(3)))
+        assert np.max(np.abs(constants.sum(axis=2) - 1.0)) < 1e-12
 
     def test_even_subring_hypergroup_is_restriction(self):
         for n in (5, 8, 13):
             ring = verlinde_ring(n)
-            full = from_fusion_ring(ring)
-            small = from_fusion_ring(even_subring(ring))
-            restricted = full.constants[::2, ::2, ::2]
-            assert np.max(np.abs(small.constants - restricted)) < 1e-12
+            full = dense_constants(from_fusion_ring(ring))
+            small = dense_constants(from_fusion_ring(even_subring(ring)))
+            restricted = full[::2, ::2, ::2]
+            assert np.max(np.abs(small - restricted)) < 1e-12
 
+    def test_hypergroup_takes_the_table_and_the_dimensions(self):
+        ring = verlinde_ring(5)
+        hg = from_fusion_ring(ring)
+        assert hg.table is ring.constants and hg.table.dtype == np.int8
+        assert hg.dims is ring.fp_dims()
 
-    def test_one_float_tensor(self):
+    def test_from_fusion_ring_allocates_no_float_tensor(self):
+        # The (n, n) products of the dimensions and numpy's buffers for them
+        # (88 kB at R_60), below even an int8 copy of the table; a rank**3
+        # float64 tensor would take 1.65 MiB.
         ring = verlinde_ring(60)
         ring.fp_dims()
         ring.constants  # the int8 table is built on first read; its build is pinned apart
-        assert traced_peak(from_fusion_ring, ring) < 1.1 * 8 * ring.constants.size
+        assert traced_peak(from_fusion_ring, ring) < ring.rank**3
 
-    def test_hypergroup_takes_the_tensor(self):
-        hg = from_fusion_ring(verlinde_ring(5))
-        assert Hypergroup(hg.constants).constants is hg.constants
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            verlinde_ring(1),
+            verlinde_ring(12),
+            verlinde_ring(61),
+            even_subring(verlinde_ring(40)),
+            fib_ring(),
+            TableRing(verlinde_ring(9).labels, 3 * verlinde_ring(9).constants),
+        ],
+        ids=["R_1", "R_12", "R_61", "R_40 even", "fib", "3 R_9"],
+    )
+    def test_entries_are_the_dense_tensor_bit_for_bit(self, ring):
+        hg = from_fusion_ring(ring)
+        dense, every = dense_constants(hg), slice(None)
+        assert np.array_equal(hg.entries(every, every, every).view(np.uint64), dense.view(np.uint64))
+        part, odd = slice(1, None, 3), slice(1, None, 2)
+        out = np.empty_like(dense[odd, part, part]).transpose(1, 0, 2)
+        read = hg.entries(part, odd, part, out=out)
+        assert read is out
+        assert np.array_equal(read.view(np.uint64), dense[part, odd, part].view(np.uint64))
+
+    def test_unit_dims_give_the_table_itself(self):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((7, 7, 7)) * 10.0 ** rng.integers(-300, 300, (7, 7, 7))
+        table[1, 2, 3], table[3, 2, 1], table[4, 4, 4], table[0, 5, 6] = np.nan, np.inf, -np.inf, -0.0
+        every = slice(None)
+        read = plain_hypergroup(table).entries(every, every, every)
+        assert np.array_equal(read.view(np.uint64), table.view(np.uint64))
 
     @pytest.mark.parametrize("which", WRITABLE_SOURCES)
     def test_caller_cannot_change_the_hypergroup(self, which):
-        constants = np.array(from_fusion_ring(verlinde_ring(4)).constants)
-        hg = Hypergroup(caller_writable(constants)[which])
-        constants[1, 1, 1] = 7.0
-        assert hg.constants[1, 1, 1] == 0.0
-        assert not hg.constants.flags.writeable
+        constants = dense_constants(from_fusion_ring(verlinde_ring(4)))
+        dims = np.ones(4)
+        hg = Hypergroup(caller_writable(constants)[which], caller_writable(dims)[which])
+        constants[1, 1, 1], dims[1] = 7.0, 7.0
+        assert hg.table[1, 1, 1] == 0.0 and hg.dims[1] == 1.0
+        assert not hg.table.flags.writeable and not hg.dims.flags.writeable
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="expected \\(n, n, n\\)"):
+            Hypergroup(np.zeros((2, 3, 3)), np.ones(2))
+        with pytest.raises(ValueError, match="dims have shape"):
+            Hypergroup(np.zeros((3, 3, 3)), np.ones(2))
 
 
 @pytest.fixture
@@ -110,7 +153,7 @@ class TestVerifyAxioms:
     def test_associativity_residual_of_r30(self):
         # the sliced check gives exactly the residual of the rank**4 einsum it replaced
         hg = from_fusion_ring(verlinde_ring(30))
-        c = hg.constants
+        c = dense_constants(hg)
         left = np.einsum("ijm,mkl->ijkl", c, c)
         right = np.einsum("jkm,iml->ijkl", c, c)
         report = verify_hypergroup_axioms(hg)
@@ -124,32 +167,32 @@ class TestVerifyAxioms:
         # every k.
         ring = verlinde_ring(60)
         hg = from_fusion_ring(even_subring(ring) if even else ring)
-        assert verify_hypergroup_axioms(hg)[-1].witness == dense_associator_max(hg.constants)
+        assert verify_hypergroup_axioms(hg)[-1].witness == dense_associator_max(dense_constants(hg))
         assert scans == ["associators" if even else "graded_associators"]
 
     @pytest.mark.parametrize("n", [*range(2, 14), 30, 31, 60, 61])
     def test_graded_scan_keeps_the_dense_witness(self, n, scans):
         hg = from_fusion_ring(verlinde_ring(n))
-        assert verify_hypergroup_axioms(hg)[-1].witness == dense_associator_max(hg.constants)
+        assert verify_hypergroup_axioms(hg)[-1].witness == dense_associator_max(dense_constants(hg))
         assert scans == ["graded_associators"]
 
     def test_graded_non_commutative_table_takes_the_full_scan(self, scans):
         # Weight moved between b_1 and b_3 in b_1 b_2 keeps every entry on
         # an even slot, but b_1 b_2 is no longer b_2 b_1.
-        constants = np.array(from_fusion_ring(verlinde_ring(12)).constants)
+        constants = dense_constants(from_fusion_ring(verlinde_ring(12)))
         constants[1, 2, 1] -= 1e-3
         constants[1, 2, 3] += 1e-3
         assert parity_graded(constants)
-        report = verify_hypergroup_axioms(Hypergroup(constants))
+        report = verify_hypergroup_axioms(plain_hypergroup(constants))
         assert report[-1].witness == dense_associator_max(constants) > 1e-4
         assert scans == ["associators"]
 
     def test_entry_at_an_odd_slot_takes_the_full_scan(self, scans):
         # c_11^1 sits where i + j + k is odd; the table stays commutative.
-        constants = np.array(from_fusion_ring(verlinde_ring(12)).constants)
+        constants = dense_constants(from_fusion_ring(verlinde_ring(12)))
         constants[1, 1, 1] = 1e-3
         assert not parity_graded(constants)
-        report = verify_hypergroup_axioms(Hypergroup(constants))
+        report = verify_hypergroup_axioms(plain_hypergroup(constants))
         assert report[-1].witness == dense_associator_max(constants) > 1e-4
         assert scans == ["associators"]
 
@@ -162,13 +205,19 @@ class TestVerifyAxioms:
         i, j, k = np.indices((n, n, n))
         constants = rng.random((n, n, n)) * ((i + j + k) % 2 == 0)
         constants += constants.transpose(1, 0, 2)
-        report = verify_hypergroup_axioms(Hypergroup(constants))
+        report = verify_hypergroup_axioms(plain_hypergroup(constants))
         assert report[-1].witness == pytest.approx(dense_associator_max(constants), rel=1e-14)
         assert scans == ["graded_associators"]
 
-    def test_r120_witness(self):
-        hg = from_fusion_ring(verlinde_ring.__wrapped__(120))
-        assert verify_hypergroup_axioms(hg)[-1].witness == 2.220446049250313e-16
+    # R_30 and R_60 are the rings of the ``axioms`` benchmark, whose
+    # accuracy_digits read these witnesses: any change to the arithmetic of
+    # ``FusionRing.fp_dims`` that moves their bits shows here.
+    @pytest.mark.parametrize(
+        "n, witness", [(30, 1.1102230246251565e-16), (60, 1.1102230246251565e-16), (120, 2.220446049250313e-16)]
+    )
+    def test_r120_witness(self, n, witness):
+        hg = from_fusion_ring(verlinde_ring.__wrapped__(n))
+        assert verify_hypergroup_axioms(hg)[-1].witness == witness
 
     @pytest.mark.parametrize("n", [12, 60])
     @pytest.mark.parametrize(
@@ -178,32 +227,43 @@ class TestVerifyAxioms:
         # b_{n/2} b_{n/2+1} has the term b_1, so both entries are on the
         # support.  NaN != NaN, so a NaN table is not commutative and takes
         # the full scan; an infinity keeps it commutative and graded.
-        constants = np.array(from_fusion_ring(verlinde_ring(n)).constants)
+        constants = dense_constants(from_fusion_ring(verlinde_ring(n)))
         constants[n // 2, n // 2 + 1, 1] = constants[n // 2 + 1, n // 2, 1] = value
-        associativity = verify_hypergroup_axioms(Hypergroup(constants))[-1]
+        associativity = verify_hypergroup_axioms(plain_hypergroup(constants))[-1]
         assert not associativity.passed
         assert not math.isfinite(associativity.witness)
         assert scans == [scan]
 
     def test_r120_holds_block_buffers_only(self):
-        # Past its table (13.2 MiB) the check holds the graded scan's buffers
-        # within 2 * ``_BLOCK_BYTES`` and rank**2 arrays; two rank**3 float
-        # buffers would take 26.4 MiB.  The comparison with the transpose and
-        # the sign check read the table in blocks, so the peak (0.88 MiB
-        # measured) stays below one rank**3 boolean mask (1.65 MiB).
+        # Past its int8 table (1.65 MiB) the check holds the graded scan's
+        # buffers within 2 * ``_BLOCK_BYTES``, one row block of float entries
+        # and rank**2 arrays; two rank**3 float buffers would take 26.4 MiB.
+        # The comparison with the transpose and the sign check read the table
+        # in blocks, so the peak (1.11 MiB measured) stays below one rank**3
+        # boolean mask (1.65 MiB).
         hg = from_fusion_ring(verlinde_ring.__wrapped__(120))
         verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(12)))  # first-call allocations
         peak = traced_peak(verify_hypergroup_axioms, hg)
         assert peak <= 4 * 2**20
         assert peak < hg.rank**3
 
+    def test_r120_check_from_the_ring_stays_within_4_mib(self):
+        # From the ring's cached int8 table and FP dimensions to the report,
+        # no float copy of the table: 1.22 MiB measured, where a float64
+        # hypergroup tensor alone takes 13.2 MiB.
+        ring = verlinde_ring.__wrapped__(120)
+        ring.constants, ring.fp_dims()
+        verify_hypergroup_axioms(from_fusion_ring(verlinde_ring(12)))  # first-call allocations
+        peak = traced_peak(lambda: verify_hypergroup_axioms(from_fusion_ring(ring)))
+        assert peak <= 4 * 2**20
+
     @pytest.mark.parametrize("n", [12, 30, 60])
     def test_blocked_nonnegativity_witness_is_the_first_index(self, n):
         # blocks of _block_rows(n) values of i: 113 at R_12, 18 at R_30, 4 at R_60
-        constants = np.array(from_fusion_ring(verlinde_ring(n)).constants)
+        constants = dense_constants(from_fusion_ring(verlinde_ring(n)))
         for entry in [(n - 1, 1, 2), (n - 5, 2, 1), (n - 5, 0, 3)]:
             constants[entry] = -1.0
-        report = verify_hypergroup_axioms(Hypergroup(constants))
+        report = verify_hypergroup_axioms(plain_hypergroup(constants))
         assert report[0].name == "nonnegativity" and not report[0].passed
         assert report[0].witness == tuple(int(x) for x in np.argwhere(constants < 0)[0])
         assert report[0].witness == (n - 5, 0, 3)
@@ -212,38 +272,38 @@ class TestVerifyAxioms:
         # In R_4, b_1 b_2 has the terms b_1 and b_3.  Moving weight between
         # them keeps every row sum and unit coefficient, but b_1 b_2 is no
         # longer b_2 b_1, so the involution is no anti-automorphism.
-        constants = np.array(from_fusion_ring(verlinde_ring(4)).constants)
+        constants = dense_constants(from_fusion_ring(verlinde_ring(4)))
         constants[1, 2, 1] -= 1e-3
         constants[1, 2, 3] += 1e-3
-        report = {check.name: check for check in verify_hypergroup_axioms(Hypergroup(constants))}
+        report = {check.name: check for check in verify_hypergroup_axioms(plain_hypergroup(constants))}
         assert report["row sums equal 1"].passed and report["unit law"].passed
         assert not report["involution conditions"].passed
 
     def test_asymmetry_below_tolerance_passes_involution_conditions(self):
         # Not bitwise commutative, so the 1e-12 comparison decides.
-        constants = np.array(from_fusion_ring(verlinde_ring(4)).constants)
+        constants = dense_constants(from_fusion_ring(verlinde_ring(4)))
         constants[1, 2, 1] -= 1e-14
         constants[1, 2, 3] += 1e-14
-        report = {check.name: check for check in verify_hypergroup_axioms(Hypergroup(constants))}
+        report = {check.name: check for check in verify_hypergroup_axioms(plain_hypergroup(constants))}
         assert report["involution conditions"].passed
 
     def test_perturbed_row_sum_fails(self):
         hg = from_fusion_ring(verlinde_ring(4))
-        constants = np.array(hg.constants)
+        constants = dense_constants(hg)
         constants[1, 2, 0] += 1e-3
-        broken = Hypergroup(constants)
+        broken = plain_hypergroup(constants)
         names = [check.name for check in verify_hypergroup_axioms(broken) if not check.passed]
         assert "row sums equal 1" in names
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_row_sums_and_involution_condition(self, n):
         for ring in (verlinde_ring(n), even_subring(verlinde_ring(n))):
-            hg = from_fusion_ring(ring)
-            assert np.max(np.abs(hg.constants.sum(axis=2) - 1.0)) < 1e-10
-            col0 = hg.constants[:, :, 0]
+            constants = dense_constants(from_fusion_ring(ring))
+            assert np.max(np.abs(constants.sum(axis=2) - 1.0)) < 1e-10
+            col0 = constants[:, :, 0]
             assert np.max(np.abs(col0 - col0.T)) < 1e-12
-            for i in range(hg.rank):
-                for j in range(hg.rank):
+            for i in range(ring.rank):
+                for j in range(ring.rank):
                     assert (col0[i, j] > 0) == (j == i)
 
 
@@ -287,11 +347,11 @@ class TestActionFromModule:
     def test_homomorphism_property(self, tag):
         module = reference_module(parse_diagram(tag))
         theta = thetas(module)
-        hg = from_fusion_ring(module.ring)
-        for i in range(hg.rank):
-            for j in range(hg.rank):
+        constants = dense_constants(from_fusion_ring(module.ring))
+        for i in range(module.ring.rank):
+            for j in range(module.ring.rank):
                 lhs = theta[i] @ theta[j]
-                rhs = np.einsum("k,kab->ab", hg.constants[i, j], theta)
+                rhs = np.einsum("k,kab->ab", constants[i, j], theta)
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 

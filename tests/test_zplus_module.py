@@ -170,6 +170,58 @@ class TestAdeModule:
             ade_module(diagram("E", 8))
         assert Patched.calls == k
 
+    @pytest.mark.parametrize("tag", IMAGE_TAGS)
+    def test_mirror_is_the_last_step(self, tag):
+        # Delta_{h-2}(A) is the permutation matrix of ``mirror``, an
+        # involution commuting with A, and row i of Delta_{h-2-k}(A) is row
+        # mirror[i] of Delta_k(A)
+        module = ade_module(parse_diagram(tag))
+        stack, mirror, adjacency = reference_stack(parse_diagram(tag)), module.mirror, module.adjacency
+        n = module.rank
+        assert np.array_equal(stack[-1], np.eye(n, dtype=np.int8)[mirror])
+        assert np.array_equal(mirror[mirror], np.arange(n))
+        assert np.array_equal(adjacency[mirror], adjacency[:, mirror])
+        assert all(np.array_equal(stack[-1 - k], stack[k][mirror]) for k in range(len(stack)))
+
+    def test_a_last_step_off_a_permutation_raises(self, monkeypatch):
+        # E8 (h = 30): step 28 gets a second 1 in row 3 and step 29 is
+        # zeroed, so the loop ends on a last step that is no permutation
+        class Patched:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def subtract(self, a, b, out):
+                Patched.calls += 1
+                np.subtract(a, b, out=out)
+                if Patched.calls == 28:
+                    out[3, 4] = 1
+                if Patched.calls == 29:
+                    out[...] = 0
+                return out
+
+        monkeypatch.setattr(zplus_module, "np", Patched())
+        with pytest.raises(ZPlusModuleError, match="not a permutation matrix"):
+            ade_module(diagram("E", 8))
+
+    def test_an_odd_numerator_raises(self, monkeypatch):
+        # the gather of A S_odd gets one entry raised by 1, so
+        # A S_odd + I + [h even] Delta_{h-2} is odd there
+        class Patched:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def take(self, a, indices, axis):
+                taken = np.take(a, indices, axis=axis)
+                if a.dtype == np.int32:
+                    taken[0, 2, 3] += 1
+                return taken
+
+        monkeypatch.setattr(zplus_module, "np", Patched())
+        with pytest.raises(ZPlusModuleError, match="do not match"):
+            ade_module(diagram("D", 6))
+
     def test_asymmetric_adjacency_raises(self, monkeypatch):
         skewed = diagram("A", 4).adjacency_matrix()
         skewed[0, 1] = 0
@@ -442,6 +494,18 @@ class TestRegularElement:
         rows = stack.sum(axis=2, dtype=np.int64)
         bound = np.ldexp(rows, -exponent - 1) + 2 * n * np.finfo(float).eps * reference
         assert np.all(np.abs(images(vec) - reference) <= bound)
+
+    @pytest.mark.parametrize("tag", IMAGE_TAGS)
+    def test_mirrored_images_are_the_exact_recursion(self, monkeypatch, tag):
+        # the images read off the first half by ``mirror`` are, bit for bit,
+        # Delta_k(A) R 2**-E for every k, from the stored stack in int64
+        module = ade_module(parse_diagram(tag))
+        _, images, vec = solved_images(monkeypatch, module)
+        stack = reference_stack(parse_diagram(tag))
+        exponent = 61 - math.frexp(127 * module.rank * float(np.max(np.abs(vec))))[1]
+        exact = np.rint(np.ldexp(vec, exponent)).astype(np.int64)
+        reference = np.ldexp(np.array([action @ exact for action in stack]), -exponent)
+        assert np.array_equal(images(vec), reference)
 
     @pytest.mark.parametrize("tag", ["E8", "A100", "D100"])
     def test_check_reuses_the_converged_images(self, monkeypatch, tag):
