@@ -146,7 +146,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     if not rows_ok:
         i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
         witness = (int(i), int(j), float(sums[i, j]))
-    commutative = all(np.array_equal(b, f) for b, f in pairs)
+    commutative = all(np.array_equal(block, flipped) for block, flipped in pairs)
     sym_ok = commutative or np.max([_asymmetry(hg, part) for part in parts]) < 1e-12
     support_ok = np.array_equal(t[:, :, 0] > 0, eye > 0)
     if commutative and parity_graded(t):
@@ -157,7 +157,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
     # np.max, unlike the builtin max, keeps a NaN wherever it comes.
     assoc_err = float(np.max([max(a.max(), -a.min()) for a in blocks]))
     return [
-        blocked_check("nonnegativity", (b < 0 for b, _ in pairs), rows),
+        blocked_check("nonnegativity", (block < 0 for block, _ in pairs), rows),
         CheckResult("unit law", bool(unit_ok)),
         CheckResult("row sums equal 1", bool(rows_ok), witness),
         CheckResult("involution conditions", bool(sym_ok and support_ok)),
