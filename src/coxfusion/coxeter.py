@@ -405,12 +405,15 @@ def root_system(p: CoxeterPlane) -> np.ndarray:
     (Steinberg, Trans. AMS 1959; Bourbaki, Lie groups and Lie algebras,
     Ch. V-VI).  Rows come as h blocks of n, theta, gamma theta, ...,
     gamma^(h-1) theta, so row r + n is gamma applied to row r, and each
-    root appears exactly once.
+    root appears exactly once.  Each block is written into the one result
+    array as the product of the block before it with gamma^T.
     """
-    blocks = [p.theta]
-    for _ in range(p.h - 1):
-        blocks.append(blocks[-1] @ p.gamma.T)
-    return np.vstack(blocks)
+    n = len(p.theta)
+    roots = np.empty((p.h * n, n))
+    roots[:n] = p.theta
+    for r in range(n, p.h * n, n):
+        np.matmul(roots[r - n : r], p.gamma.T, out=roots[r : r + n])
+    return roots
 
 
 def project_to_plane(vectors, p: CoxeterPlane) -> np.ndarray:

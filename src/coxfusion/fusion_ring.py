@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .linalg import perron_eigenpair
+from .linalg import _BLOCK_BYTES, perron_eigenpair
 from .report import CheckResult, blocked_check, exact_check
 
 
@@ -183,12 +183,6 @@ class FusionRing:
 
     def __repr__(self) -> str:
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
-
-
-# Bytes of one float64 block buffer of the axiom checks, which take their
-# products over rank**2 * rows entries at a time: small enough that the
-# few buffers of a block stay in a core's L2 cache.
-_BLOCK_BYTES = 1 << 17
 
 
 def _block_rows(n: int) -> int:

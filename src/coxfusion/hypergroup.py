@@ -124,7 +124,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
       table, takes ``associators`` on h widened to float64 once, which
       computes half of it for a commutative table.
     Both scans hold a few float64 buffers within
-    ``2 * fusion_ring._BLOCK_BYTES`` next to what they read.  A NaN or an
+    ``2 * linalg._BLOCK_BYTES`` next to what they read.  A NaN or an
     infinity anywhere in the table reaches a row of some product, so
     associativity fails with a non-finite witness; no floating-point
     warning is raised.

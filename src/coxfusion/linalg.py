@@ -1,5 +1,5 @@
-"""Small numerical kernels: Perron pairs, spectral error bars, projectors,
-components, read-only storage."""
+"""Small numerical kernels: Perron pairs, outer products, spectral error
+bars, projectors, components, read-only storage."""
 
 from __future__ import annotations
 
@@ -41,6 +41,12 @@ def _frozen(arr: np.ndarray) -> bool:
     return False
 
 
+# Bytes of one float64 block buffer, shared by the Perron residuals, the
+# regular element's check and the axiom checks, which take their products
+# over rank**2 * rows entries at a time: small enough that the few buffers
+# of a block stay in a core's L2 cache.
+_BLOCK_BYTES = 1 << 17
+
 _PERRON_RESIDUAL_TOL = 1e-12
 _PERRON_MAX_ITER = 100_000
 _PERRON_STILL = 1e-15
@@ -78,6 +84,14 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     an integer stack is exact while every partial sum stays below 2**53,
     so there the float64 copy of an exact integer sum is the float sum,
     bit for bit.
+
+    Past the caller's sum and the array that ``images`` returns, the solve
+    holds its float64 copy of the sum, a few n-vectors and one residual
+    block of at most ``_BLOCK_BYTES``.  The residuals of a check are taken
+    in row blocks; its Rayleigh quotients ``moved @ vec`` are one product
+    over all the images, as the FP dimensions' bits were first computed.
+    The images of a check that fails are dropped before ``images`` is
+    called again, so at most one image array is alive.
     """
     total = np.asarray(total)
     if total.ndim != 2 or total.shape[0] != total.shape[1]:
@@ -102,16 +116,37 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
         ):
             moved = images(vec)
             values = moved @ vec / (vec @ vec)
-            off = values[:, None] * vec  # then |moved - off|, in place
-            residuals = np.max(np.abs(np.subtract(moved, off, out=off), out=off), axis=1)
-            if np.all(residuals < _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))):
+            if _residuals_pass(moved, values, vec):
                 return values, vec
+            moved = None  # the next call of ``images`` may build its own array
             stalls += np.max(np.abs(vec - checked)) <= _PERRON_STILL
             if stalls == _PERRON_STALLS:
                 raise ConvergenceError("power iteration came to rest off a common Perron vector")
             checked = vec
         rq_prev = rq
     raise ConvergenceError(f"power iteration did not converge in {_PERRON_MAX_ITER} steps")
+
+
+def _residuals_pass(moved, values, vec) -> bool:
+    """Whether max |moved[i] - values[i] * vec| < 1e-12 * max(1, |values[i]|)
+    for every i, taken in row blocks of at most ``_BLOCK_BYTES``, up to the
+    first block that fails: no temporary of the images' size is made."""
+    limits = _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))
+    rows = max(1, _BLOCK_BYTES // (8 * len(vec)))
+    for i in range(0, len(moved), rows):
+        off = outer_product(values[i : i + rows], vec)  # then |moved - off|, in place
+        np.abs(np.subtract(moved[i : i + rows], off, out=off), out=off)
+        if not np.all(np.max(off, axis=1) < limits[i : i + rows]):
+            return False
+    return True
+
+
+def outer_product(column, row) -> np.ndarray:
+    """The (len(column), len(row)) products column[i] * row[j], each the
+    one rounding of ``column[:, None] * row`` up to the sign of a zero: a
+    matmul over an inner axis of length 1, where that broadcast product
+    would also take two buffers of up to 64 KiB each."""
+    return np.matmul(column[:, None], row[None, :])
 
 
 def spectrum_slack(evals) -> float:

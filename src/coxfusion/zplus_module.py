@@ -24,7 +24,7 @@ import numpy as np
 
 from .coxeter import CoxeterDiagram, CoxeterError
 from .fusion_ring import FusionRing, even_subring, verlinde_ring
-from .linalg import connected_components, perron_eigenpair
+from .linalg import _BLOCK_BYTES, connected_components, outer_product, perron_eigenpair
 
 
 class ZPlusModuleError(ValueError):
@@ -37,11 +37,12 @@ class AdeModule:
     whose basis element k acts by Delta_k(A), or by Delta_{2k}(A) over the
     even part.
 
-    ``adjacency`` is A = Delta_1 and ``neighbours`` its (width, n) adjacency
-    lists, padded with n, which the recursion gathers along.  ``mirror`` is
-    the permutation sigma with Delta_{h-2}(A)[i, sigma(i)] = 1, the last
-    nonzero action, which ``ade_module`` checks to be a permutation matrix:
-    by Delta_{h-2} Delta_k = Delta_{h-2-k} in R_{h-1}, row i of
+    ``adjacency`` is A = Delta_1, in int8 as its entries are 0 and 1, and
+    ``neighbours`` its (width, n) adjacency lists, padded with n, which the
+    recursion gathers along.  ``mirror`` is the permutation sigma with
+    Delta_{h-2}(A)[i, sigma(i)] = 1, the last nonzero action, which
+    ``ade_module`` checks to be a permutation matrix: by
+    Delta_{h-2} Delta_k = Delta_{h-2-k} in R_{h-1}, row i of
     Delta_{h-2-k}(A) is row sigma(i) of Delta_k(A).  ``total`` is the
     read-only int32 sum of the actions of every basis element of the ring,
     and ``even`` that of Delta_0, Delta_2, ...: over the even part the two
@@ -51,7 +52,7 @@ class AdeModule:
     """
 
     ring: FusionRing
-    adjacency: np.ndarray  # (n, n)
+    adjacency: np.ndarray  # (n, n) int8
     neighbours: np.ndarray  # (width, n)
     mirror: np.ndarray  # (n,)
     total: np.ndarray  # (n, n) int32
@@ -98,7 +99,7 @@ def ade_module(d: CoxeterDiagram) -> AdeModule:
     """
     if not d.is_ade():
         raise CoxeterError(f"diagram {d.name} is not of ADE type")
-    adjacency = d.adjacency_matrix()
+    adjacency = d.adjacency_matrix().astype(np.int8)
     if not np.array_equal(adjacency, adjacency.T):
         raise ZPlusModuleError(f"adjacency matrix of {d.name} is not symmetric")
     n = d.rank
@@ -175,16 +176,24 @@ def regular_element(module: AdeModule) -> np.ndarray:
     The images Delta_k(A) v come from an exact int64 run of the recursion
     on R = rint(v * 2**E), with E such that 127 * rank * max|R| stays
     below 2**62: every entry of Delta_k(A) is at most 127 and nonnegative,
-    so no partial sum wraps.  The run stops at k = (h - 2) // 2: each later
-    Delta_{h-2-k}(A) R is Delta_k(A) R with its rows taken in the order of
-    ``module.mirror``, the same integers.  The row sums
+    so no partial sum wraps.  The run stops at k = (h - 2) // 2, and only
+    those steps have int64 columns: each later Delta_{h-2-k}(A) R is
+    Delta_k(A) R with its rows taken in the order of ``module.mirror``, the
+    same integers, so its float image is the float image of Delta_k(A) R
+    with its entries so permuted, the same bits.  The row sums
     Delta_k(A) 1 ride along as a second column.  Each image then differs
     from Delta_k(A) v only by the rounding of R, at most
     (Delta_k(A) 1) * 2**-(E + 1) per entry, and by the one rounding of the
     int64 image to float64.  The check adds the largest such bound of
-    each k to its residual.  It reads the images that the solve took last,
-    at the vector it returns, scaled by the same coordinate sum: no second
-    run of the recursion.
+    each k to its residual, mirrored as the images are.  It reads the
+    images that the solve took last, at the vector it returns, scaled by
+    the same coordinate sum: no second run of the recursion.
+
+    So past the module and the ring, the solve holds the int64 columns of
+    half the steps, one (h - 1, n) float64 image array that every call of
+    the images rewrites, and ``perron_eigenpair``'s own float copy of the
+    sum and its residual block; the check runs on the image array in place,
+    in row blocks of at most ``_BLOCK_BYTES``.
     """
     components = connected_components(module.total != 0)
     if len(components) != 1:
@@ -193,20 +202,22 @@ def regular_element(module: AdeModule) -> np.ndarray:
         )
     fp = module.ring.fp_dims()
     n, neighbours, mirror = module.rank, module.neighbours, module.mirror
-    columns = np.zeros((len(fp) + 1, n + 1, 2), dtype=np.int64)  # [0] is Delta_{-1} = 0
+    half = (len(fp) + 1) // 2  # Delta_0 .. Delta_{(h-2)//2}, run exactly
+    rest = len(fp) - half  # Delta_half .. Delta_{h-2}, mirrored
+    columns = np.zeros((half + 1, n + 1, 2), dtype=np.int64)  # [0] is Delta_{-1} = 0
     columns[1, :n, 1] = 1
-    half = (len(fp) + 1) // 2  # columns 1..half: Delta_0 .. Delta_{(h-2)//2}
-    moved, exponent = None, 0
+    moved, exponent = np.empty((len(fp), n)), 0
 
     def images(vec):
-        nonlocal moved, exponent
+        nonlocal exponent
         exponent = 61 - math.frexp(127 * n * float(np.max(np.abs(vec))))[1]
         columns[1, :n, 0] = np.rint(np.ldexp(vec, exponent))
         for k in range(2, half + 1):
             np.add.reduce(np.take(columns[k - 1], neighbours, axis=0), axis=0, out=columns[k, :n])
             np.subtract(columns[k, :n], columns[k - 2, :n], out=columns[k, :n])
-        columns[half + 1 :, :n] = columns[len(fp) - half : 0 : -1, mirror]
-        moved = np.ldexp(columns[1:, :n, 0], -exponent)
+        np.ldexp(columns[1:, :n, 0], -exponent, out=moved[:half])
+        # any mode but "raise" writes ``out`` directly, not through a buffer
+        np.take(moved[:rest][::-1], mirror, axis=1, out=moved[half:], mode="clip")
         return moved
 
     _, vec = perron_eigenpair(module.total, images)
@@ -214,10 +225,16 @@ def regular_element(module: AdeModule) -> np.ndarray:
     vec = vec / coordinate_sum
     if np.any(vec <= 0):
         raise ZPlusModuleError("Perron vector is not strictly positive")
-    moved /= coordinate_sum  # the images at vec
-    moved -= fp[:, None] * vec
-    rounding = np.ldexp(columns[1:, :n, 1].max(axis=1), -exponent - 1) / coordinate_sum
-    residuals = np.max(np.abs(moved, out=moved), axis=1) + rounding
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for i in range(0, len(fp), rows):  # |images at vec - FP * vec|, in place
+        block = moved[i : i + rows]
+        block /= coordinate_sum
+        block -= outer_product(fp[i : i + rows], vec)
+        np.abs(block, out=block)
+    row_max = columns[1:, :n, 1].max(axis=1)
+    row_max = np.concatenate([row_max, row_max[:rest][::-1]])
+    rounding = np.ldexp(row_max, -exponent - 1) / coordinate_sum
+    residuals = np.max(moved, axis=1) + rounding
     failing = np.flatnonzero(residuals > 1e-9)
     if failing.size:
         i = int(failing[0])

@@ -9,10 +9,12 @@ built by ``reference_stack``: the reference that the streamed pass of
 pinned to.  ``TableRing`` is a fusion ring handed over as a dense table,
 with FP dimensions from the Perron solve on its stack (``stack_perron``,
 the sum and einsum images of a stored stack): the reference for the
-library's runs, and the carrier of injected defects.  The Fibonacci ring
-(``fib_ring``) and the regular module (``regular_module``) keep the
-generic FP-dimension and axiom code under test on data outside those
-families.  ``verify_module_axioms`` is the
+library's runs, and the carrier of injected defects.  ``reference_perron``
+is the Perron solve as it was before its residuals were blocked, the
+reference for the library's FP dimensions and regular elements.  The
+Fibonacci ring (``fib_ring``) and the regular module (``regular_module``)
+keep the generic FP-dimension and axiom code under test on data outside
+those families.  ``verify_module_axioms`` is the
 exact Z+-module axiom check, which no pipeline stage reads, read one
 step at a time by ``sliced_check``, and
 ``dense_associators`` the full two-product associator slices that
@@ -36,6 +38,7 @@ of ``project``'s output, the references for the CLI's single-format ones.
 infinite type, for the finite-type gates and what lies behind them.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -153,6 +156,42 @@ def stack_perron(mats):
     return perron_eigenpair(
         mats.sum(axis=0, dtype=float), lambda vec: np.einsum("kij,j->ki", mats, vec)
     )
+
+
+def reference_perron(total, images) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg.perron_eigenpair`` as it was before its residuals were taken
+    in row blocks: the (k, n) product values * vec and |images - values *
+    vec| over all k at once, with the images of a failed check still held
+    while ``images`` is called again.  The reference that the FP dimensions
+    and the regular elements are pinned to, bit for bit."""
+    total = np.asarray(total)
+    n = len(total)
+    shifted = total.astype(float)
+    shifted.flat[:: n + 1] += 1.0
+    vec = np.ones(n) / np.sqrt(n)
+    image = shifted @ vec
+    rq_prev, checked, stalls = np.inf, vec, 0
+    for _ in range(100_000):
+        norm = math.sqrt(image @ image)
+        if norm == 0.0:
+            raise ConvergenceError("power iteration collapsed to the zero vector")
+        vec = image / norm
+        image = shifted @ vec
+        rq = float(vec @ image)
+        scale = max(1.0, abs(rq))
+        if abs(rq - rq_prev) < 1e-14 * scale and np.max(np.abs(image - rq * vec)) < 1e-12 * scale:
+            moved = images(vec)
+            values = moved @ vec / (vec @ vec)
+            off = values[:, None] * vec
+            residuals = np.max(np.abs(np.subtract(moved, off, out=off), out=off), axis=1)
+            if np.all(residuals < 1e-12 * np.maximum(1.0, np.abs(values))):
+                return values, vec
+            stalls += np.max(np.abs(vec - checked)) <= 1e-15
+            if stalls == 3:
+                raise ConvergenceError("power iteration came to rest off a common Perron vector")
+            checked = vec
+        rq_prev = rq
+    raise ConvergenceError("power iteration did not converge in 100000 steps")
 
 
 def fib_ring() -> FusionRing:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -89,9 +90,37 @@ class TestVerlindeRing:
 
     def test_fp_dims_hold_no_rank2_index_array(self):
         # A float64 rank**2 array of R_597 takes 2.72 MiB.  The solve holds
-        # the int32 run-length sum, the Perron loop's float copy of it, the
-        # images and one residual buffer: about 3.5 of them.
-        assert traced_peak(verlinde_ring.__wrapped__(597).fp_dims) <= 10 * 2**20
+        # the int32 run-length sum, the Perron loop's float copy of it, one
+        # image array and one residual block: about 2.5 of them (7.19 MiB
+        # measured; 9.66 MiB with the (k, n) residual temporary).
+        assert traced_peak(verlinde_ring.__wrapped__(597).fp_dims) <= 7.5 * 2**20
+
+    @pytest.mark.parametrize("n", [*range(1, 201), 597])
+    def test_fp_dims_are_the_reference_solve_bit_for_bit(self, monkeypatch, n):
+        # blocked residuals decide each check as the (k, n) ones did, so the
+        # solve stops at the same step with the same quotients
+        dims = verlinde_ring.__wrapped__(n).fp_dims()
+        monkeypatch.setattr(fusion_ring, "perron_eigenpair", helpers.reference_perron)
+        assert np.array_equal(dims, verlinde_ring.__wrapped__(n).fp_dims())
+
+    @pytest.mark.parametrize("n", [5, 12, 197])
+    def test_a_failed_check_drops_its_images(self, monkeypatch, n):
+        # R_5, R_12 and R_197 fail their first check of the images: the
+        # solve lets go of those images before it takes the next ones
+        held = []
+
+        def watched(total, images):
+            def tracked(vec):
+                assert all(ref() is None for ref in held)
+                moved = images(vec)
+                held.append(weakref.ref(moved))
+                return moved
+
+            return linalg.perron_eigenpair(total, tracked)
+
+        monkeypatch.setattr(fusion_ring, "perron_eigenpair", watched)
+        verlinde_ring.__wrapped__(n).fp_dims()
+        assert len(held) == 2
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_constants_multiplicity_free(self, n):

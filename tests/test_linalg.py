@@ -11,6 +11,7 @@ from coxfusion.fusion_ring import verlinde_ring
 from coxfusion.linalg import (
     ConvergenceError,
     connected_components,
+    outer_product,
     perron_eigenpair,
     read_only,
     subspace_projector,
@@ -24,7 +25,35 @@ from helpers import (
     positive_definite,
     squaring_components,
     stack_perron,
+    traced_peak,
 )
+
+
+class TestOuterProduct:
+    def test_is_the_broadcast_product_up_to_the_sign_of_zero(self):
+        # every nonzero, infinite or NaN entry is the same one rounding; a
+        # product that is zero may differ in sign, which |x - product| and
+        # x - product followed by abs, as the Perron checks use it, never see
+        rng = np.random.default_rng(5)
+        column = rng.standard_normal(40) * 10.0 ** rng.integers(-200, 200, 40)
+        row = rng.standard_normal(70) * 10.0 ** rng.integers(-200, 200, 70)
+        column[::7], row[::5], row[3], column[4] = 0.0, -0.0, np.inf, np.nan
+        with np.errstate(all="ignore"):
+            product, reference = outer_product(column, row), column[:, None] * row
+            moved = rng.standard_normal(reference.shape)
+            moved[:, ::3], moved[:, 1::3] = 0.0, -0.0
+            residual, expected = np.abs(moved - product), np.abs(moved - reference)
+        assert np.array_equal(product, reference, equal_nan=True)
+        same = (reference != 0) & ~np.isnan(reference)
+        assert np.array_equal(product.view(np.int64)[same], reference.view(np.int64)[same])
+        numbers = ~np.isnan(expected)
+        assert np.array_equal(np.isnan(residual), ~numbers)
+        assert np.array_equal(residual.view(np.int64)[numbers], expected.view(np.int64)[numbers])
+
+    def test_takes_no_buffer(self):
+        # a broadcast product of this shape also takes two 64 KiB buffers
+        column, row = np.ones(83), np.ones(197)
+        assert traced_peak(outer_product, column, row) < 83 * 197 * 8 + 4096
 
 
 class TestPerronEigenpair:

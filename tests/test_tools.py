@@ -1,14 +1,26 @@
-"""The line counter in tools/src_lines.py, on a small source tree."""
+"""The tools: the line counter in tools/src_lines.py, on a small source
+tree, and the fresh-process probe in tools/fresh_peak.py, on E8."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
-_SPEC = importlib.util.spec_from_file_location("src_lines", _PATH)
-src_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(src_lines)
+from coxfusion import check_main_theorem, parse_diagram
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines = _load("src_lines")
+fresh_peak = _load("fresh_peak")
 
 ALPHA = '''"""Module docstring,
 on two lines."""
@@ -58,3 +70,21 @@ def test_rows_and_total(tree, capsys):
 def test_count_of_one_module():
     assert src_lines.count(ALPHA) == (5, 6)
     assert src_lines.count(BETA) == (2, 1)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM in /proc")
+def test_fresh_peak_of_e8(capsys):
+    assert fresh_peak.main(["--runs", "2", "E8"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["diagram", "time_s", "vmhwm_mb", "distance"]
+    tag, seconds, peak_mb, distance = row.split()
+    assert tag == "E8" and 0 < float(seconds) < 10 and 1 < float(peak_mb) < 1000
+    expected = check_main_theorem(parse_diagram("E8")).projector_distance
+    assert distance == f"{expected:.2e}"
+
+
+def test_fresh_peak_reports_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(fresh_peak, "measure", lambda tag, src: (0.5, 40.0, 1.0, False))
+    assert fresh_peak.main(["E8"]) == 1
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split() == ["E8", "0.500", "40.0", "1.00e+00", "FAILED"]

@@ -361,6 +361,18 @@ def test_cold_main_theorem_stores_no_stack():
     assert peak < reference_stack(d).nbytes
 
 
+def test_cold_d500_main_theorem_holds_one_image_array_per_solve():
+    # The R_997 solve sets the peak: the int32 run-length sum (3.8 MB), the
+    # Perron loop's float copy of it and one image array (7.6 MB each), and
+    # one residual block.  A (k, n) residual temporary and a second image
+    # array took it to 30.6 MiB, with the int64 adjacency held beside it.
+    check_main_theorem(parse_diagram("D5"))
+    d = parse_diagram("D500")
+    verlinde_ring.cache_clear()
+    even_subring.cache_clear()
+    assert traced_peak(check_main_theorem, d) < 24 * 2**20
+
+
 def test_d500_in_a_fresh_process_stays_under_100_mb():
     # The stored stack alone was 250 MB here, and the process peaked at
     # 296 MB.  The child reads its peak off VmHWM, the high-water mark of its

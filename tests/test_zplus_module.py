@@ -34,6 +34,7 @@ from helpers import (
     e10,
     fib_ring,
     reference_module,
+    reference_perron,
     reference_stack,
     regular_module,
     stack_perron,
@@ -529,6 +530,51 @@ class TestRegularElement:
         monkeypatch.setattr(zplus_module, "perron_eigenpair", counted_perron)
         regular_element(module)
         assert calls and len(runs) == len(calls)
+
+    @pytest.mark.parametrize("tag", IMAGE_TAGS[:-1])  # the roster and the scale members
+    def test_regular_element_is_the_reference_solve_bit_for_bit(self, tag):
+        # the reference solve on the exact images of the stored stack, with
+        # no mirroring, no image buffer and no blocks, gives the same bits
+        module = ade_module(parse_diagram(tag))
+        stack = reference_stack(parse_diagram(tag))
+
+        def images(vec):
+            exponent = 61 - math.frexp(127 * module.rank * float(np.max(np.abs(vec))))[1]
+            exact = np.rint(np.ldexp(vec, exponent)).astype(np.int64)
+            return np.ldexp(np.array([action @ exact for action in stack]), -exponent)
+
+        _, vec = reference_perron(module.total, images)
+        assert np.array_equal(regular_element(module), vec / vec.sum())
+
+    @pytest.mark.parametrize("tag,calls", [("E8", 2), ("A5", 2), ("A12", 2), ("D12", 2), ("D7", 1)])
+    def test_image_calls_per_solve(self, monkeypatch, tag, calls):
+        # The first check fails on E8, A5, A12 and D12, and the solve takes
+        # the images again one check later; moving that check would move the
+        # FP dimensions' bits.  Every call rewrites the one image array.
+        returned = []
+
+        def counted(total, images):
+            def counting(vec):
+                returned.append(images(vec))
+                return returned[-1]
+
+            return linalg.perron_eigenpair(total, counting)
+
+        monkeypatch.setattr(zplus_module, "perron_eigenpair", counted)
+        regular_element(ade_module(parse_diagram(tag)))
+        assert len(returned) == calls
+        assert all(moved is returned[0] for moved in returned)
+
+    def test_a500_holds_one_image_array(self):
+        # Cold: the R_500 solve for the FP dimensions, then the module's
+        # solve, which holds the int64 columns of half the steps (2 MB), one
+        # (h - 1, n) float image array (2 MB) and the Perron loop's float
+        # copy of the sum (2 MB).  All the steps' columns, a second image
+        # array and a (k, n) residual temporary took 9.70 MiB.
+        verlinde_ring.cache_clear()
+        even_subring.cache_clear()
+        module = ade_module(parse_diagram("A500"))
+        assert traced_peak(regular_element, module) < 7.5 * 2**20
 
     def test_eigen_relation_fails_off_the_fp_dimensions(self):
         # A2's module handed R_3 (FP dimensions 1, sqrt 2, 1) for its own
