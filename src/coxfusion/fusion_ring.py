@@ -90,23 +90,26 @@ class FusionRing:
 
     def _perron_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """``perron_eigenpair`` of the left multiplication matrices
-        L_i[k, j] = c_{ij}^k, read off the runs.
+        L_i[k, j] = c_{ij}^k, read off the runs: (values, vec), the FP
+        dimensions and the unit Perron vector; it raises as the solve does.
 
         Their sum at (k, j) is the length of the run of (j, k),
         (hi - lo) / step + 1 = (hi + step) // step - lo // step (hi = lo mod
-        step), an int32 array.  By the symmetry of the rule, (L_i v)_k sums
-        v over the run of (i, k), which is S[hi + step] - S[lo] for the
+        step), an exact int32 array.  By the symmetry of the rule, (L_i v)_k
+        sums v over the run of (i, k), which is S[hi + step] - S[lo] for the
         prefix sums S[m] = sum of v_t over t < m with t = m mod step.  Both
-        are differences of the two ``_run_ends`` windows, so past the Perron
-        loop's own float copy of the sum this holds one int32 rank**2 array.
+        are differences of the two ``_run_ends`` windows.
+
+        Memory: past the solve's own, the int32 sum and one (rank, rank)
+        float64 image array that every call of ``images`` rewrites.
         """
         n, step = self.rank, self.step
+        sums, moved = np.zeros(n + step), np.empty((n, n))  # sums[:step] stays 0
 
         def images(vec):
-            sums = np.zeros(n + step)
             for start in range(step):
                 np.cumsum(vec[start::step], out=sums[start + step :: step])
-            return np.subtract(*self._run_ends(sums))
+            return np.subtract(*self._run_ends(sums), out=moved)
 
         lengths = np.arange(n + step, dtype=np.int32) // step
         return perron_eigenpair(np.subtract(*self._run_ends(lengths)), images)
@@ -136,28 +139,25 @@ class FusionRing:
         return float(self.fp_dims()[i])
 
     def verify_axioms(self) -> list[CheckResult]:
-        """Exact integer checks of the based-ring axioms.
+        """Exact checks of the based-ring axioms on ``constants``: unit law,
+        associativity, based condition and involution anti-automorphism,
+        in that order, each with the first failing index as its witness.
 
         With b_0 the unit and a self-dual basis, the based condition reads
         c_{ij}^0 = [i == j] and the involution anti-automorphism is
-        commutativity.  When the unit law holds, associativity is first
-        certified by ``nucleus_certificate`` in O(rank**4) time: b_1 lies
-        in the middle nucleus, which is a subalgebra (Schafer 1966), and
-        generates the ring.  Every Verlinde ring and even part takes this
-        path.  Without the certificate, ``associativity_witness`` scans
-        every associator up to the first step i with a mismatch; on this
-        table, symmetric in all three indices, ``associators`` takes one
-        product per i, over k >= i.  Both read the int8 table in blocks
-        of at most ``_BLOCK_BYTES`` widened to float64, so no float copy of
-        the whole table is made, and multiply in float64, which is
-        exact here: each associator entry sums at most rank products of
-        int8 entries, so it stays below 127**2 * rank, less than 2**53 for
-        any rank below about 5.6e11.  The involution check runs first and
-        compares the table with its transpose in the ``_transposed_blocks``
-        that the hypergroup check reads too, through ``report.blocked_check``:
-        the witness is the first index of the whole mask, which is never
-        built.  Its verdict is whether the table is commutative, which the
-        scan is handed.
+        commutativity, compared with the transpose in the
+        ``_transposed_blocks`` through ``report.blocked_check``.  When the
+        unit law holds, ``nucleus_certificate`` may certify associativity
+        in O(rank**4) products, as it does for every Verlinde ring and even
+        part; otherwise ``associativity_witness`` scans every associator.
+        Every verdict is exact: the products are taken in float64 on int8
+        entries, and each associator entry sums at most rank products, so
+        it stays below 127**2 * rank < 2**53.  Raises nothing; a failed
+        axiom is reported.
+
+        Memory: past the int8 table, float64 blocks of at most
+        ``_BLOCK_BYTES`` each (two in the scan) and the boolean masks of one
+        block of i or of one rank**2 slice: no rank**3 copy or mask.
         """
         c = self.constants
         rows, pairs = _transposed_blocks(c)
@@ -169,7 +169,7 @@ class FusionRing:
         if unit.passed and nucleus_certificate(c):
             associative = CheckResult("associativity", True)
         else:
-            witness = associativity_witness(c, involution.passed)
+            witness = associativity_witness(c)
             associative = CheckResult("associativity", witness is None, witness)
         return [unit, associative, exact_check("based condition", c[:, :, 0] != eye), involution]
 
@@ -198,16 +198,6 @@ def _transposed_blocks(c: np.ndarray) -> tuple[int, list[tuple[np.ndarray, np.nd
     rows = _block_rows(len(c))
     starts = range(0, len(c), rows)
     return rows, [(c[i : i + rows], c[:, i : i + rows].transpose(1, 0, 2)) for i in starts]
-
-
-def _symmetric_stack(mats: np.ndarray) -> bool:
-    """True when every matrix of the (k, n, n) stack ``mats`` equals its
-    transpose, bit for bit: compared in blocks of matrices whose masks fit
-    in ``_BLOCK_BYTES``, up to the first block that differs, so that no mask
-    of the stack's size is made."""
-    rows = max(1, _BLOCK_BYTES // mats.shape[-1] ** 2)
-    blocks = (mats[i : i + rows] for i in range(0, len(mats), rows))
-    return all(np.array_equal(block, block.transpose(0, 2, 1)) for block in blocks)
 
 
 def nucleus_certificate(c: np.ndarray) -> bool:
@@ -255,49 +245,36 @@ def nucleus_certificate(c: np.ndarray) -> bool:
     return True
 
 
-def associators(c: np.ndarray, commutative: bool):
-    """Yield (b_i b_j) b_k - b_i (b_j b_k) in blocks over k, as (i, k0, block)
-    with block[k - k0, j, l], for i = 0, 1, ... and k0 ascending.
+def associators(c: np.ndarray):
+    """Yield (b_i b_j) b_k - b_i (b_j b_k) of the (n, n, n) table ``c`` in
+    blocks over k, as (i, k0, block) with block[k - k0, j, l], for
+    i = 0, 1, ... and k0 = 0, rows, 2 * rows, ... with rows =
+    ``_block_rows(n)``.
 
     With C_i = c[i] and B_k = c[:, k], both indexed [m, l], block k of step
-    i is the commutator C_i B_k - B_k C_i, indexed [j, l].  A block spans
-    ``_block_rows(rank)`` values of k, so its two float64 buffers hold at
-    most ``_BLOCK_BYTES`` each (one k at least); they are overwritten by
-    the next block.  An integer table is widened to float64 a block at a
-    time, C_i once per step and each block of B as it is read, so no float
-    copy of the whole table is made; its products are exact while every
-    sum of rank products of entries stays below 2**53.  ``commutative`` is
-    whether ``c`` equals its transpose over i and j, as the caller's
-    involution check has found; it is not compared again here.
-    - A commutative table has B_k = C_k, so block k of step i is minus
-      block i of step k, and step i yields only k >= i.  The first step
-      with a nonzero entry still yields all of them (were one at some
-      k < i, step k would hold one first).  The largest |entry| is the
-      same in exact arithmetic; on a float table, products taken in blocks
-      may round apart from one wide product in the last bit.  Two products
-      per block, over k >= i.
-    - If every C_k is also symmetric (a self-dual table reciprocal in all
-      three indices, as the Verlinde table), C_k C_i = (C_i C_k)^T: one
-      product per block, and its blocks minus their transposes; that is
-      compared by ``_symmetric_stack``.
-    - Any other table takes both products over every k.
+    i is the commutator C_i B_k - B_k C_i, indexed [j, l]: two matmuls per
+    block over every k, whatever the symmetry of ``c``.  Each product
+    C_i B_k is its own matmul, so its bits do not depend on the blocking.
+    ``c`` may be of any real dtype: C_i and each block of B are widened to
+    float64 as they are read, and the products of an integer table are
+    exact while every sum of n products of entries stays below 2**53.
+    Raises nothing; NaN and infinities propagate to the blocks they reach.
+
+    Memory: two float64 buffers of at most ``_BLOCK_BYTES`` each (one k at
+    least), which the next block overwrites, and the float64 copies of C_i
+    and of one block of B when ``c`` is not float64.
     """
     n = len(c)
-    reciprocal = commutative and _symmetric_stack(c)
-    by_k = c if commutative else c.transpose(1, 0, 2)
+    by_k = c.transpose(1, 0, 2)
     rows = _block_rows(n)
     blocks, products = np.empty((rows, n, n)), np.empty((rows, n, n))
     for i in range(n):
         c_i = c[i].astype(float, copy=False)
-        for k0 in range(i if commutative else 0, n, rows):
+        for k0 in range(0, n, rows):
             b_k = by_k[k0 : k0 + rows].astype(float, copy=False)
             block = blocks[: len(b_k)]
             left = np.matmul(c_i, b_k, out=products[: len(b_k)])
-            if reciprocal:
-                np.subtract(left, left.transpose(0, 2, 1), out=block)
-            else:
-                np.subtract(left, np.matmul(b_k, c_i, out=block), out=block)
-            yield i, k0, block
+            yield i, k0, np.subtract(left, np.matmul(b_k, c_i, out=block), out=block)
 
 
 def parity_graded(c: np.ndarray) -> bool:
@@ -405,13 +382,19 @@ def graded_associators(load, n: int):
                     yield np.subtract(left, right.transpose(0, 2, 1, 3), out=left)
 
 
-def associativity_witness(c: np.ndarray, commutative: bool) -> tuple[int, int, int, int] | None:
-    """First (i, j, k, l) at which (b_i b_j) b_k - b_i (b_j b_k) has a
-    nonzero coefficient of b_l, or None: read off ``associators(c,
-    commutative)`` up to the first step i with one.  Blocks split that step
-    over k, so its witness is the least of their first hits."""
+def associativity_witness(c: np.ndarray) -> tuple[int, int, int, int] | None:
+    """First (i, j, k, l), in lexicographic order, at which
+    (b_i b_j) b_k - b_i (b_j b_k) has a nonzero coefficient of b_l in the
+    table ``c``, or None when there is none.
+
+    Read off ``associators(c)`` up to the first step i with a nonzero
+    entry; its blocks split that step over k, so the witness is the least
+    of their first hits.  Exact under the conditions of ``associators``;
+    a NaN entry counts as nonzero.  Memory: that of ``associators``, and
+    the index array of one block's hits.
+    """
     first = None
-    for i, k0, block in associators(c, commutative):
+    for i, k0, block in associators(c):
         if first is not None and first[0] < i:
             break
         hits = np.argwhere(block.transpose(1, 0, 2))

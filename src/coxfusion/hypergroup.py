@@ -68,7 +68,9 @@ class Hypergroup:
         """h[i, j, k] over three slices as a float64 array, written into
         ``out`` when given: t * d_k, then divided by d_i * d_j.  Those are
         the two roundings of the whole float table (t * d) / (d d^T), so
-        each entry is bit for bit the one that table holds."""
+        each entry is bit for bit the one that table holds.  Past ``out``,
+        numpy takes an iterator buffer of up to 64 KiB for each cast or
+        broadcast operand, 128.8 KiB in all at R_60."""
         out = np.multiply(self.table[i, j, k], self.dims[k], out=out)
         return np.divide(out, self._products[i, j, None], out=out)
 
@@ -87,47 +89,38 @@ _AXIOM_TOL = 1e-10
 
 @np.errstate(invalid="ignore", over="ignore")
 def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
-    """Checks of the hypergroup axioms; failures are reported.
+    """Checks of the hypergroup axioms on ``hg``: nonnegativity, unit law,
+    row sums equal 1, involution conditions and associativity, in that
+    order.  A failed axiom is reported, never raised, and a NaN or an
+    infinity raises no floating-point warning.
 
-    Unit law, row sums and associativity pass within 1e-10.  With b_0
-    the unit and a self-dual basis, the involution conditions ask the
-    unit coefficients h_{ij}^0 to be nonzero exactly at i == j, and the
-    involution to be an anti-automorphism, (b_i b_j)* = b_j b_i, that is
-    h_{ij}^k = h_{ji}^k within 1e-12; a bitwise commutative table forms
-    no difference.  That one comparison of h with its transpose also
-    picks the associativity scan.  The witness is the largest
-    |(b_i b_j) b_k - b_i (b_j b_k)| over every entry, in float64; the
-    tests pin it bit for bit to that of the dense products at the ranks
-    they list.  The nucleus certificate of ``FusionRing.verify_axioms``
-    proves an exact associator zero, but bounds no residual of a float
-    table.
+    Unit law, row sums and associativity pass within 1e-10.  With b_0 the
+    unit and a self-dual basis, the involution conditions ask h_{ij}^0 to
+    be nonzero exactly at i == j and h_{ij}^k = h_{ji}^k within 1e-12 (the
+    involution an anti-automorphism).  Witnesses: the first negative index,
+    (i, j, sum) at the row sum farthest from 1, and the largest
+    |(b_i b_j) b_k - b_i (b_j b_k)| over every entry in float64, which a
+    NaN or an infinity anywhere in the table makes non-finite.
 
-    With positive finite dims, as FP dimensions and ones are,
-    (t * d_k) / (d_i * d_j) has t's sign and zeros, and d_i * d_j is
-    d_j * d_i bit for bit, so h equals its transpose exactly where t does
-    (t of an integer table, or h itself under dims of ones).  So the sign
-    check, the comparison with the transpose, the support of h[:, :, 0]
-    and ``parity_graded`` read the table, in the
-    ``fusion_ring._transposed_blocks`` of ``_block_rows`` values of i,
-    so no mask of the table's size is made.  Float entries are computed
-    by ``Hypergroup.entries`` only where the checks need them: rows 0 of
-    the first two axes, the row sums in blocks of the same rows (a sum
-    along the last axis does not depend on the blocking), the 1e-12
-    comparison of a table that is not bitwise commutative, and the
-    associator products:
-    - A bitwise commutative table that is exactly ``parity_graded``, as
-      the hypergroup of every Verlinde ring, takes
-      ``graded_associators``, which loads its tiles through
-      ``entries``: the entries it skips are exactly 0.0, and it takes a
-      quarter of the multiply-adds of the dense products.
-    - Any other table, such as an even part from R_4 on or a perturbed
-      table, takes ``associators`` on h widened to float64 once, which
-      computes half of it for a commutative table.
-    Both scans hold a few float64 buffers within
-    ``2 * linalg._BLOCK_BYTES`` next to what they read.  A NaN or an
-    infinity anywhere in the table reaches a row of some product, so
-    associativity fails with a non-finite witness; no floating-point
-    warning is raised.
+    With positive finite dims, h has the sign and the zeros of the table t
+    and equals its transpose exactly where t does, so the sign check, the
+    support of h[:, :, 0], ``parity_graded`` and the bitwise comparison
+    with the transpose read t, in the ``fusion_ring._transposed_blocks``.
+    Float entries come from ``Hypergroup.entries`` only where read: rows 0,
+    the row sums in row blocks, the 1e-12 comparison of a table that is
+    not bitwise commutative, and the associator scan:
+    - a bitwise commutative ``parity_graded`` table, as the hypergroup of
+      every Verlinde ring, takes ``graded_associators`` through
+      ``entries``;
+    - any other table takes ``associators`` on h widened to float64 once.
+
+    Memory: past the table and the dims, rank**2 arrays, one row block of
+    float entries within ``_BLOCK_BYTES``, and the scan.  The graded scan's
+    buffers fit in ``2 * _BLOCK_BYTES``, and each ``entries`` call adds
+    numpy's iterator buffers for its cast and broadcast operands, 64 KiB
+    each at most (128.8 KiB at R_60): the scan peaks at 322 KiB at R_60,
+    the whole check at 0.51 MiB.  The full scan also holds h as a rank**3
+    float64 array.
     """
     n, t, every = hg.rank, hg.table, slice(None)
     eye = np.eye(n)
@@ -153,7 +146,7 @@ def verify_hypergroup_axioms(hg: Hypergroup) -> list[CheckResult]:
         blocks = graded_associators(hg.entries, n)
     else:
         widened = hg.entries(every, every, every)
-        blocks = (block for _, _, block in associators(widened, commutative))
+        blocks = (block for _, _, block in associators(widened))
     # np.max, unlike the builtin max, keeps a NaN wherever it comes.
     assoc_err = float(np.max([max(a.max(), -a.min()) for a in blocks]))
     return [

@@ -41,10 +41,10 @@ def _frozen(arr: np.ndarray) -> bool:
     return False
 
 
-# Bytes of one float64 block buffer, shared by the Perron residuals, the
-# regular element's check and the axiom checks, which take their products
-# over rank**2 * rows entries at a time: small enough that the few buffers
-# of a block stay in a core's L2 cache.
+# Bytes of one float64 block buffer, shared by ``row_residuals`` and the
+# axiom checks, which take their products over rank**2 * rows entries at a
+# time: small enough that the few buffers of a block stay in a core's L2
+# cache.
 _BLOCK_BYTES = 1 << 17
 
 _PERRON_RESIDUAL_TOL = 1e-12
@@ -54,44 +54,34 @@ _PERRON_STALLS = 3
 
 
 def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
-    """Common Perron eigenvector of commuting nonnegative matrices M_0 .. M_{k-1},
-    given their (n, n) sum ``total`` and ``images(v)``, the (k, n) array of
-    the M_i v.
+    """Common Perron eigenvector of commuting nonnegative matrices M_0 .. M_{k-1}.
 
-    Power iteration from the all-ones vector on ``total + I``, built in a
-    float64 copy, so that ``total`` may be an integer array and is never
-    written: a positive combination keeps the common Perron eigenspace,
-    and the unit shift breaks the +/- eigenvalue tie of bipartite
-    supports.  The sum has converged when successive Rayleigh quotients
-    differ by less than 1e-14 and the residual is below 1e-12, both scaled
-    by max(1, |quotient|) (an absolute 1e-14 falls below the float spacing
-    of quotients above about 64).  Returns each matrix's Rayleigh
-    quotient, whose error is quadratic in the vector's when the set is
-    closed under transposition, and the unit vector, once every matrix's
-    residual also passes 1e-12.  Matrices with no common Perron vector
-    never do: once the sum has converged, power iteration comes to rest
-    at a vector that moves by at most 1e-15 in max norm from one check (or
-    the start) to the next, a few roundings of a unit vector, and can
-    improve no further.  The third check that fails at such a vector
-    raises ConvergenceError, as does the 100000th step.  The last call of
-    ``images`` is at the returned vector, so a caller may keep its result
-    rather than take the images again.
+    Inputs: ``total``, their (n, n) sum, of any real dtype and never
+    written, and ``images(v)``, which returns the (k, n) float64 array of
+    the M_i v.  Only these are read, so the matrices need not be held as
+    floats, or at all.  Returns (values, vec): each matrix's Rayleigh
+    quotient values[i] = (M_i vec) . vec / (vec . vec) and the unit vector
+    vec, from the last call of ``images``, which is at vec, so a caller
+    may read that call's result rather than take the images again.
 
-    Only the sum and the images are read, so the matrices need not be
-    held as floats, or at all: ``regular_element`` passes its module's
-    exact int32 sum and the images of an exact int64 recursion, and a
-    ``FusionRing`` its int32 run lengths and prefix sums.  A float sum of
-    an integer stack is exact while every partial sum stays below 2**53,
-    so there the float64 copy of an exact integer sum is the float sum,
-    bit for bit.
+    Power iteration from the all-ones vector on ``total + I`` in a float64
+    copy: a positive combination keeps the common Perron eigenspace, and
+    the unit shift breaks the +/- eigenvalue tie of bipartite supports.
+    The sum has converged when successive Rayleigh quotients differ by
+    less than 1e-14 and its residual is below 1e-12, both scaled by
+    max(1, |quotient|); the vector is returned once every matrix's
+    ``row_residuals`` is below 1e-12 * max(1, |values[i]|) too.  The float
+    copy of an exact integer sum is the float sum bit for bit while every
+    partial sum stays below 2**53.
 
-    Past the caller's sum and the array that ``images`` returns, the solve
-    holds its float64 copy of the sum, a few n-vectors and one residual
-    block of at most ``_BLOCK_BYTES``.  The residuals of a check are taken
-    in row blocks; its Rayleigh quotients ``moved @ vec`` are one product
-    over all the images, as the FP dimensions' bits were first computed.
-    The images of a check that fails are dropped before ``images`` is
-    called again, so at most one image array is alive.
+    Raises ValueError if ``total`` is not square, and ConvergenceError if
+    the iteration collapses to zero, at its 100000th step, or at the third
+    failed check whose vector moved by at most 1e-15 in max norm since the
+    previous one (or the start): matrices with no common Perron vector
+    come to rest there.
+
+    Memory: past the caller's sum and the array ``images`` returns, the
+    float64 copy of the sum, a few n-vectors and ``row_residuals``' block.
     """
     total = np.asarray(total)
     if total.ndim != 2 or total.shape[0] != total.shape[1]:
@@ -116,9 +106,9 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
         ):
             moved = images(vec)
             values = moved @ vec / (vec @ vec)
-            if _residuals_pass(moved, values, vec):
+            limits = _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))
+            if np.all(row_residuals(moved, values, vec) < limits):
                 return values, vec
-            moved = None  # the next call of ``images`` may build its own array
             stalls += np.max(np.abs(vec - checked)) <= _PERRON_STILL
             if stalls == _PERRON_STALLS:
                 raise ConvergenceError("power iteration came to rest off a common Perron vector")
@@ -127,18 +117,24 @@ def perron_eigenpair(total, images) -> tuple[np.ndarray, np.ndarray]:
     raise ConvergenceError(f"power iteration did not converge in {_PERRON_MAX_ITER} steps")
 
 
-def _residuals_pass(moved, values, vec) -> bool:
-    """Whether max |moved[i] - values[i] * vec| < 1e-12 * max(1, |values[i]|)
-    for every i, taken in row blocks of at most ``_BLOCK_BYTES``, up to the
-    first block that fails: no temporary of the images' size is made."""
-    limits = _PERRON_RESIDUAL_TOL * np.maximum(1.0, np.abs(values))
+def row_residuals(moved, values, vec) -> np.ndarray:
+    """max_j |moved[i, j] - values[i] * vec[j]| for every row i, as a
+    float64 (k,) array, from a (k, n) ``moved``, a (k,) ``values`` and an
+    (n,) ``vec``; ``moved`` is not written.
+
+    Each entry is that of the whole-array expression bit for bit: the
+    products are ``outer_product``'s one rounding each, then one
+    subtraction.  They are taken in row blocks of at most ``_BLOCK_BYTES``,
+    so past its result it holds one such block.  NaN propagates to its
+    row.
+    """
+    out = np.empty(len(moved))
     rows = max(1, _BLOCK_BYTES // (8 * len(vec)))
     for i in range(0, len(moved), rows):
         off = outer_product(values[i : i + rows], vec)  # then |moved - off|, in place
         np.abs(np.subtract(moved[i : i + rows], off, out=off), out=off)
-        if not np.all(np.max(off, axis=1) < limits[i : i + rows]):
-            return False
-    return True
+        np.max(off, axis=1, out=out[i : i + rows])
+    return out
 
 
 def outer_product(column, row) -> np.ndarray:

@@ -82,7 +82,9 @@ class TheoremReport:
     """Per-diagram outcome of the fixed-space / Coxeter-plane comparison.
 
     ``lemmas`` holds the bifurcation, decomposition and regular-split
-    checks, in that order.
+    checks, in that order.  ``passed`` requires every lemma to pass, as
+    well as the fixed space to be a plane at ``projector_distance`` below
+    the tolerance and both sides to find the same h.
     """
 
     diagram: str
@@ -111,9 +113,9 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     Each stage runs once.  The fixed-space path reads only the module
     built from the adjacency matrix and the plane path only the bilinear
     form; each finds h on its own, and ``passed`` requires the two
-    values to agree.  The lemmas hold the fusion side against the
-    bipartition the plane built for gamma's word (``plane.parts``), which
-    comes from the adjacency matrix alone.
+    values to agree and every lemma to pass.  The lemmas hold the fusion
+    side against the bipartition the plane built for gamma's word
+    (``plane.parts``), which comes from the adjacency matrix alone.
 
     The regular element r of the module is solved for first, once: it is
     the certificate with which ``fixed_space`` reads the fixed space off
@@ -142,7 +144,8 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
         check_decomposition_lemma(restricted, plane.parts),
         check_regular_split(module, plane.parts, regular),
     )
-    passed = len(basis) == 2 and distance < tol and module.ring.rank + 1 == plane.h
+    agree = len(basis) == 2 and distance < tol and module.ring.rank + 1 == plane.h
+    passed = agree and all(lemma.passed for lemma in lemmas)
     return TheoremReport(
         diagram=d.name,
         h=plane.h,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coxeter import CoxeterDiagram, CoxeterError
 from .fusion_ring import FusionRing, even_subring, verlinde_ring
-from .linalg import _BLOCK_BYTES, connected_components, outer_product, perron_eigenpair
+from .linalg import connected_components, perron_eigenpair, row_residuals
 
 
 class ZPlusModuleError(ValueError):
@@ -162,38 +162,33 @@ def decompose(module: AdeModule) -> list[list[int]]:
 
 
 def regular_element(module: AdeModule) -> np.ndarray:
-    """Regular element of an irreducible module, as a read-only vector with
-    coordinate sum 1.
+    """Regular element of an irreducible ADE module: the common Perron
+    vector of all its actions, as a read-only positive float64 (n,) vector
+    with coordinate sum 1.
 
-    It is the common Perron vector of all actions, from one
-    ``perron_eigenpair`` solve on ``module.total``, checked against every
-    basis element k at eigenvalue FP(b_k): the max-norm residual of each
-    must be at most 1e-9.  An irreducible module has a connected
-    ``decompose``, read here off the same support.  Over the even part a
-    module of rank 2 or more is reducible; that of A1 acts by Delta_0
-    alone, as A1's module does.
+    It comes from one ``perron_eigenpair`` solve on ``module.total`` and
+    is checked against every basis element k at eigenvalue FP(b_k), read
+    off ``module.ring.fp_dims()``: each max-norm residual, from
+    ``row_residuals`` plus the rounding bound below, must be at most 1e-9.
 
     The images Delta_k(A) v come from an exact int64 run of the recursion
     on R = rint(v * 2**E), with E such that 127 * rank * max|R| stays
-    below 2**62: every entry of Delta_k(A) is at most 127 and nonnegative,
-    so no partial sum wraps.  The run stops at k = (h - 2) // 2, and only
-    those steps have int64 columns: each later Delta_{h-2-k}(A) R is
-    Delta_k(A) R with its rows taken in the order of ``module.mirror``, the
-    same integers, so its float image is the float image of Delta_k(A) R
-    with its entries so permuted, the same bits.  The row sums
-    Delta_k(A) 1 ride along as a second column.  Each image then differs
-    from Delta_k(A) v only by the rounding of R, at most
-    (Delta_k(A) 1) * 2**-(E + 1) per entry, and by the one rounding of the
-    int64 image to float64.  The check adds the largest such bound of
-    each k to its residual, mirrored as the images are.  It reads the
-    images that the solve took last, at the vector it returns, scaled by
-    the same coordinate sum: no second run of the recursion.
+    below 2**62, so no partial sum wraps.  The run stops at
+    k = (h - 2) // 2; each later image Delta_{h-2-k}(A) R is Delta_k(A) R
+    with its rows in the order of ``module.mirror``, the same integers.
+    The row sums Delta_k(A) 1 ride along as a second column, and the check
+    adds (Delta_k(A) 1) * 2**-(E + 1), the bound on the rounding of R, to
+    the residual of k.  The check reads the images of the solve's last
+    call, at the returned vector, divided in place by its coordinate sum.
 
-    So past the module and the ring, the solve holds the int64 columns of
-    half the steps, one (h - 1, n) float64 image array that every call of
-    the images rewrites, and ``perron_eigenpair``'s own float copy of the
-    sum and its residual block; the check runs on the image array in place,
-    in row blocks of at most ``_BLOCK_BYTES``.
+    Raises ZPlusModuleError if the support of ``module.total`` is not
+    connected (over the even part every module of rank 2 or more), if the
+    Perron vector is not strictly positive, or if an eigen-relation fails;
+    ConvergenceError from the solve.
+
+    Memory: past the module and the ring, the int64 columns of half the
+    steps, one (h - 1, n) float64 image array that every call rewrites,
+    and the solve's float64 copy of the sum and its residual block.
     """
     components = connected_components(module.total != 0)
     if len(components) != 1:
@@ -225,16 +220,11 @@ def regular_element(module: AdeModule) -> np.ndarray:
     vec = vec / coordinate_sum
     if np.any(vec <= 0):
         raise ZPlusModuleError("Perron vector is not strictly positive")
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    for i in range(0, len(fp), rows):  # |images at vec - FP * vec|, in place
-        block = moved[i : i + rows]
-        block /= coordinate_sum
-        block -= outer_product(fp[i : i + rows], vec)
-        np.abs(block, out=block)
+    moved /= coordinate_sum
     row_max = columns[1:, :n, 1].max(axis=1)
     row_max = np.concatenate([row_max, row_max[:rest][::-1]])
     rounding = np.ldexp(row_max, -exponent - 1) / coordinate_sum
-    residuals = np.max(moved, axis=1) + rounding
+    residuals = row_residuals(moved, fp, vec) + rounding
     failing = np.flatnonzero(residuals > 1e-9)
     if failing.size:
         i = int(failing[0])

@@ -17,8 +17,8 @@ keep the generic FP-dimension and axiom code under test on data outside
 those families.  ``verify_module_axioms`` is the
 exact Z+-module axiom check, which no pipeline stage reads, read one
 step at a time by ``sliced_check``, and
-``dense_associators`` the full two-product associator slices that
-``fusion_ring.associators`` halves on commutative tables, and
+``dense_associators`` the associator slices of one wide product pair
+per i, the reference for ``fusion_ring.associators``' blocks, and
 ``dense_associator_max`` their largest |entry|, the hypergroup check's
 reference witness.  ``dense_constants`` is a hypergroup's whole float
 tensor of structure constants, which the library never builds, and

@@ -30,6 +30,7 @@ from coxfusion.coxeter import (
 )
 from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.linalg import ConvergenceError, perron_eigenpair
+from coxfusion.report import CheckResult
 from coxfusion.verify import check_main_theorem, default_roster
 from coxfusion.zplus_module import ZPlusModuleError
 from helpers import fstring_csv, fstring_svg
@@ -222,6 +223,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "A3")
         assert code == 1 and out == ""
         assert err == "error: power iteration did not converge in 1 steps\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("suite", "--roster", "E8"), ("verify", "E8", "--theorem"), ("verify", "E8")]
+    )
+    def test_a_failed_lemma_fails_the_verdict(self, capsys, monkeypatch, argv):
+        def failing(restricted, parts):
+            return CheckResult("decomposition lemma", False, [[0]])
+
+        monkeypatch.setattr(coxfusion.verify, "check_decomposition_lemma", failing)
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        reports = json.loads(out)
+        report = reports[0] if argv[0] == "suite" else reports["main theorem"]
+        assert report["decomposition_ok"] is False and report["passed"] is False
 
     def test_module_error_is_one_error_line(self, capsys, monkeypatch):
         # regular_element's absolute 1e-9 residual can fail at large rank

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from coxfusion import hypergroup
+from coxfusion import fusion_ring, hypergroup, linalg
 from coxfusion.coxeter import diagram, parse_diagram
-from coxfusion.fusion_ring import even_subring, parity_graded, verlinde_ring
+from coxfusion.fusion_ring import even_subring, graded_associators, parity_graded, verlinde_ring
 from coxfusion.hypergroup import (
     Hypergroup,
     HypergroupAction,
@@ -162,9 +162,8 @@ class TestVerifyAxioms:
 
     @pytest.mark.parametrize("even", [False, True])
     def test_associativity_residual_matches_dense_slices_in_r60(self, even, scans):
-        # The graded scan of R_60 and the k >= i half of its even part, which
-        # is not graded, read the same largest |entry| as both products over
-        # every k.
+        # The graded scan of R_60 and the full scan of its even part, which
+        # is not graded, read the same largest |entry| as the dense products.
         ring = verlinde_ring(60)
         hg = from_fusion_ring(even_subring(ring) if even else ring)
         assert verify_hypergroup_axioms(hg)[-1].witness == dense_associator_max(dense_constants(hg))
@@ -246,6 +245,26 @@ class TestVerifyAxioms:
         peak = traced_peak(verify_hypergroup_axioms, hg)
         assert peak <= 4 * 2**20
         assert peak < hg.rank**3
+
+    def test_r60_graded_scan_stays_within_its_stated_bound(self):
+        # ``Hypergroup.entries`` takes numpy's iterator buffers for its cast
+        # and broadcast operands, 64 KiB each at most: 128.8 KiB past a
+        # 4-row ``out`` (112.5 KiB) at R_60.  So the graded scan holds its
+        # buffers within 2 * ``_BLOCK_BYTES`` and those of one ``entries``
+        # call: 322 KiB measured.
+        hg = from_fusion_ring(verlinde_ring(60))
+        rows, every = fusion_ring._block_rows(60), slice(None)
+        out = np.empty((rows, 60, 60))
+        hg.entries(slice(0, rows), every, every, out=out)  # first-call allocations
+        buffers = traced_peak(hg.entries, slice(0, rows), every, every, out)
+        assert buffers <= 130 * 2**10
+
+        def scan():
+            for _ in graded_associators(hg.entries, 60):
+                pass
+
+        scan()
+        assert traced_peak(scan) <= 2 * linalg._BLOCK_BYTES + 130 * 2**10
 
     def test_r120_check_from_the_ring_stays_within_4_mib(self):
         # From the ring's cached int8 table and FP dimensions to the report,
