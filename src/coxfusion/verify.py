@@ -118,11 +118,11 @@ def check_main_theorem(d: CoxeterDiagram, tol: float = DEFAULT_TOL) -> TheoremRe
     (``plane.parts``), which comes from the adjacency matrix alone.
 
     The regular element r of the module is solved for first, once: it is
-    the certificate with which ``fixed_space`` reads the fixed space off
-    ker W alone, W = (sum_i FP_i) I - sum_i M_i the plain sum over the even
-    actions, and the regular-split lemma checks it.  So each side takes one
-    symmetric eigendecomposition: ``eigh`` of W on the fusion side and of
-    2I - form on the plane side.  The fusion side makes two Perron solves,
+    the certificate and the start from which ``fixed_space`` takes one
+    Perron vector of the even actions' sum per component of its support,
+    by power iteration, and the regular-split lemma checks it.  So the
+    fusion side takes no eigendecomposition and the plane side one, the
+    ``eigh`` of 2I - form.  The fusion side makes two Perron solves,
     one for the FP dimensions of the full ring R_{h-1}, which its even part
     reads at the even indices, and one for the module's regular element.
     """

@@ -29,7 +29,10 @@ and ``matrix_order`` is the power walk that checks its order against h.
 ``edges`` lists a diagram's bonds and ``squaring_components`` is the
 reachability-squaring reference for ``linalg.connected_components``.
 ``positive_definite`` is the spectral reference for the exact graph gate
-``CoxeterDiagram.is_ade``.
+``CoxeterDiagram.is_ade``.  ``stacked_fixed_space``, the thin SVD of the
+stacked Theta_i - I, and ``eigh_fixed_space``, the kernel of one ``eigh``
+of W = (sum FP) I - sum M_i, are the references for the power-iterated
+rows of ``hypergroup.fixed_space``.
 ``fstring_csv`` and ``fstring_svg`` are the per-point f-string renderers
 of ``project``'s output, the references for the CLI's single-format ones.
 ``traced_peak`` is the tracemalloc peak of one call, for the memory pins;
@@ -327,6 +330,23 @@ def positive_definite(sym) -> bool:
     """Whether a symmetric matrix's smallest eigenvalue exceeds its ``spectrum_slack``."""
     evals = np.linalg.eigvalsh(sym)
     return bool(evals[0] > spectrum_slack(evals))
+
+
+def stacked_fixed_space(theta):
+    """Reference: thin SVD of the (k n) x n stack of Theta_i - I at the cut 1e-8."""
+    eye = np.eye(theta.shape[1])
+    stacked = np.concatenate([mat - eye for mat in theta])
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    return vt[int(np.sum(svals >= 1e-8)) :]
+
+
+def eigh_fixed_space(action) -> np.ndarray:
+    """Reference: the rows of one ``eigh`` of W = (sum FP) I - sum M_i at
+    |lambda| <= |FP|_2 * 1e-8, the cut ``hypergroup.fixed_space`` certifies
+    its residuals against."""
+    total, fp = action.matrices, action.fp_dims
+    evals, vecs = np.linalg.eigh(fp.sum() * np.eye(len(total)) - total)
+    return vecs.T[np.abs(evals) <= np.linalg.norm(fp) * 1e-8]
 
 
 def cycle(n):

@@ -18,6 +18,8 @@ import coxfusion
 import coxfusion.cli
 import coxfusion.coxeter
 import coxfusion.fusion_ring
+import coxfusion.hypergroup
+import coxfusion.verify
 import coxfusion.zplus_module
 from coxfusion.cli import _points_to_csv, _points_to_svg, build_parser, main, parse_roster
 from coxfusion.coxeter import (
@@ -32,7 +34,7 @@ from coxfusion.fusion_ring import even_subring, verlinde_ring
 from coxfusion.linalg import ConvergenceError, perron_eigenpair
 from coxfusion.report import CheckResult
 from coxfusion.verify import check_main_theorem, default_roster
-from coxfusion.zplus_module import ZPlusModuleError
+from coxfusion.zplus_module import AdeModule, ZPlusModuleError
 from helpers import fstring_csv, fstring_svg
 
 
@@ -249,6 +251,54 @@ class TestVerify:
         assert err.splitlines() == [
             "error: eigen-relation for basis element 1 fails (residual 2.000e-09)"
         ]
+
+
+def fold_odd_into_even(module):
+    """The even restriction with S_odd added into S_even: the full sum."""
+    ring = even_subring(module.ring)
+    return AdeModule(ring, module.adjacency, module.neighbours, module.mirror, module.total, module.total)
+
+
+def moved_regular(module):
+    """The regular element moved off the Perron vector by 1e-3 * arange."""
+    regular = coxfusion.zplus_module.regular_element(module)
+    return regular + 1e-3 * np.arange(len(regular))
+
+
+def rotated_fixed_space(action, regular):
+    """The fixed space with its first row turned by 1e-6 out of the plane."""
+    basis = coxfusion.hypergroup.fixed_space(action, regular)
+    away = np.eye(len(regular))[0] - basis.T @ basis[:, 0]  # e_0 less its part in the plane
+    away /= np.linalg.norm(away)
+    turned = basis.copy()
+    turned[0] = math.cos(1e-6) * basis[0] + math.sin(1e-6) * away
+    return turned
+
+
+class TestFaults:
+    """A fault injected into one stage of the fusion side ends
+    ``verify --theorem`` at exit 2, or at exit 1 with one ``error:`` line,
+    never at exit 0."""
+
+    @pytest.mark.parametrize(
+        "stage,fault,code,message",
+        [
+            ("restrict", fold_odd_into_even, 1, "|W r| exceeds the cut times |r|"),
+            ("regular_element", moved_regular, 1, "|W r| exceeds the cut times |r|"),
+            ("fixed_space", rotated_fixed_space, 2, None),
+        ],
+    )
+    def test_fault_fails_the_verdict(self, capsys, monkeypatch, stage, fault, code, message):
+        monkeypatch.setattr(coxfusion.verify, stage, fault)
+        got, out, err = run(capsys, "verify", "E8", "--theorem")
+        assert got == code
+        if code == 1:
+            assert out == ""
+            assert err.splitlines() == [f"error: fixed space not certified: {message}"]
+        else:
+            report = json.loads(out)["main theorem"]
+            assert report["fixed_dimension"] == 2 and report["passed"] is False
+            assert report["projector_distance"] == pytest.approx(math.sqrt(2) * 1e-6, rel=1e-3)
 
 
 class TestProject:

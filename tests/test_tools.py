@@ -88,3 +88,19 @@ def test_fresh_peak_reports_a_failed_check(monkeypatch, capsys):
     assert fresh_peak.main(["E8"]) == 1
     row = capsys.readouterr().out.splitlines()[1]
     assert row.split() == ["E8", "0.500", "40.0", "1.00e+00", "FAILED"]
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_fresh_peak_rejects_a_run_count_below_one(monkeypatch, capsys, runs):
+    def refuse(tag, src):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(fresh_peak, "measure", refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        fresh_peak.main(["--runs", runs, "E8"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"fresh_peak.py: error: --runs must be at least 1, got {runs}"
+    )

@@ -9,7 +9,8 @@ runs ``check_main_theorem`` once and reports the call's wall time, the
 process's peak resident set (VmHWM in /proc/self/status, so Linux only)
 and the projector distance.  Prints one row per tag: the medians of the
 times and of the peaks over the runs, and the distance, which every run
-computes bit for bit alike.  Exits 1 if any theorem check fails.
+computes bit for bit alike.  Exits 1 if any theorem check fails, and 2,
+argparse's usage error, on an N below 1.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--runs", type=int, default=1)
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, got {args.runs}")
     print(f"{'diagram':<10} {'time_s':>8} {'vmhwm_mb':>9} {'distance':>10}")
     all_passed = True
     for tag in args.tags:
-        runs = [measure(tag, args.src) for _ in range(max(1, args.runs))]
+        runs = [measure(tag, args.src) for _ in range(args.runs)]
         seconds, peak_mb, distance, passed = (list(column) for column in zip(*runs))
         all_passed = all_passed and all(passed)
         print(
